@@ -167,11 +167,7 @@ def cmd_train(args) -> int:
     )
     manifest.record(out / "checkpoint.bin")
     manifest.record(out / "checkpoint.bin.json")
-    rows = [
-        [row.step, row.loss, row.clamp_fraction, row.mean_eta]
-        for row in result.trace
-    ]
-    write_csv(out / "trace.csv", ["step", "loss", "clamp_fraction", "mean_eta"], rows, manifest)
+    write_csv(out / "trace.csv", list(tr.TRACE_DTYPE.names), result.trace.tolist(), manifest)
     manifest.save(out)
     print(f"trained {len(result.trace)} steps; final loss {result.trace[-1].loss:.4f}")
     return 0

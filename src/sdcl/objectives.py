@@ -18,9 +18,10 @@ scores get zero gradient there while the floor's own gamma dependence is
 kept.
 
 ``in_batch_loss`` assembles either objective over a batch with in-batch
-negatives (every other positive in the batch) and returns exact gradients
-with respect to all embeddings, including through similarity-derived
-reweighting factors.
+negatives (every other positive in the batch) as one B x B computation:
+every negative-handling rule becomes a weight matrix from
+``negative_weights``.  It returns exact gradients with respect to all
+embeddings, including through similarity-derived reweighting factors.
 """
 
 from __future__ import annotations
@@ -76,13 +77,8 @@ class NegativeHandling:
                 raise ValueError("threshold must be finite or +inf (identity)")
         if self.kind == "reweight_by_sim" and self.temperature <= 0:
             raise ValueError("temperature must be positive")
-
-
-@dataclass
-class HandlingResult:
-    kept: np.ndarray            # indices into the original negative list
-    weights: Optional[np.ndarray]  # aligned with kept; None means unit weights
-    fallback: bool              # True when everything was removed and one negative was retained
+        if self.keep_count < 1:
+            raise ValueError("keep_count must be >= 1")
 
 
 def contrastive_loss(pos_score: float, neg_scores: np.ndarray,
@@ -201,47 +197,60 @@ def asymptotic_loss_from_scores(
     return total
 
 
-def apply_negative_handling(
-    strategy: NegativeHandling,
-    anchor_emb: np.ndarray,
-    pos_emb: np.ndarray,
-    neg_embs: np.ndarray,
-    neg_classes: Optional[np.ndarray] = None,
-    anchor_class: Optional[int] = None,
-) -> HandlingResult:
-    """Filter or reweight the negative set per the configured baseline.
+def negative_weights(
+    handling: NegativeHandling,
+    pos_embs: np.ndarray,
+    classes: Optional[np.ndarray] = None,
+    max_negatives: Optional[int] = None,
+) -> tuple[Optional[np.ndarray], int]:
+    """Weight matrix W over every anchor's in-batch candidates, and the number
+    of rows that fell back to a single negative.
 
-    Similarity-based strategies compare each negative against the positive.
-    If a removal strategy empties the set, the single least-similar negative
-    is retained and the event flagged.
+    Row i's pool is every j != i, or with ``max_negatives`` = k the first k
+    of them (j < k + (j > i)).  Similarity-based rules compare each negative
+    P_j with the positive P_i.  A removal rule that empties a row keeps only
+    the row's least similar pool entry.  The diagonal (the positive) carries
+    weight 1.  ``None`` stands for unit weights on the full pool.
     """
-    n = neg_embs.shape[0]
-    sims = neg_embs @ pos_emb
-    if strategy.kind == "none":
-        return HandlingResult(kept=np.arange(n), weights=None, fallback=False)
-    if strategy.kind == "remove_by_sim":
-        kept = np.flatnonzero(sims <= strategy.threshold)
-    elif strategy.kind == "resample_by_sim":
-        if not 1 <= strategy.keep_count <= n:
-            raise ValueError("keep_count must lie in [1, N]")
-        order = np.argsort(sims, kind="stable")
-        kept = np.sort(order[: strategy.keep_count])
-    elif strategy.kind == "remove_by_label":
-        if neg_classes is None or anchor_class is None:
+    if handling.kind == "none" and max_negatives is None:
+        return None, 0
+    b = pos_embs.shape[0]
+    col = np.arange(b)
+    pool = col[None, :] != col[:, None]
+    if max_negatives is not None:
+        pool &= col[None, :] < max_negatives + (col[None, :] > col[:, None])
+    n_pool = b - 1 if max_negatives is None else max_negatives
+    sims = pos_embs @ pos_embs.T
+    if handling.kind == "reweight_by_sim":
+        # n_pool * softmax(-sims / T) over each row's pool
+        weights = np.where(pool, -sims / handling.temperature, -np.inf)
+        weights -= weights.max(axis=1, keepdims=True)
+        np.exp(weights, out=weights)
+        weights /= weights.sum(axis=1, keepdims=True)
+        weights *= n_pool
+        np.fill_diagonal(weights, 1.0)
+        return weights, 0
+    pool_sims = np.where(pool, sims, np.inf)
+    if handling.kind == "remove_by_sim":
+        keep = pool & (sims <= handling.threshold)
+    elif handling.kind == "remove_by_label":
+        if classes is None:
             raise ValueError("remove_by_label needs latent classes")
-        kept = np.flatnonzero(np.asarray(neg_classes) != anchor_class)
-    elif strategy.kind == "reweight_by_sim":
-        logits = -sims / strategy.temperature
-        logits = logits - logits.max()
-        q = np.exp(logits)
-        q /= q.sum()
-        return HandlingResult(kept=np.arange(n), weights=n * q, fallback=False)
-    else:  # pragma: no cover - guarded in NegativeHandling
-        raise ValueError(strategy.kind)
-    if kept.size == 0:
-        kept = np.array([int(np.argmin(sims))])
-        return HandlingResult(kept=kept, weights=None, fallback=True)
-    return HandlingResult(kept=kept, weights=None, fallback=False)
+        classes = np.asarray(classes)
+        keep = pool & (classes[None, :] != classes[:, None])
+    elif handling.kind == "resample_by_sim":
+        if not 1 <= handling.keep_count <= n_pool:
+            raise ValueError("keep_count must lie in [1, N]")
+        lowest = np.argsort(pool_sims, axis=1, kind="stable")[:, : handling.keep_count]
+        keep = np.zeros_like(pool)
+        np.put_along_axis(keep, lowest, True, axis=1)
+    else:  # "none" under a negative cap
+        keep = pool
+    empty = np.flatnonzero(~keep.any(axis=1))
+    keep[empty, np.argmin(pool_sims[empty], axis=1)] = True
+    weights = keep.astype(np.float64)
+    np.fill_diagonal(weights, 1.0)
+    return weights, int(empty.size)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +285,11 @@ def in_batch_loss(
 
     For the debiased objective the positive itself serves as the single
     same-class sample (M = 1).  ``max_negatives`` caps each anchor's negative
-    pool at its first entries (batch order is already random).  Reductions
-    run in batch order so results are reproducible.
+    pool at its first entries (batch order is already random).  Negative
+    handling enters as the weight matrix W of ``negative_weights``: row i's
+    weighted negative sum is (W * E).sum(1) - e^{s_ii} with E = exp(A P^T),
+    and its negative count is W.sum(1) - 1.  Reductions run in batch order so
+    results are reproducible.
     """
     if objective not in ("cl", "dcl"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -295,151 +307,71 @@ def in_batch_loss(
         if np.any(etas < 0.0) or np.any(etas >= 1.0):
             raise ValueError("eta values must lie in [0, 1)")
     handling = handling or NegativeHandling()
+    weights, fallbacks = negative_weights(handling, p, classes, max_negatives)
+    reweight = handling.kind == "reweight_by_sim"
     floor = np.exp(-(gamma**2))
-    if handling.kind == "none" and max_negatives is None:
-        return _in_batch_loss_plain(a, p, objective, etas, floor, gamma)
 
-    loss_total = 0.0
-    d_a = np.zeros_like(a)
-    d_p = np.zeros_like(p)
-    d_gamma = 0.0
-    clamp_hits = 0
-    fallbacks = 0
-
-    for i in range(b):
-        neg_idx_all = np.concatenate([np.arange(i), np.arange(i + 1, b)])
-        if max_negatives is not None:
-            neg_idx_all = neg_idx_all[:max_negatives]
-        res = apply_negative_handling(
-            handling,
-            a[i],
-            p[i],
-            p[neg_idx_all],
-            neg_classes=None if classes is None else np.asarray(classes)[neg_idx_all],
-            anchor_class=None if classes is None else int(np.asarray(classes)[i]),
-        )
-        fallbacks += int(res.fallback)
-        neg_idx = neg_idx_all[res.kept]
-        w = np.ones(neg_idx.size) if res.weights is None else res.weights
-        reweight = handling.kind == "reweight_by_sim"
-
-        s_pos = float(a[i] @ p[i])
-        s_neg = a[i] @ p[neg_idx].T
-        exp_neg = np.exp(s_neg)
-        exp_pos = np.exp(s_pos)
-        w_sum = float(w.sum())
-
-        if objective == "cl":
-            z = float(np.sum(w * exp_neg))
-            dz_ds = w * exp_neg
-            dz_dw = exp_neg
-            dz_da_score = 0.0
-            dz_dgamma = 0.0
-            clamped = False
-        else:
-            eta_i = float(etas[i])
-            coef = 1.0 / (1.0 - eta_i)
-            z0 = coef * float(np.sum(w * exp_neg)) - (eta_i * coef) * w_sum * exp_pos
-            z_floor = w_sum * floor
-            clamped = z0 < z_floor
-            if clamped:
-                z = z_floor
-                dz_ds = np.zeros_like(s_neg)
-                dz_dw = np.full(neg_idx.size, floor)
-                dz_da_score = 0.0
-                dz_dgamma = -2.0 * gamma * floor * w_sum
-            else:
-                z = z0
-                dz_ds = coef * w * exp_neg
-                dz_dw = coef * exp_neg - (eta_i * coef) * exp_pos
-                dz_da_score = -(eta_i * coef) * w_sum * exp_pos
-                dz_dgamma = 0.0
-            clamp_hits += int(clamped)
-
-        denom = exp_pos + z
-        loss_total += np.log(denom) - s_pos
-
-        dl_dspos = (exp_pos + dz_da_score) / denom - 1.0
-        dl_dsneg = dz_ds / denom
-        d_gamma += dz_dgamma / denom
-
-        d_a[i] += dl_dspos * p[i]
-        d_p[i] += dl_dspos * a[i]
-        d_a[i] += dl_dsneg @ p[neg_idx]
-        d_p[neg_idx] += np.outer(dl_dsneg, a[i])
-
-        if reweight:
-            # w = N * softmax(-sims / T): gradients flow through the weights
-            dl_dw = dz_dw / denom
-            q = w / neg_idx.size  # softmax probabilities (weights sum to N)
-            dl_dr = neg_idx.size * q * (dl_dw - float(q @ dl_dw))
-            dsims = -dl_dr / handling.temperature
-            d_p[i] += dsims @ p[neg_idx]
-            d_p[neg_idx] += np.outer(dsims, p[i])
-
-    inv_b = 1.0 / b
-    return BatchLossResult(
-        loss=loss_total * inv_b,
-        d_anchor=d_a * inv_b,
-        d_positive=d_p * inv_b,
-        d_gamma=d_gamma * inv_b,
-        clamp_fraction=clamp_hits * inv_b if objective == "dcl" else 0.0,
-        fallback_count=fallbacks,
-        mean_eta=float(np.mean(etas)) if objective == "dcl" else 0.0,
-    )
-
-
-def _in_batch_loss_plain(
-    a: np.ndarray,
-    p: np.ndarray,
-    objective: str,
-    etas: Optional[np.ndarray],
-    floor: float,
-    gamma: float,
-) -> BatchLossResult:
-    """Vectorized path for the unfiltered negative set (matrix form of the
-    per-anchor loop; results agree to rounding)."""
-    b = a.shape[0]
-    n = b - 1
     scores = a @ p.T
     exp_scores = np.exp(scores)
     diag = np.arange(b)
     exp_pos = exp_scores[diag, diag]
-    off_sum = exp_scores.sum(axis=1) - exp_pos
+    if weights is None:
+        n = b - 1
+        w_exp = exp_scores
+    else:
+        n = weights.sum(axis=1) - 1.0
+        # the reweighting gradient rereads E; the other rules weight it in place
+        w_exp = weights * exp_scores if reweight else np.multiply(exp_scores, weights, out=exp_scores)
+    z_sum = w_exp.sum(axis=1) - exp_pos
 
+    dl_dscores = w_exp  # computed in place: W * E is not read again
     if objective == "cl":
-        z = off_sum
-        denom = exp_pos + z
-        dl_dscores = exp_scores / denom[:, None]
+        denom = exp_pos + z_sum
+        dl_dscores /= denom[:, None]
         dl_dscores[diag, diag] = exp_pos / denom - 1.0
         d_gamma = 0.0
         clamp_fraction = 0.0
-        loss = float(np.mean(np.log(denom) - scores[diag, diag]))
     else:
         coef = 1.0 / (1.0 - etas)
-        z0 = coef * off_sum - (etas * coef) * n * exp_pos
+        z0 = coef * z_sum - (etas * coef) * n * exp_pos
         z_floor = n * floor
         clamped = z0 < z_floor
         z = np.where(clamped, z_floor, z0)
         denom = exp_pos + z
-        active = ~clamped
-        dl_dscores = np.where(
-            active[:, None], coef[:, None] * exp_scores / denom[:, None], 0.0
-        )
-        dz_da = np.where(active, -(etas * coef) * n * exp_pos, 0.0)
+        dl_dscores *= coef[:, None]
+        dl_dscores /= denom[:, None]
+        dl_dscores[clamped] = 0.0
+        dz_da = np.where(clamped, 0.0, -(etas * coef) * n * exp_pos)
         dl_dscores[diag, diag] = (exp_pos + dz_da) / denom - 1.0
         d_gamma = float(np.sum(np.where(clamped, -2.0 * gamma * floor * n / denom, 0.0))) / b
         clamp_fraction = float(np.mean(clamped))
-        loss = float(np.mean(np.log(denom) - scores[diag, diag]))
+    loss = float(np.mean(np.log(denom) - scores[diag, diag]))
 
     d_a = dl_dscores @ p / b
-    d_p = dl_dscores.T @ a / b
+    d_p = dl_dscores.T @ a
+    if reweight:
+        # W = n_pool * softmax(-sims / T) on each pool row, sims = P P^T:
+        # backpropagate dL/dW through the softmax into both P_i and P_j.
+        # One buffer (E's) holds dz/dW, then dL/dW, then dL/dsims.
+        dsims = exp_scores
+        if objective == "dcl":
+            dsims *= coef[:, None]
+            dsims -= (etas * coef * exp_pos)[:, None]
+            dsims[clamped] = floor
+        dsims /= denom[:, None]
+        np.fill_diagonal(weights, 0.0)
+        dsims -= ((weights * dsims).sum(axis=1) / n)[:, None]
+        dsims *= weights
+        dsims /= -handling.temperature
+        d_p += dsims @ p
+        d_p += dsims.T @ p
+    d_p /= b
     return BatchLossResult(
         loss=loss,
         d_anchor=d_a,
         d_positive=d_p,
         d_gamma=d_gamma,
         clamp_fraction=clamp_fraction,
-        fallback_count=0,
+        fallback_count=fallbacks,
         mean_eta=float(np.mean(etas)) if objective == "dcl" else 0.0,
     )

@@ -66,29 +66,36 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2 (in-batch negatives)")
         if self.n_negatives is not None and not 1 <= self.n_negatives <= self.batch_size - 1:
             raise ValueError("n_negatives must lie in [1, batch_size - 1]")
+        pool = self.n_negatives or self.batch_size - 1
+        if self.handling.kind == "resample_by_sim" and self.handling.keep_count > pool:
+            raise ValueError(f"keep_count {self.handling.keep_count} exceeds the {pool}-negative pool")
         if self.m_positives != 1:
             raise ValueError("training reuses the positive as the single same-class sample")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
-@dataclass
-class TraceRow:
-    step: int
-    loss: float
-    clamp_fraction: float
-    mean_eta: float
+# one training step; fallback_count is the number of anchors whose handled
+# negative set came out empty
+TRACE_DTYPE = np.dtype([
+    ("step", np.int64),
+    ("loss", np.float64),
+    ("clamp_fraction", np.float64),
+    ("mean_eta", np.float64),
+    ("fallback_count", np.int64),
+])
 
 
 @dataclass
 class TrainResult:
     params: enc.EncoderParams
-    trace: list[TraceRow]
+    trace: np.recarray  # one TRACE_DTYPE record per step: trace[-1].loss, trace.loss
     lm: Optional[textsim.NGramLM] = None
     pll_table: Optional[dict] = None
 
     def trace_array(self) -> np.ndarray:
-        return np.array([[r.step, r.loss, r.clamp_fraction, r.mean_eta] for r in self.trace])
+        """The trace as a float matrix, one column per TRACE_DTYPE field."""
+        return np.column_stack([self.trace[name] for name in TRACE_DTYPE.names])
 
 
 class _Adam:
@@ -204,7 +211,7 @@ def train(
     batches_per_epoch = max(1, config.samples_per_epoch // config.batch_size)
     total_steps = config.epochs * batches_per_epoch
     needs_tokens = config.objective == "dcl" and config.eta.kind == "lm_log_linear"
-    trace: list[TraceRow] = []
+    trace = np.recarray(total_steps, dtype=TRACE_DTYPE)
     step = 0
     for epoch in range(config.epochs):
         for batch in range(batches_per_epoch):
@@ -245,13 +252,7 @@ def train(
             if config.cosine_schedule:
                 lr = lr * 0.5 * (1.0 + math.cos(math.pi * step / max(1, total_steps)))
             optimizer.update(params, grads, lr)
-            trace.append(
-                TraceRow(
-                    step=step,
-                    loss=result.loss,
-                    clamp_fraction=result.clamp_fraction,
-                    mean_eta=result.mean_eta,
-                )
-            )
+            trace[step] = (step, result.loss, result.clamp_fraction, result.mean_eta,
+                           result.fallback_count)
             step += 1
     return TrainResult(params=params, trace=trace, lm=lm, pll_table=table)

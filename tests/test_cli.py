@@ -56,6 +56,19 @@ def test_unknown_train_field_exits_2(tmp_path):
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("keep_count", [0, 40])
+def test_bad_keep_count_exits_2(tmp_path, capsys, keep_count):
+    # 40 exceeds the 31 negatives of a 32-row batch; 0 keeps nothing
+    cfg = write_config(
+        tmp_path,
+        {"spec": {"preset": "cifar-analog"},
+         "train": {"batch_size": 32, "epochs": 1, "samples_per_epoch": 64,
+                   "handling": {"kind": "resample_by_sim", "keep_count": keep_count}}},
+    )
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "keep_count" in capsys.readouterr().err
+
+
 def test_simulate_train_eval_round_trip(tmp_path, base_config):
     sim_dir = tmp_path / "sim"
     assert main(["simulate", "--config", base_config, "--out", str(sim_dir)]) == 0
@@ -70,7 +83,7 @@ def test_simulate_train_eval_round_trip(tmp_path, base_config):
     assert main(["train", "--config", base_config, "--out", str(run_dir)]) == 0
     assert (run_dir / "checkpoint.bin").exists()
     trace = (run_dir / "trace.csv").read_text().splitlines()
-    assert trace[1] == "step,loss,clamp_fraction,mean_eta"
+    assert trace[1] == "step,loss,clamp_fraction,mean_eta,fallback_count"
     assert len(trace) == 2 + 8  # 2 epochs x 4 batches
 
     eval_dir = tmp_path / "ev"

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     assert_grads_close,
     finite_difference_grad,
+    in_batch_loss_reference,
     pipeline_loss_and_grads,
     selection_margins_ok,
 )
@@ -251,77 +252,103 @@ def test_asymptotic_continuous_mode_mc():
 
 
 # ---------------------------------------------------------------------------
-# negative handling
+# negative handling: rows of the batched weight matrix
 # ---------------------------------------------------------------------------
 
 
-def handling_fixture(seed=50, n=6, dim=4):
+def handling_fixture(seed=50, b=6, dim=4):
     rng = stream(seed, 0)
-    anchor = rng.standard_normal(dim)
-    pos = rng.standard_normal(dim)
-    negs = rng.standard_normal((n, dim))
-    return anchor, pos, negs
+    return rng.standard_normal((b, dim))
+
+
+def off_diagonal_sims(pos, i):
+    sims = pos @ pos[i]
+    return np.delete(sims, i), np.delete(np.arange(pos.shape[0]), i)
 
 
 def test_handling_identity_cases():
-    anchor, pos, negs = handling_fixture()
-    res = obj.apply_negative_handling(
-        obj.NegativeHandling(kind="remove_by_sim", threshold=np.inf), anchor, pos, negs
+    pos = handling_fixture()
+    weights, fallbacks = obj.negative_weights(
+        obj.NegativeHandling(kind="remove_by_sim", threshold=np.inf), pos
     )
-    assert np.array_equal(res.kept, np.arange(6))
-    assert not res.fallback
-    negs_classes = np.array([1, 2, 3, 1, 2, 3])
-    res = obj.apply_negative_handling(
-        obj.NegativeHandling(kind="remove_by_label"), anchor, pos, negs,
-        neg_classes=negs_classes, anchor_class=0,
+    assert np.array_equal(weights, np.ones((6, 6)))
+    assert fallbacks == 0
+    weights, fallbacks = obj.negative_weights(
+        obj.NegativeHandling(kind="remove_by_label"), pos, classes=np.arange(6)
     )
-    assert np.array_equal(res.kept, np.arange(6))
+    assert np.array_equal(weights, np.ones((6, 6)))
+    assert fallbacks == 0
+    assert obj.negative_weights(obj.NegativeHandling(), pos) == (None, 0)
 
 
 def test_handling_remove_by_label_counts():
-    anchor, pos, negs = handling_fixture(n=4)
+    pos = handling_fixture(b=4)
     classes = np.array([0, 1, 0, 2])
-    res = obj.apply_negative_handling(
-        obj.NegativeHandling(kind="remove_by_label"), anchor, pos, negs,
-        neg_classes=classes, anchor_class=0,
+    weights, fallbacks = obj.negative_weights(
+        obj.NegativeHandling(kind="remove_by_label"), pos, classes=classes
     )
-    assert res.kept.tolist() == [1, 3]
+    assert weights[0].tolist() == [1.0, 1.0, 0.0, 1.0]  # keeps 1 and 3; diagonal is 1
+    assert weights[2].tolist() == [0.0, 1.0, 1.0, 1.0]
+    assert fallbacks == 0
+    with pytest.raises(ValueError):
+        obj.negative_weights(obj.NegativeHandling(kind="remove_by_label"), pos)
 
 
 def test_handling_fallback_retains_least_similar():
-    anchor, pos, negs = handling_fixture(n=4)
-    sims = negs @ pos
-    res = obj.apply_negative_handling(
-        obj.NegativeHandling(kind="remove_by_sim", threshold=float(sims.min()) - 1.0),
-        anchor, pos, negs,
+    pos = handling_fixture(b=4)
+    sims = pos @ pos.T
+    weights, fallbacks = obj.negative_weights(
+        obj.NegativeHandling(kind="remove_by_sim", threshold=float(sims.min()) - 1.0), pos
     )
-    assert res.fallback
-    assert res.kept.tolist() == [int(np.argmin(sims))]
+    assert fallbacks == 4
+    for i in range(4):
+        row_sims, _ = off_diagonal_sims(pos, i)
+        assert np.flatnonzero(np.delete(weights[i], i)).tolist() == [int(np.argmin(row_sims))]
+        assert weights[i, i] == 1.0
+    # the fallback searches only the capped pool: the first negative of each row
+    weights, fallbacks = obj.negative_weights(
+        obj.NegativeHandling(kind="remove_by_sim", threshold=float(sims.min()) - 1.0),
+        pos, max_negatives=1,
+    )
+    assert fallbacks == 4
+    first = np.eye(4)
+    first[0, 1] = first[1:, 0] = 1.0
+    assert np.array_equal(weights, first)
 
 
 def test_handling_resample_keeps_lowest():
-    anchor, pos, negs = handling_fixture(n=5)
-    sims = negs @ pos
-    res = obj.apply_negative_handling(
-        obj.NegativeHandling(kind="resample_by_sim", keep_count=2), anchor, pos, negs
+    pos = handling_fixture(b=6)
+    weights, _ = obj.negative_weights(
+        obj.NegativeHandling(kind="resample_by_sim", keep_count=2), pos
     )
-    assert set(res.kept.tolist()) == set(np.argsort(sims)[:2].tolist())
-    with pytest.raises(ValueError):
-        obj.apply_negative_handling(
-            obj.NegativeHandling(kind="resample_by_sim", keep_count=9), anchor, pos, negs
+    for i in range(6):
+        row_sims, _ = off_diagonal_sims(pos, i)
+        assert set(np.flatnonzero(np.delete(weights[i], i)).tolist()) == set(
+            np.argsort(row_sims)[:2].tolist()
         )
+    with pytest.raises(ValueError):
+        obj.negative_weights(obj.NegativeHandling(kind="resample_by_sim", keep_count=9), pos)
+    with pytest.raises(ValueError):
+        obj.negative_weights(
+            obj.NegativeHandling(kind="resample_by_sim", keep_count=3), pos, max_negatives=2
+        )
+    with pytest.raises(ValueError):
+        obj.NegativeHandling(kind="resample_by_sim", keep_count=0)
 
 
 def test_handling_reweight_sums_to_n():
-    anchor, pos, negs = handling_fixture(n=7)
-    res = obj.apply_negative_handling(
-        obj.NegativeHandling(kind="reweight_by_sim", temperature=0.5), anchor, pos, negs
+    pos = handling_fixture(b=8)
+    weights, fallbacks = obj.negative_weights(
+        obj.NegativeHandling(kind="reweight_by_sim", temperature=0.5), pos
     )
-    assert abs(res.weights.sum() - 7.0) < 1e-12
-    sims = negs @ pos
-    # weights decrease with similarity
-    order = np.argsort(sims)
-    assert np.all(np.diff(res.weights[order]) <= 1e-12)
+    assert fallbacks == 0
+    for i in range(8):
+        assert weights[i, i] == 1.0
+        row_sims, idx = off_diagonal_sims(pos, i)
+        row = weights[i, idx]
+        assert abs(row.sum() - 7.0) < 1e-12
+        # weights decrease with similarity
+        assert np.all(np.diff(row[np.argsort(row_sims)]) <= 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -428,28 +455,84 @@ def test_dcl_clamped_gamma_gradient():
     assert_grads_close(analytic, fd)
 
 
+def unit_rows(rng, b, dim, radius):
+    x = rng.standard_normal((b, dim))
+    return x * (radius / np.linalg.norm(x, axis=1, keepdims=True))
+
+
+REFERENCE_HANDLINGS = {
+    "none": lambda n_pool: None,
+    "remove_by_sim": lambda n_pool: obj.NegativeHandling(kind="remove_by_sim", threshold=0.3),
+    # below -gamma^2 = -1.44: every row falls back to its least similar negative
+    "remove_all_by_sim": lambda n_pool: obj.NegativeHandling(kind="remove_by_sim", threshold=-2.0),
+    "reweight_by_sim": lambda n_pool: obj.NegativeHandling(kind="reweight_by_sim", temperature=0.7),
+    "resample_by_sim": lambda n_pool: obj.NegativeHandling(
+        kind="resample_by_sim", keep_count=max(1, n_pool // 2)
+    ),
+    "remove_by_label": lambda n_pool: obj.NegativeHandling(kind="remove_by_label"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_HANDLINGS))
+@pytest.mark.parametrize("cap", ["full", "half"])
 @pytest.mark.parametrize("objective", ["cl", "dcl"])
-def test_vectorized_path_matches_loop(objective):
-    # an infinite removal threshold keeps every negative, forcing the loop
-    # path through math identical to the vectorized no-handling path
+def test_in_batch_loss_matches_reference(objective, cap, kind):
+    # the batched weight-matrix path against the per-anchor loop
     rng = stream(64, 0)
-    for _ in range(10):
-        b = int(rng.integers(2, 10))
-        a = rng.standard_normal((b, 5))
-        a *= 1.2 / np.linalg.norm(a, axis=1, keepdims=True)
-        p = rng.standard_normal((b, 5))
-        p *= 1.2 / np.linalg.norm(p, axis=1, keepdims=True)
+    sizes = [int(rng.integers(2, 11)) for _ in range(8)] + [128]
+    fallbacks_seen = 0
+    for trial, b in enumerate(sizes):
+        a = unit_rows(rng, b, 5, 1.2)
+        p = unit_rows(rng, b, 5, 1.2)
         etas = rng.uniform(0.0, 0.9, size=b) if objective == "dcl" else None
-        fast = obj.in_batch_loss(a, p, objective=objective, gamma=1.2, etas=etas)
-        slow = obj.in_batch_loss(
-            a, p, objective=objective, gamma=1.2, etas=etas,
-            handling=obj.NegativeHandling(kind="remove_by_sim", threshold=np.inf),
-        )
-        assert abs(fast.loss - slow.loss) < 1e-12
-        assert np.allclose(fast.d_anchor, slow.d_anchor, atol=1e-12)
-        assert np.allclose(fast.d_positive, slow.d_positive, atol=1e-12)
-        assert abs(fast.d_gamma - slow.d_gamma) < 1e-12
-        assert fast.clamp_fraction == slow.clamp_fraction
+        # the last small batch is single-class: remove_by_label falls back on every row
+        classes = np.zeros(b, dtype=int) if trial == 7 else rng.integers(0, 3, size=b)
+        max_negatives = None if cap == "full" else b // 2
+        handling = REFERENCE_HANDLINGS[kind](max_negatives or b - 1)
+        kwargs = dict(objective=objective, gamma=1.2, etas=etas, handling=handling,
+                      classes=classes, max_negatives=max_negatives)
+        fast = obj.in_batch_loss(a, p, **kwargs)
+        ref = in_batch_loss_reference(a, p, **kwargs)
+        assert abs(fast.loss - ref.loss) <= 1e-12
+        assert np.max(np.abs(fast.d_anchor - ref.d_anchor)) <= 1e-12
+        assert np.max(np.abs(fast.d_positive - ref.d_positive)) <= 1e-12
+        assert abs(fast.d_gamma - ref.d_gamma) <= 1e-12
+        # the loop forms clamps * (1/B), the matrix path clamps / B: compare the count
+        assert fast.clamp_fraction == round(ref.clamp_fraction * b) / b
+        assert fast.fallback_count == ref.fallback_count
+        assert fast.mean_eta == ref.mean_eta
+        fallbacks_seen += fast.fallback_count
+        if kind == "remove_all_by_sim" or (kind == "remove_by_label" and trial == 7):
+            assert fast.fallback_count == b
+    if kind in ("none", "reweight_by_sim", "resample_by_sim"):
+        assert fallbacks_seen == 0
+
+
+@pytest.mark.parametrize("objective", ["cl", "dcl"])
+def test_identity_handlings_are_bitwise_plain(objective):
+    # weights of exactly 1 on every negative reproduce the unweighted path bit for bit
+    rng = stream(66, 0)
+    partly_clamped = 0
+    for _ in range(20):
+        b = int(rng.integers(2, 40))
+        a = unit_rows(rng, b, 5, 1.2)
+        p = unit_rows(rng, b, 5, 1.2)
+        etas = rng.uniform(0.0, 0.95, size=b) if objective == "dcl" else None
+        kwargs = dict(objective=objective, gamma=1.2, etas=etas, classes=np.arange(b))
+        plain = obj.in_batch_loss(a, p, **kwargs)
+        partly_clamped += 0.0 < plain.clamp_fraction < 1.0
+        for handling in (obj.NegativeHandling(kind="remove_by_sim", threshold=np.inf),
+                         obj.NegativeHandling(kind="remove_by_label")):
+            same = obj.in_batch_loss(a, p, handling=handling, **kwargs)
+            assert same.loss == plain.loss
+            assert np.array_equal(same.d_anchor, plain.d_anchor)
+            assert np.array_equal(same.d_positive, plain.d_positive)
+            assert same.d_gamma == plain.d_gamma
+            assert same.clamp_fraction == plain.clamp_fraction
+            assert same.fallback_count == plain.fallback_count == 0
+            assert same.mean_eta == plain.mean_eta
+    if objective == "dcl":
+        assert partly_clamped >= 5  # rows on both sides of the clamp in one batch
 
 
 def test_in_batch_loss_max_negatives():

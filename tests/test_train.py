@@ -132,6 +132,25 @@ def test_config_validation():
         tr.TrainConfig(m_positives=2)
     with pytest.raises(ValueError):
         tr.TrainConfig(optimizer="lion")
+    resample = NegativeHandling(kind="resample_by_sim", keep_count=8)
+    tr.TrainConfig(batch_size=9, handling=resample)
+    with pytest.raises(ValueError):
+        tr.TrainConfig(batch_size=8, handling=resample)
+    with pytest.raises(ValueError):
+        tr.TrainConfig(batch_size=32, n_negatives=7, handling=resample)
+
+
+def test_trace_records_fallbacks():
+    # every similarity is >= -gamma^2, so a lower threshold empties every row
+    spec = gaussian_spec()
+    gamma = 1.5
+    handling = NegativeHandling(kind="remove_by_sim", threshold=-gamma**2 - 0.1)
+    config = small_config(gamma=gamma, handling=handling)
+    result = tr.train(spec, config)
+    assert np.all(result.trace.fallback_count == config.batch_size)
+    assert np.all(result.trace_array()[:, -1] == config.batch_size)
+    plain = tr.train(spec, small_config(gamma=gamma))
+    assert np.all(plain.trace_array()[:, -1] == 0)
 
 
 def test_checkpoint_round_trip_from_training(tmp_path):
