@@ -32,10 +32,10 @@ from typing import Optional
 import numpy as np
 
 from . import encoder as enc
-from .eta import EtaProvider, eta_of
+from .eta import EtaProvider, eta_for_batch
 from .linear_head import fit_softmax
-from .mixture import DataPoint, MixtureSpec
-from .objectives import asymptotic_loss_from_scores
+from .mixture import MixtureSpec
+from .objectives import asymptotic_loss, asymptotic_loss_from_scores
 
 E2 = math.e**2
 E4 = math.e**4
@@ -106,15 +106,8 @@ def eta_matrix(spec: MixtureSpec, provider: EtaProvider) -> np.ndarray:
     """eta evaluated on every (class, point) cell of a discrete spec."""
     cond = _require_discrete(spec)
     k, p = cond.num_classes, cond.num_points
-    out = np.empty((k, p))
-    for c in range(k):
-        for i in range(p):
-            tokens = spec.point_tokens[i] if spec.point_tokens is not None else None
-            point = DataPoint(
-                features=cond.points[i], tokens=tokens, latent_class=c, point_index=i
-            )
-            out[c, i] = eta_of(provider, point)
-    return out
+    tokens = None if spec.point_tokens is None else spec.point_tokens * k
+    return eta_for_batch(provider, np.repeat(np.arange(k), p), tokens).reshape(k, p)
 
 
 def _joint_weights(spec: MixtureSpec) -> np.ndarray:
@@ -413,10 +406,7 @@ def lemma_a1_check(
         )
     if k is None:
         k = spec.num_classes
-    cond = _require_discrete(spec)
-    emb, _ = enc.forward_features(params, cond.points)
-    scores = emb @ emb.T
-    l_tilde = asymptotic_loss_from_scores(scores, spec.class_dist.probs, cond.pmfs, n)
+    l_tilde = asymptotic_loss(spec, params, n)
     l_sup_mu = sup_loss_mean_classifier(spec, params, k)
     l_sup, converged = sup_loss_best_linear(spec, params, k)
     holds = (l_sup <= l_sup_mu + slack) and (l_sup_mu <= l_tilde + slack)

@@ -84,7 +84,10 @@ def _resolve_spec(config: dict) -> mix.MixtureSpec:
         r = spec_cfg.get("r")
         if r is None:
             return base
-        return mix.subsample_classes(base, list(pl.AnalogConfig().subsampled), float(r))
+        try:
+            return mix.subsample_classes(base, list(pl.AnalogConfig().subsampled), float(r))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid spec.r: {exc}") from exc
     if preset == "eta-tradeoff":
         return pl.tradeoff_spec(pl.TradeoffConfig())
     raise ConfigError(f"unknown spec preset {preset!r}; use cifar-analog, eta-tradeoff, or inline")
@@ -184,7 +187,10 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval needs a checkpoint (flag --checkpoint or eval.checkpoint)")
     if not Path(checkpoint).exists():
         raise ConfigError(f"checkpoint not found: {checkpoint}")
-    params = enc.load_checkpoint(checkpoint)
+    try:
+        params = enc.load_checkpoint(checkpoint)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"unreadable checkpoint {checkpoint}: {exc}") from exc
     section = config.get("eval", {})
     n_train = int(section.get("n_train", 4000))
     n_test = int(section.get("n_test", 2000))

@@ -4,23 +4,35 @@ Feature inputs go through input -> tanh(hidden) -> output, then the output u
 is projected to gamma * u / ||u||.  Token inputs are first pooled to the mean
 of their embedding-table rows and share the same MLP.  All arithmetic is
 float64; gradients are exact, including through the projection (Jacobian
-gamma * (I/||u|| - u u^T / ||u||^3)) and through gamma when it is trainable.
+gamma * (I/||u|| - u u^T / ||u||^3)) and to gamma itself, an ordinary
+parameter array (0-d) that the optimizer updates only when it is trainable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .mixture import DataPoint
-
 NORM_FLOOR = 1e-12
 
 
+# every parameter array in flat-vector and checkpoint order; token_embed is
+# None for feature-only encoders
+ARRAY_FIELDS = ("w1", "b1", "w2", "b2", "token_embed", "gamma")
+
+
+class _Arrays:
+    """Shared by parameters and gradients: the arrays present, in order."""
+
+    def array_fields(self) -> list[str]:
+        return [name for name in ARRAY_FIELDS if getattr(self, name) is not None]
+
+
 @dataclass
-class EncoderParams:
+class EncoderParams(_Arrays):
     """MLP weights, optional token embedding table, and the sphere radius."""
 
     w1: np.ndarray  # (hidden, input)
@@ -28,16 +40,16 @@ class EncoderParams:
     w2: np.ndarray  # (out, hidden)
     b2: np.ndarray  # (out,)
     token_embed: Optional[np.ndarray]  # (vocab, input)
-    gamma: float
+    gamma: np.ndarray  # 0-d radius
     gamma_trainable: bool = False
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        for name in ("w1", "b1", "w2", "b2"):
-            arr = getattr(self, name)
-            if not np.all(np.isfinite(arr)):
+        self.gamma = np.asarray(self.gamma, dtype=np.float64)
+        for name in self.array_fields():
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite entries")
+        if self.gamma.size != 1 or not self.gamma > 0:
+            raise ValueError("gamma must be one positive number")
 
     @property
     def input_dim(self) -> int:
@@ -48,60 +60,22 @@ class EncoderParams:
         return self.w2.shape[0]
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            w1=self.w1.copy(),
-            b1=self.b1.copy(),
-            w2=self.w2.copy(),
-            b2=self.b2.copy(),
-            token_embed=None if self.token_embed is None else self.token_embed.copy(),
-            gamma=self.gamma,
-            gamma_trainable=self.gamma_trainable,
-        )
-
-    def array_fields(self) -> list[str]:
-        names = ["w1", "b1", "w2", "b2"]
-        if self.token_embed is not None:
-            names.append("token_embed")
-        return names
+        return replace(self, **{name: getattr(self, name).copy() for name in self.array_fields()})
 
 
 @dataclass
-class EncoderGrads:
+class EncoderGrads(_Arrays):
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
     token_embed: Optional[np.ndarray]
-    gamma: float = 0.0
-
-    @staticmethod
-    def zeros_like(params: EncoderParams) -> "EncoderGrads":
-        return EncoderGrads(
-            w1=np.zeros_like(params.w1),
-            b1=np.zeros_like(params.b1),
-            w2=np.zeros_like(params.w2),
-            b2=np.zeros_like(params.b2),
-            token_embed=None if params.token_embed is None else np.zeros_like(params.token_embed),
-            gamma=0.0,
-        )
+    gamma: np.ndarray
 
     def add_(self, other: "EncoderGrads") -> None:
-        self.w1 += other.w1
-        self.b1 += other.b1
-        self.w2 += other.w2
-        self.b2 += other.b2
-        if self.token_embed is not None and other.token_embed is not None:
-            self.token_embed += other.token_embed
-        self.gamma += other.gamma
-
-    def scale_(self, factor: float) -> None:
-        self.w1 *= factor
-        self.b1 *= factor
-        self.w2 *= factor
-        self.b2 *= factor
-        if self.token_embed is not None:
-            self.token_embed *= factor
-        self.gamma *= factor
+        for name in self.array_fields():
+            mine = getattr(self, name)
+            mine += getattr(other, name)
 
 
 def init_params(
@@ -124,7 +98,7 @@ def init_params(
         token_embed = rng.standard_normal((vocab_size, input_dim)) / np.sqrt(input_dim)
     return EncoderParams(
         w1=w1, b1=b1, w2=w2, b2=b2, token_embed=token_embed,
-        gamma=float(gamma), gamma_trainable=gamma_trainable,
+        gamma=gamma, gamma_trainable=gamma_trainable,
     )
 
 
@@ -173,51 +147,30 @@ def forward_tokens(
     return emb, cache
 
 
-def encode(params: EncoderParams, point: DataPoint, use_tokens: bool = False) -> np.ndarray:
-    """Single-point convenience wrapper returning the (D,) embedding."""
-    if use_tokens:
-        if point.tokens is None:
-            raise ValueError("data point has no tokens")
-        emb, _ = forward_tokens(params, [point.tokens])
-    else:
-        emb, _ = forward_features(params, point.features[None, :])
-    return emb[0]
-
-
-def similarity(e1: np.ndarray, e2: np.ndarray) -> float:
-    """Dot product of two embeddings; bounded by gamma^2 in magnitude."""
-    e1 = np.asarray(e1, dtype=np.float64)
-    e2 = np.asarray(e2, dtype=np.float64)
-    if e1.shape != e2.shape:
-        raise ValueError(f"dimension mismatch: {e1.shape} vs {e2.shape}")
-    return float(e1 @ e2)
-
-
 def backward(params: EncoderParams, cache: ForwardCache, d_emb: np.ndarray) -> EncoderGrads:
     """Exact parameter gradients given d(loss)/d(embedding) for the batch.
 
     Raises on non-finite intermediate values rather than clamping.
     """
     d_emb = np.atleast_2d(np.asarray(d_emb, dtype=np.float64))
-    grads = EncoderGrads.zeros_like(params)
-    if params.gamma_trainable:
-        grads.gamma = float(np.sum(d_emb * cache.uhat))
+    radial = d_emb * cache.uhat
     # projection: du = gamma/||u|| * (dE - uhat (uhat . dE))
-    inner = np.sum(d_emb * cache.uhat, axis=1, keepdims=True)
+    inner = np.sum(radial, axis=1, keepdims=True)
     du = params.gamma / cache.norms[:, None] * (d_emb - cache.uhat * inner)
-    grads.w2 = du.T @ cache.a1
-    grads.b2 = du.sum(axis=0)
     da1 = du @ params.w2
     dz1 = da1 * (1.0 - cache.a1**2)
-    grads.w1 = dz1.T @ cache.x
-    grads.b1 = dz1.sum(axis=0)
+    d_token_embed = None if params.token_embed is None else np.zeros_like(params.token_embed)
     if cache.token_seqs is not None:
         dx = dz1 @ params.w1
         for i, seq in enumerate(cache.token_seqs):
             contribution = dx[i] / len(seq)
             for t in seq:
-                grads.token_embed[t] += contribution
-    for name in ("w1", "b1", "w2", "b2"):
+                d_token_embed[t] += contribution
+    grads = EncoderGrads(
+        w1=dz1.T @ cache.x, b1=dz1.sum(axis=0), w2=du.T @ cache.a1, b2=du.sum(axis=0),
+        token_embed=d_token_embed, gamma=np.asarray(np.sum(radial)),
+    )
+    for name in grads.array_fields():
         if not np.all(np.isfinite(getattr(grads, name))):
             raise FloatingPointError(f"non-finite gradient in {name}")
     return grads
@@ -229,9 +182,7 @@ def backward(params: EncoderParams, cache: ForwardCache, d_emb: np.ndarray) -> E
 
 
 def params_to_flat(params: EncoderParams) -> np.ndarray:
-    parts = [getattr(params, name).ravel() for name in params.array_fields()]
-    parts.append(np.array([params.gamma], dtype=np.float64))
-    return np.concatenate(parts)
+    return np.concatenate([getattr(params, name).ravel() for name in params.array_fields()])
 
 
 def params_from_flat(template: EncoderParams, flat: np.ndarray) -> EncoderParams:
@@ -241,7 +192,6 @@ def params_from_flat(template: EncoderParams, flat: np.ndarray) -> EncoderParams
         arr = getattr(template, name)
         setattr(out, name, flat[offset : offset + arr.size].reshape(arr.shape).copy())
         offset += arr.size
-    out.gamma = float(flat[offset])
     return out
 
 
@@ -261,28 +211,33 @@ def save_checkpoint(params: EncoderParams, path, meta: dict | None = None) -> No
 
 
 def load_checkpoint(path) -> EncoderParams:
+    """Read a checkpoint; ValueError unless the file holds exactly the arrays
+    its sidecar lists."""
     import json
+    import os
 
     with open(str(path) + ".json") as f:
         sidecar = json.load(f)
+    if sidecar.get("dtype") != "<f8" or not isinstance(sidecar.get("gamma_trainable"), bool):
+        raise ValueError("checkpoint sidecar needs dtype '<f8' and a boolean gamma_trainable")
+    shapes = sidecar.get("shapes", {})
+    unknown = set(shapes) - set(ARRAY_FIELDS)
+    missing = set(ARRAY_FIELDS) - {"token_embed"} - set(shapes)
+    if unknown or missing:
+        raise ValueError(f"checkpoint sidecar: unknown arrays {sorted(unknown)}, "
+                         f"missing arrays {sorted(missing)}")
+    for name, shape in shapes.items():
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise ValueError(f"checkpoint sidecar shape of {name} is not a list of sizes: "
+                             f"{shape!r}")
+    names = [name for name in ARRAY_FIELDS if name in shapes]
+    sizes = [math.prod(shapes[name]) for name in names]
+    n_bytes = os.path.getsize(str(path))
+    if n_bytes != 8 * sum(sizes):
+        raise ValueError(f"checkpoint holds {n_bytes} bytes; its sidecar shapes need "
+                         f"{8 * sum(sizes)}")
     flat = np.fromfile(str(path), dtype="<f8")
-    shapes = sidecar["shapes"]
-    arrays = {}
-    offset = 0
-    for name in ("w1", "b1", "w2", "b2", "token_embed"):
-        if name not in shapes:
-            arrays[name] = None
-            continue
-        shape = tuple(shapes[name])
-        size = int(np.prod(shape))
-        arrays[name] = flat[offset : offset + size].reshape(shape).copy()
-        offset += size
-    return EncoderParams(
-        w1=arrays["w1"],
-        b1=arrays["b1"],
-        w2=arrays["w2"],
-        b2=arrays["b2"],
-        token_embed=arrays["token_embed"],
-        gamma=float(flat[offset]),
-        gamma_trainable=bool(sidecar["gamma_trainable"]),
-    )
+    arrays = {"token_embed": None}
+    for name, part in zip(names, np.split(flat, np.cumsum(sizes)[:-1])):
+        arrays[name] = part.reshape(shapes[name])
+    return EncoderParams(**arrays, gamma_trainable=sidecar["gamma_trainable"])

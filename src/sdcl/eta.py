@@ -110,18 +110,9 @@ def make_provider(
 
 
 def eta_of(provider: EtaProvider, x: DataPoint) -> float:
-    """Evaluate eta(x); always inside [eta_min, eta_max]."""
-    if isinstance(provider, ConstantEta):
-        return _clamp(provider.value, provider.eta_min, provider.eta_max)
-    if isinstance(provider, TrueOracleEta):
-        rho = float(provider.spec.class_dist.probs[x.latent_class])
-        return _clamp(rho, provider.eta_min, provider.eta_max)
-    if x.tokens is None:
-        raise ValueError("lm_log_linear eta needs a data point with tokens")
-    pll = provider.pll(x.tokens)
-    if provider.length_normalize:
-        pll = pll / len(x.tokens)
-    return _clamp(provider.a * np.exp(provider.k * pll), provider.eta_min, provider.eta_max)
+    """eta(x) for one point: ``eta_for_batch`` on a batch of one."""
+    tokens = None if x.tokens is None else [x.tokens]
+    return float(eta_for_batch(provider, [x.latent_class], tokens)[0])
 
 
 def calibrate_log_linear(

@@ -193,19 +193,6 @@ class DataPoint:
     point_index: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class PairSample:
-    """Anchor/positive pair (same latent class) plus marginal negatives."""
-
-    anchor: DataPoint
-    positive: DataPoint
-    negatives: tuple[DataPoint, ...]
-
-    def __post_init__(self):
-        if self.anchor.latent_class != self.positive.latent_class:
-            raise ValueError("anchor and positive must share a latent class")
-
-
 # ---------------------------------------------------------------------------
 # Sampling operations
 # ---------------------------------------------------------------------------
@@ -272,14 +259,6 @@ def true_negative_prior(dist: ClassDistribution, c_x: int) -> np.ndarray:
     return out / rest
 
 
-def sample_true_negative(spec: MixtureSpec, c_x: int, rng: np.random.Generator,
-                         with_tokens: bool = True) -> DataPoint:
-    """Draw from E_{c_x}: class c != c_x with probability rho(c)/(1-rho(c_x))."""
-    probs = true_negative_prior(spec.class_dist, c_x)
-    c = int(rng.choice(spec.num_classes, p=probs))
-    return sample_conditional(spec, c, rng, with_tokens)
-
-
 def sample_features_for_classes(
     spec: MixtureSpec, classes: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -336,7 +315,7 @@ def decomposition_residual(spec: MixtureSpec, c: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Spec surgery and pair sampling
+# Spec surgery
 # ---------------------------------------------------------------------------
 
 
@@ -361,28 +340,6 @@ def subsample_classes(spec: MixtureSpec, selected: Sequence[int], r: float) -> M
     probs = spec.class_dist.probs * weights
     probs = probs / probs.sum()
     return replace(spec, class_dist=ClassDistribution(probs))
-
-
-def sample_pair_batch(
-    spec: MixtureSpec,
-    n_neg: int,
-    rng: np.random.Generator,
-    cross_modal: bool = False,
-) -> PairSample:
-    """Draw (anchor, positive, negatives): positive is an independent redraw
-    from the anchor's conditional; negatives are marginal draws.
-
-    In cross-modal mode the anchor carries tokens and the positive only
-    features (text anchor, feature positive).
-    """
-    if n_neg < 1:
-        raise ValueError("n_neg must be >= 1")
-    anchor = sample_marginal(spec, rng, with_tokens=True)
-    positive = sample_conditional(spec, anchor.latent_class, rng, with_tokens=not cross_modal)
-    if cross_modal:
-        positive = replace(positive, tokens=None)
-    negatives = tuple(sample_marginal(spec, rng, with_tokens=True) for _ in range(n_neg))
-    return PairSample(anchor=anchor, positive=positive, negatives=negatives)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import encoder as enc
+
 SCORE_SLACK = 1e-9
 
 
@@ -109,7 +111,7 @@ def g_estimate_many(
     eta: np.ndarray,
     gamma: np.ndarray | float,
 ) -> np.ndarray:
-    """Vectorized ``g_estimate`` over rows; used by the bound verifier and fuzz tests."""
+    """Vectorized ``g_estimate`` over rows, for checking the estimator on many draws at once."""
     eta = np.asarray(eta, dtype=np.float64)
     if np.any(eta < 0.0) or np.any(eta >= 1.0):
         raise ValueError("eta must lie in [0, 1)")
@@ -137,47 +139,20 @@ def debiased_loss(inputs: EstimatorInputs) -> float:
     return float(np.log(np.exp(inputs.pos_score) + n_g) - inputs.pos_score)
 
 
-def asymptotic_loss(
-    spec,
-    params,
-    n_negatives: int,
-    mc_pairs: Optional[int] = None,
-    mc_negatives: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
+def asymptotic_loss(spec, params, n_negatives: int) -> float:
     """Debiased loss in the infinite-sample limit: the denominator uses the
-    exact clean-negative expectation E_{x- ~ E_c}[e^{s(x, x-)}].
-
-    Discrete specs are enumerated exactly; continuous specs need Monte Carlo
-    sizes (mc_pairs outer pairs, mc_negatives inner draws per pair).
-    """
-    from . import encoder as enc
-    from . import mixture as mix
-
+    exact clean-negative expectation E_{x- ~ E_c}[e^{s(x, x-)}], enumerated
+    over the point alphabet of a discrete spec."""
+    if spec.mode != "discrete":
+        raise ValueError("asymptotic loss enumerates discrete specs only")
     if spec.num_classes < 2:
         raise ValueError("asymptotic loss needs >= 2 classes (E_c undefined otherwise)")
     if n_negatives < 1:
         raise ValueError("n_negatives must be >= 1")
-    if spec.mode == "discrete":
-        cond = spec.conditionals
-        emb, _ = enc.forward_features(params, cond.points)
-        scores = emb @ emb.T
-        return float(asymptotic_loss_from_scores(scores, spec.class_dist.probs, cond.pmfs, n_negatives))
-    if mc_pairs is None or mc_negatives is None or rng is None:
-        raise ValueError("continuous mode needs mc_pairs, mc_negatives, and rng")
-    total = 0.0
-    for _ in range(mc_pairs):
-        c = mix.sample_class(spec.class_dist, rng)
-        x = mix.sample_conditional(spec, c, rng, with_tokens=False)
-        x_pos = mix.sample_conditional(spec, c, rng, with_tokens=False)
-        e_x = enc.encode(params, x)
-        e_pos = enc.encode(params, x_pos)
-        negs = [mix.sample_true_negative(spec, c, rng, with_tokens=False) for _ in range(mc_negatives)]
-        e_negs, _ = enc.forward_features(params, np.stack([p.features for p in negs]))
-        inner = float(np.mean(np.exp(e_negs @ e_x)))
-        s = float(e_x @ e_pos)
-        total += np.log(np.exp(s) + n_negatives * inner) - s
-    return total / mc_pairs
+    cond = spec.conditionals
+    emb, _ = enc.forward_features(params, cond.points)
+    scores = emb @ emb.T
+    return float(asymptotic_loss_from_scores(scores, spec.class_dist.probs, cond.pmfs, n_negatives))
 
 
 def asymptotic_loss_from_scores(

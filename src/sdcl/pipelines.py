@@ -347,7 +347,7 @@ def run_tradeoff_cell(spec: mix.MixtureSpec, config: TradeoffConfig, variant: st
         "head_accuracy": float(np.mean(list(head_accs.values()))),
         "tail_avg_recall": tail_recall,
         "avg_recall": retrieval.avg_recall,
-        "gamma_final": params.gamma,
+        "gamma_final": float(params.gamma),
         "eta_a": getattr(train_config.eta, "a", None),
         "eta_k": getattr(train_config.eta, "k", None),
     }

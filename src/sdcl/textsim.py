@@ -76,23 +76,6 @@ def fit_ngram(corpus: Sequence[Sequence[int]], alpha: float, vocab_size: int) ->
     return NGramLM(vocab_size=vocab_size, bigram_counts=bigram, unigram_counts=unigram, alpha=alpha)
 
 
-def masked_conditional(lm: NGramLM, seq: Sequence[int], position: int) -> np.ndarray:
-    """Distribution over the vocabulary for the masked token at ``position``."""
-    cond = lm.conditionals()
-    n = len(seq)
-    if not 0 <= position < n:
-        raise ValueError("position out of range")
-    if n == 1:
-        return lm.unigram_probs()
-    if position == 0:
-        weights = cond[:, seq[1]].copy()
-    elif position == n - 1:
-        weights = cond[seq[n - 2], :].copy()
-    else:
-        weights = cond[seq[position - 1], :] * cond[:, seq[position + 1]]
-    return weights / weights.sum()
-
-
 def pseudo_log_likelihood(lm: NGramLM, seq: Sequence[int]) -> float:
     """Sum of log masked-conditional probabilities over all positions."""
     seq = tuple(int(t) for t in seq)

@@ -33,7 +33,6 @@ class TrainConfig:
     view_noise: float = 0.05
     batch_size: int = 128
     n_negatives: Optional[int] = None  # cap on the in-batch pool; default batch_size - 1
-    m_positives: int = 1
     hidden_dim: int = 64
     embed_dim: int = 32
     gamma: float = math.sqrt(2.0)
@@ -69,8 +68,6 @@ class TrainConfig:
         pool = self.n_negatives or self.batch_size - 1
         if self.handling.kind == "resample_by_sim" and self.handling.keep_count > pool:
             raise ValueError(f"keep_count {self.handling.keep_count} exceeds the {pool}-negative pool")
-        if self.m_positives != 1:
-            raise ValueError("training reuses the positive as the single same-class sample")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
@@ -99,17 +96,21 @@ class TrainResult:
 
 
 class _Adam:
+    """Adam (or plain SGD) plus decoupled weight decay over every parameter
+    array; gamma moves only when it is trainable."""
+
     def __init__(self, config: TrainConfig):
         self.cfg = config
-        self.m: dict[str, np.ndarray | float] = {}
-        self.v: dict[str, np.ndarray | float] = {}
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
     def update(self, params: enc.EncoderParams, grads: enc.EncoderGrads, lr: float) -> None:
         cfg = self.cfg
         self.t += 1
-        names = params.array_fields()
-        for name in names:
+        for name in params.array_fields():
+            if name == "gamma" and not params.gamma_trainable:
+                continue
             g = getattr(grads, name)
             p = getattr(params, name)
             if cfg.optimizer == "adam":
@@ -124,18 +125,6 @@ class _Adam:
             else:
                 p -= lr * g
             p -= lr * cfg.weight_decay * p
-        if params.gamma_trainable:
-            g = grads.gamma
-            if cfg.optimizer == "adam":
-                m = cfg.adam_beta1 * self.m.get("gamma", 0.0) + (1 - cfg.adam_beta1) * g
-                v = cfg.adam_beta2 * self.v.get("gamma", 0.0) + (1 - cfg.adam_beta2) * g * g
-                self.m["gamma"], self.v["gamma"] = m, v
-                mhat = m / (1 - cfg.adam_beta1**self.t)
-                vhat = v / (1 - cfg.adam_beta2**self.t)
-                params.gamma -= lr * mhat / (math.sqrt(vhat) + cfg.adam_eps)
-            else:
-                params.gamma -= lr * g
-            params.gamma -= lr * cfg.weight_decay * params.gamma
 
 
 def build_lm_assets(spec: mix.MixtureSpec, config: TrainConfig):
@@ -233,7 +222,7 @@ def train(
                 a_emb,
                 p_emb,
                 objective=config.objective,
-                gamma=params.gamma,
+                gamma=float(params.gamma),
                 etas=etas,
                 handling=config.handling,
                 classes=classes,

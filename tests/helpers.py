@@ -20,8 +20,8 @@ def pipeline_loss_and_grads(
 ):
     """Encode a batch, apply the in-batch objective, and backpropagate.
 
-    Returns (loss, flat gradient vector) over all encoder parameters
-    including gamma (zero for non-trainable gamma).
+    Returns (loss, flat gradient vector) over all encoder parameter arrays,
+    gamma included whether or not it is trainable.
     """
     if anchor_tokens is not None:
         a_emb, a_cache = enc.forward_tokens(params, anchor_tokens)
@@ -32,7 +32,7 @@ def pipeline_loss_and_grads(
         a_emb,
         p_emb,
         objective=objective,
-        gamma=params.gamma,
+        gamma=float(params.gamma),
         etas=etas,
         handling=handling,
         classes=classes,
@@ -40,10 +40,7 @@ def pipeline_loss_and_grads(
     grads = enc.backward(params, a_cache, result.d_anchor)
     grads.add_(enc.backward(params, p_cache, result.d_positive))
     grads.gamma += result.d_gamma
-    flat = np.concatenate(
-        [getattr(grads, name).ravel() for name in params.array_fields()]
-        + [np.array([grads.gamma if params.gamma_trainable else 0.0])]
-    )
+    flat = np.concatenate([getattr(grads, name).ravel() for name in params.array_fields()])
     return result.loss, flat, result
 
 
@@ -58,8 +55,6 @@ def finite_difference_grad(params, loss_fn, step=1e-5):
         minus[i] -= step
         fd[i] = (loss_fn(enc.params_from_flat(params, plus)) -
                  loss_fn(enc.params_from_flat(params, minus))) / (2 * step)
-    if not params.gamma_trainable:
-        fd[-1] = 0.0
     return fd
 
 

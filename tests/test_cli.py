@@ -69,6 +69,21 @@ def test_bad_keep_count_exits_2(tmp_path, capsys, keep_count):
     assert "keep_count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r", [2.0, 0.0])
+def test_bad_r_exits_2(tmp_path, capsys, r):
+    cfg = write_config(tmp_path, {"spec": {"preset": "cifar-analog", "r": r}})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "r must be in (0, 1]" in capsys.readouterr().err
+
+
+def test_m_positives_is_an_unknown_train_field(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, {"spec": {"preset": "cifar-analog"}, "train": {"m_positives": 1}}
+    )
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown train fields" in capsys.readouterr().err
+
+
 def test_simulate_train_eval_round_trip(tmp_path, base_config):
     sim_dir = tmp_path / "sim"
     assert main(["simulate", "--config", base_config, "--out", str(sim_dir)]) == 0
@@ -198,3 +213,50 @@ def test_repro_tradeoff_smoke(tmp_path):
     assert len(lines) == 2 + 4  # cl + 2 constants + lm
     summary = json.loads((out / "tradeoff_summary.json").read_text())
     assert len(summary["constant_etas"]) == 2
+
+
+def _trained_checkpoint(tmp_path, base_config):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", base_config, "--out", str(run_dir)]) == 0
+    return run_dir / "checkpoint.bin"
+
+
+def _eval(tmp_path, base_config, checkpoint):
+    return main(["eval", "--config", base_config, "--out", str(tmp_path / "ev"),
+                 "--checkpoint", str(checkpoint)])
+
+
+@pytest.mark.parametrize("damage", ["truncate", "append"])
+def test_eval_wrong_size_checkpoint_exits_2(tmp_path, capsys, base_config, damage):
+    checkpoint = _trained_checkpoint(tmp_path, base_config)
+    data = checkpoint.read_bytes()
+    checkpoint.write_bytes(data[:1000] if damage == "truncate" else data + data)
+    assert _eval(tmp_path, base_config, checkpoint) == 2
+    assert "bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage,needle", [
+    ("drop_gamma", "gamma"),  # written before gamma was listed
+    ("unknown_array", "bias3"),
+    ("string_shape", "b1"),
+    ("no_trainable_flag", "gamma_trainable"),
+    ("big_endian", "dtype"),
+])
+def test_eval_bad_sidecar_exits_2(tmp_path, capsys, base_config, damage, needle):
+    checkpoint = _trained_checkpoint(tmp_path, base_config)
+    sidecar_path = tmp_path / "run" / "checkpoint.bin.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    assert sidecar["shapes"]["gamma"] == []
+    if damage == "drop_gamma":
+        del sidecar["shapes"]["gamma"]
+    elif damage == "unknown_array":
+        sidecar["shapes"]["bias3"] = [2]
+    elif damage == "string_shape":
+        sidecar["shapes"]["b1"] = "64"
+    elif damage == "no_trainable_flag":
+        del sidecar["gamma_trainable"]
+    else:
+        sidecar["dtype"] = ">f8"
+    sidecar_path.write_text(json.dumps(sidecar))
+    assert _eval(tmp_path, base_config, checkpoint) == 2
+    assert needle in capsys.readouterr().err

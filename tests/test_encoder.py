@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sdcl import encoder as enc
-from sdcl.mixture import DataPoint
 from sdcl.rngstream import stream
 
 
@@ -41,17 +40,12 @@ def test_degenerate_norm_raises():
         enc.forward_features(params, np.ones((1, 5)))
 
 
-def test_similarity_bounds_and_errors():
+def test_similarity_bounded_by_gamma_squared():
     params = random_params(seed=4, gamma=1.0)
     x = stream(4, 1).standard_normal((2, 5))
     emb, _ = enc.forward_features(params, x)
-    assert abs(enc.similarity(emb[0], emb[0]) - 1.0) < 1e-9
-    assert abs(enc.similarity(emb[0], -emb[0]) + 1.0) < 1e-9
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    assert enc.similarity(e1, e2) == 0.0
-    with pytest.raises(ValueError):
-        enc.similarity(np.ones(3), np.ones(4))
+    assert abs(emb[0] @ emb[0] - 1.0) < 1e-9
+    assert abs(emb[0] @ -emb[0] + 1.0) < 1e-9
     gamma = np.sqrt(2.0)
     params = random_params(seed=5, gamma=gamma)
     emb, _ = enc.forward_features(params, stream(5, 1).standard_normal((30, 5)))
@@ -72,10 +66,7 @@ def test_projection_kills_radial_gradient():
 def _fd_check(params, loss_fn, step=1e-5, rtol=1e-4):
     """Central-difference check of d(loss)/d(params) for a scalar loss."""
     loss, grads = loss_fn(params)
-    flat_grads = np.concatenate(
-        [getattr(grads, name).ravel() for name in params.array_fields()]
-        + [np.array([grads.gamma])]
-    )
+    flat_grads = np.concatenate([getattr(grads, name).ravel() for name in params.array_fields()])
     theta = enc.params_to_flat(params)
     fd = np.zeros_like(theta)
     for i in range(theta.size):
@@ -86,9 +77,6 @@ def _fd_check(params, loss_fn, step=1e-5, rtol=1e-4):
         lp, _ = loss_fn(enc.params_from_flat(params, plus))
         lm, _ = loss_fn(enc.params_from_flat(params, minus))
         fd[i] = (lp - lm) / (2 * step)
-    if not params.gamma_trainable:
-        fd[-1] = 0.0
-        flat_grads[-1] = 0.0
     err = np.abs(flat_grads - fd)
     tol = rtol * np.maximum(np.abs(flat_grads), np.abs(fd)) + 1e-8
     assert np.all(err <= tol), f"max violation {np.max(err - tol):.3e}"
@@ -145,14 +133,13 @@ def test_single_linear_layer_closed_form():
 
 def test_encode_single_point_paths():
     params = random_params(seed=30, vocab=5)
-    point = DataPoint(features=np.ones(5), tokens=(0, 1), latent_class=0)
-    e_feat = enc.encode(params, point)
-    e_tok = enc.encode(params, point, use_tokens=True)
+    e_feat, _ = enc.forward_features(params, np.ones(5))
+    e_tok, _ = enc.forward_tokens(params, [(0, 1)])
+    assert e_feat.shape == e_tok.shape == (1, 6)
     assert abs(np.linalg.norm(e_feat) - params.gamma) < 1e-9
     assert abs(np.linalg.norm(e_tok) - params.gamma) < 1e-9
     with pytest.raises(ValueError):
-        enc.encode(params, DataPoint(features=np.ones(5), tokens=None, latent_class=0),
-                   use_tokens=True)
+        enc.forward_tokens(random_params(seed=30), [(0, 1)])  # no token table
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -164,3 +151,33 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(getattr(params, name), getattr(loaded, name))
     assert loaded.gamma == params.gamma
     assert loaded.gamma_trainable
+    assert loaded.gamma.shape == ()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("token_embed", np.nan), ("w1", np.inf), ("gamma", np.nan), ("gamma", np.inf),
+    ("gamma", 0.0), ("gamma", -1.0),
+])
+def test_params_reject_non_finite_or_nonpositive(name, value):
+    params = random_params(seed=32, vocab=4)
+    arrays = {n: getattr(params, n).copy() for n in params.array_fields()}
+    arrays[name].flat[0] = value
+    with pytest.raises(ValueError):
+        enc.EncoderParams(**arrays)
+
+
+def test_gamma_is_an_ordinary_parameter_array():
+    params = random_params(seed=33, vocab=4, gamma=1.5)
+    assert params.array_fields()[-1] == "gamma"
+    assert isinstance(params.gamma, np.ndarray) and params.gamma.shape == ()
+    flat = enc.params_to_flat(params)
+    assert flat[-1] == 1.5
+    assert flat.size == sum(getattr(params, n).size for n in params.array_fields())
+    copy = params.copy()
+    copy.gamma += 1.0  # the copy owns its radius
+    assert params.gamma == 1.5
+    # backward fills the gamma gradient whether or not gamma is trainable
+    emb, cache = enc.forward_features(params, stream(33, 1).standard_normal((3, 5)))
+    grads = enc.backward(params, cache, emb)
+    # d(sum t . emb)/dgamma = sum t . uhat, which is B * gamma for t = emb
+    assert abs(float(grads.gamma) - 3 * 1.5) < 1e-12

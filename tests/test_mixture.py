@@ -129,8 +129,8 @@ def test_sample_marginal_matches_enumerated_pmf():
 def test_true_negative_two_classes_always_other():
     spec = small_discrete_spec(probs=(0.4, 0.6))
     rng = stream(7, 0)
-    for _ in range(100):
-        assert mix.sample_true_negative(spec, 0, rng).latent_class == 1
+    prior = mix.true_negative_prior(spec.class_dist, 0)
+    assert np.all(rng.choice(2, size=100, p=prior) == 1)
 
 
 def test_true_negative_renormalized_prior():
@@ -159,11 +159,14 @@ def test_true_negative_empirical_matches_decomposition_identity():
         1.0 - spec.class_dist.probs[0]
     )
     assert np.allclose(expected, manual, atol=1e-15)
+    # draw E_0 as the simulator composes it: a class from the renormalized
+    # prior, then a point from that class's conditional
     rng = stream(9, 0)
-    counts = np.zeros(3)
     n = 10**5
-    for _ in range(n):
-        counts[mix.sample_true_negative(spec, 0, rng).point_index] += 1
+    prior = mix.true_negative_prior(spec.class_dist, 0)
+    classes = rng.choice(spec.num_classes, size=n, p=prior)
+    _, idx = mix.sample_features_for_classes(spec, classes, rng)
+    counts = np.bincount(idx, minlength=3)
     assert np.all(np.abs(counts / n - expected) < 0.005)
 
 
@@ -267,28 +270,8 @@ def test_subsample_classes_invariants():
 
 
 # ---------------------------------------------------------------------------
-# Pair batches
+# In-batch false negatives
 # ---------------------------------------------------------------------------
-
-
-def test_pair_batch_structure():
-    spec = uniform_gaussian_spec(n_classes=4)
-    rng = stream(12, 0)
-    for _ in range(50):
-        pair = mix.sample_pair_batch(spec, n_neg=5, rng=rng)
-        assert pair.anchor.latent_class == pair.positive.latent_class
-        assert len(pair.negatives) == 5
-    pair = mix.sample_pair_batch(spec, n_neg=254, rng=rng)
-    assert len(pair.negatives) == 254
-    with pytest.raises(ValueError):
-        mix.sample_pair_batch(spec, n_neg=0, rng=rng)
-
-
-def test_pair_batch_cross_modal_token_layout():
-    spec = uniform_gaussian_spec(n_classes=3)
-    pair = mix.sample_pair_batch(spec, n_neg=2, rng=stream(13, 0), cross_modal=True)
-    assert pair.anchor.tokens is not None
-    assert pair.positive.tokens is None
 
 
 def test_false_negative_rate_matches_prior():

@@ -234,7 +234,7 @@ def test_estimator_unbiased_under_oracle_eta():
         assert np.max(np.abs(e_g0 - target)) < 1e-10
 
 
-def test_asymptotic_continuous_mode_mc():
+def test_asymptotic_rejects_continuous_spec():
     spec = mix.MixtureSpec(
         class_dist=mix.ClassDistribution(np.array([0.5, 0.5])),
         conditionals=mix.GaussianConditionals(
@@ -245,9 +245,7 @@ def test_asymptotic_continuous_mode_mc():
         vocab_size=2,
     )
     params = enc.init_params(2, 8, 4, stream(5, 0))
-    value = obj.asymptotic_loss(spec, params, 8, mc_pairs=200, mc_negatives=32, rng=stream(5, 1))
-    assert math.isfinite(value)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="discrete"):
         obj.asymptotic_loss(spec, params, 8)
 
 

@@ -96,6 +96,18 @@ def test_tradeoff_study_and_summary():
     assert lm_rows[0]["eta_a"] > 0 and lm_rows[0]["eta_k"] > 0
 
 
+@pytest.mark.parametrize("variant", ["0.05", "dcl_eta_lm"])
+def test_tradeoff_cell_deterministic(variant):
+    # the tradeoff cells are the only ones that train gamma
+    config = tiny_tradeoff_config()
+    spec = pl.tradeoff_spec(config)
+    first = pl.run_tradeoff_cell(spec, config, variant, seed=0)
+    second = pl.run_tradeoff_cell(spec, config, variant, seed=0)
+    assert first == second
+    assert type(first["gamma_final"]) is float
+    assert first["gamma_final"] != config.gamma
+
+
 def test_bound_sweep_rows():
     config = pl.BoundSweepConfig(n_configs=8, trials=60, max_trials=240)
     rows = pl.bound_sweep(config)

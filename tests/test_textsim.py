@@ -85,17 +85,6 @@ def test_pll_deterministic_chain_approaches_zero():
     assert abs(ts.pseudo_log_likelihood(lm, (0, 1, 2))) < 1e-6
 
 
-def test_masked_conditional_normalized():
-    rng = stream(21, 0)
-    corpus = [tuple(rng.integers(0, 5, size=6)) for _ in range(30)]
-    lm = ts.fit_ngram(corpus, alpha=0.7, vocab_size=5)
-    seq = (3, 1, 4, 0, 2)
-    for pos in range(len(seq)):
-        dist = ts.masked_conditional(lm, seq, pos)
-        assert abs(dist.sum() - 1.0) <= 1e-12
-        assert np.all(dist > 0)
-
-
 def test_pll_deterministic_across_runs():
     rng = stream(22, 0)
     corpus = [tuple(rng.integers(0, 6, size=5)) for _ in range(50)]

@@ -123,13 +123,35 @@ def test_cross_modal_training_runs_and_trains_gamma():
     assert np.all(np.isfinite(result.trace_array()))
 
 
+def test_training_batch_structure():
+    spec = gaussian_spec()
+    config = small_config(batch_size=16)
+    classes, anchors, anchor_tokens, positives = tr.sample_training_batch(
+        spec, config, stream(12, 0)
+    )
+    # row i's positive is a same-class draw; the other rows are its negatives
+    assert classes.shape == (16,)
+    assert anchors.shape == positives.shape == (16, spec.dim)
+    assert not np.array_equal(anchors, positives)
+    assert anchor_tokens is None
+
+
+def test_training_batch_cross_modal_token_layout():
+    spec = gaussian_spec()
+    config = small_config(mode="cross_modal")
+    classes, anchors, anchor_tokens, positives = tr.sample_training_batch(
+        spec, config, stream(13, 0)
+    )
+    assert anchors is None
+    assert [t[0] for t in anchor_tokens] == [int(c) for c in classes]  # class-c template
+    assert positives.shape == (config.batch_size, spec.dim)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         tr.TrainConfig(objective="triplet")
     with pytest.raises(ValueError):
         tr.TrainConfig(batch_size=1)
-    with pytest.raises(ValueError):
-        tr.TrainConfig(m_positives=2)
     with pytest.raises(ValueError):
         tr.TrainConfig(optimizer="lion")
     resample = NegativeHandling(kind="resample_by_sim", keep_count=8)
