@@ -295,12 +295,6 @@ def _task_list(
     return tasks, np.full(len(tasks), 1.0 / len(tasks))
 
 
-def _class_means(spec: MixtureSpec, params: enc.EncoderParams) -> np.ndarray:
-    cond = _require_discrete(spec)
-    emb, _ = enc.forward_features(params, cond.points)
-    return cond.pmfs @ emb  # (K, D)
-
-
 def _task_dataset(spec: MixtureSpec, task: tuple[int, ...]):
     """Rows (point weight, class index within task) of D_T ∝ rho(c) D_c(x)."""
     cond = spec.conditionals

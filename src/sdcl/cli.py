@@ -195,6 +195,12 @@ def cmd_eval(args) -> int:
     n_train = int(section.get("n_train", 4000))
     n_test = int(section.get("n_test", 2000))
     fraction = float(section.get("label_fraction", 1.0))
+    if not 0.0 < fraction <= 1.0:
+        raise ConfigError(f"eval.label_fraction must lie in (0, 1], got {fraction}")
+    vocab = None if params.token_embed is None else params.token_embed.shape[0]
+    if params.input_dim != spec.dim or vocab not in (None, spec.vocab_size):
+        raise ConfigError(f"checkpoint (input dim {params.input_dim}, vocab {vocab}) does not fit "
+                          f"the spec (dim {spec.dim}, vocab {spec.vocab_size})")
     ks = tuple(section.get("retrieval_ks", (10, 50, 100)))
 
     rng = stream(seed, 2, 0)

@@ -16,6 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .mixture import pad_tokens
+
 NORM_FLOOR = 1e-12
 
 
@@ -109,7 +111,7 @@ class ForwardCache:
     u: np.ndarray          # (B, out) pre-projection
     norms: np.ndarray      # (B,)
     uhat: np.ndarray       # (B, out)
-    token_seqs: Optional[Sequence[Sequence[int]]] = None
+    token_seqs: Optional[tuple[np.ndarray, np.ndarray]] = None  # pad_tokens (ids, mask)
 
 
 def forward_features(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -125,25 +127,16 @@ def forward_features(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, 
     return emb, ForwardCache(x=x, a1=a1, u=u, norms=norms, uhat=uhat)
 
 
-def _pool_tokens(params: EncoderParams, token_seqs: Sequence[Sequence[int]]) -> np.ndarray:
+def forward_tokens(params: EncoderParams,
+                   token_seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, ForwardCache]:
+    """Token path: mean of embedding rows feeds the shared MLP.  Padded rows
+    are zeroed and positions summed in order, so a row equals its sequence's mean."""
     if params.token_embed is None:
         raise ValueError("encoder has no token embedding table")
-    pooled = np.empty((len(token_seqs), params.token_embed.shape[1]), dtype=np.float64)
-    for i, seq in enumerate(token_seqs):
-        idx = np.asarray(seq, dtype=np.int64)
-        if idx.size == 0:
-            raise ValueError("token sequence must be nonempty")
-        pooled[i] = params.token_embed[idx].mean(axis=0)
-    return pooled
-
-
-def forward_tokens(
-    params: EncoderParams, token_seqs: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, ForwardCache]:
-    """Token path: mean of embedding rows feeds the shared MLP."""
-    pooled = _pool_tokens(params, token_seqs)
-    emb, cache = forward_features(params, pooled)
-    cache.token_seqs = [tuple(int(t) for t in s) for s in token_seqs]
+    ids, mask = pad_tokens(token_seqs)
+    rows = np.where(mask[:, :, None], params.token_embed[ids], 0.0)
+    emb, cache = forward_features(params, rows.sum(axis=1) / mask.sum(axis=1)[:, None])
+    cache.token_seqs = (ids, mask)
     return emb, cache
 
 
@@ -161,11 +154,11 @@ def backward(params: EncoderParams, cache: ForwardCache, d_emb: np.ndarray) -> E
     dz1 = da1 * (1.0 - cache.a1**2)
     d_token_embed = None if params.token_embed is None else np.zeros_like(params.token_embed)
     if cache.token_seqs is not None:
+        # dx / length goes to each token's row, in batch then position order
+        ids, mask = cache.token_seqs
+        lengths = mask.sum(axis=1)
         dx = dz1 @ params.w1
-        for i, seq in enumerate(cache.token_seqs):
-            contribution = dx[i] / len(seq)
-            for t in seq:
-                d_token_embed[t] += contribution
+        np.add.at(d_token_embed, ids[mask], np.repeat(dx / lengths[:, None], lengths, axis=0))
     grads = EncoderGrads(
         w1=dz1.T @ cache.x, b1=dz1.sum(axis=0), w2=du.T @ cache.a1, b2=du.sum(axis=0),
         token_embed=d_token_embed, gamma=np.asarray(np.sum(radial)),

@@ -13,12 +13,12 @@ the debiased estimator blow up as eta -> 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .mixture import DataPoint, MixtureSpec, TokenSeq
+from .mixture import DataPoint, MixtureSpec, TokenSeq, pad_tokens
 from .textsim import NGramLM, pseudo_log_likelihood
 
 DEFAULT_ETA_MIN = 1e-4
@@ -46,10 +46,6 @@ class EtaConfig:
             raise ValueError("log-linear map needs a > 0 and k > 0")
 
 
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return float(min(max(value, lo), hi))
-
-
 @dataclass(frozen=True)
 class ConstantEta:
     value: float
@@ -74,13 +70,6 @@ class LMLogLinearEta:
     length_normalize: bool = False
     eta_min: float = DEFAULT_ETA_MIN
     eta_max: float = DEFAULT_ETA_MAX
-    pll_cache: dict = field(default_factory=dict)
-
-    def pll(self, tokens: TokenSeq) -> float:
-        key = tuple(int(t) for t in tokens)
-        if key not in self.pll_cache:
-            self.pll_cache[key] = pseudo_log_likelihood(self.lm, key)
-        return self.pll_cache[key]
 
 
 EtaProvider = ConstantEta | TrueOracleEta | LMLogLinearEta
@@ -90,7 +79,6 @@ def make_provider(
     config: EtaConfig,
     spec: Optional[MixtureSpec] = None,
     lm: Optional[NGramLM] = None,
-    pll_table: Optional[dict] = None,
 ) -> EtaProvider:
     bounds = dict(eta_min=config.eta_min, eta_max=config.eta_max)
     if config.kind == "constant":
@@ -101,12 +89,9 @@ def make_provider(
         return TrueOracleEta(spec=spec, **bounds)
     if lm is None:
         raise ValueError("lm_log_linear provider needs a fitted language model")
-    provider = LMLogLinearEta(
+    return LMLogLinearEta(
         a=config.a, k=config.k, lm=lm, length_normalize=config.length_normalize, **bounds
     )
-    if pll_table:
-        provider.pll_cache.update(pll_table)
-    return provider
 
 
 def eta_of(provider: EtaProvider, x: DataPoint) -> float:
@@ -148,7 +133,7 @@ def eta_for_batch(
     """Vectorized eta for a batch described by latent classes and/or tokens."""
     if isinstance(provider, ConstantEta):
         size = len(classes) if classes is not None else len(token_seqs)
-        return np.full(size, _clamp(provider.value, provider.eta_min, provider.eta_max))
+        return np.full(size, np.clip(provider.value, provider.eta_min, provider.eta_max))
     if isinstance(provider, TrueOracleEta):
         if classes is None:
             raise ValueError("oracle eta needs latent classes")
@@ -156,10 +141,7 @@ def eta_for_batch(
         return np.clip(rho, provider.eta_min, provider.eta_max)
     if token_seqs is None:
         raise ValueError("lm_log_linear eta needs token sequences")
-    out = np.empty(len(token_seqs))
-    for i, seq in enumerate(token_seqs):
-        pll = provider.pll(seq)
-        if provider.length_normalize:
-            pll = pll / len(seq)
-        out[i] = _clamp(provider.a * np.exp(provider.k * pll), provider.eta_min, provider.eta_max)
-    return out
+    pll = pseudo_log_likelihood(provider.lm, token_seqs)
+    if provider.length_normalize:
+        pll = pll / pad_tokens(token_seqs)[1].sum(axis=1)
+    return np.clip(provider.a * np.exp(provider.k * pll), provider.eta_min, provider.eta_max)

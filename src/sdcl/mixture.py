@@ -20,6 +20,7 @@ decomposes exactly as D = rho(c) * D_c + (1 - rho(c)) * E_c, which
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -29,6 +30,21 @@ import numpy as np
 TOL = 1e-12
 
 TokenSeq = tuple[int, ...]
+
+
+def pad_tokens(token_seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """A token batch as one (B, L) int64 id array plus its validity mask.
+
+    L is the longest length; padded slots hold token 0 with mask False.
+    """
+    lengths = np.fromiter(map(len, token_seqs), dtype=np.int64, count=len(token_seqs))
+    if np.any(lengths == 0):
+        raise ValueError("token sequence must be nonempty")
+    mask = np.arange(lengths.max(initial=1)) < lengths[:, None]
+    ids = np.zeros(mask.shape, dtype=np.int64)
+    ids[mask] = np.fromiter(itertools.chain.from_iterable(token_seqs), dtype=np.int64,
+                            count=int(lengths.sum()))
+    return ids, mask
 
 
 def _frozen_array(a, dtype=np.float64) -> np.ndarray:

@@ -294,23 +294,20 @@ def tradeoff_train_config(variant: str, config: TradeoffConfig, seed: int) -> tr
 def run_tradeoff_cell(spec: mix.MixtureSpec, config: TradeoffConfig, variant: str, seed: int) -> dict:
     """Train one variant and score head prompt accuracy plus tail retrieval."""
     train_config = tradeoff_train_config(variant, config, seed)
-    lm_assets = None
+    lm = None
     if variant == "dcl_eta_lm":
-        lm, table = tr.build_lm_assets(spec, train_config)
+        lm = tr.build_lm_assets(spec, train_config)
         cal_rng = stream(seed, 11)
         cal_classes = mix.sample_class_array(spec.class_dist, 1000, cal_rng)
-        cal_plls = [
-            ts.pseudo_log_likelihood(lm, ts.generate_report(spec, int(c), cal_rng))
-            for c in cal_classes
-        ]
+        cal_reports = [ts.generate_report(spec, int(c), cal_rng) for c in cal_classes]
         a, k = calibrate_log_linear(
-            cal_plls, eta_range=config.calibration_range, quantiles=config.calibration_quantiles
+            ts.pseudo_log_likelihood(lm, cal_reports),
+            eta_range=config.calibration_range, quantiles=config.calibration_quantiles,
         )
         train_config = replace(
             train_config, eta=EtaConfig(kind="lm_log_linear", a=a, k=k)
         )
-        lm_assets = (lm, table)
-    result = tr.train(spec, train_config, lm_assets=lm_assets)
+    result = tr.train(spec, train_config, lm=lm)
     params = result.params
 
     # tail-class retrieval over a balanced text/image gallery

@@ -21,9 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .mixture import MixtureSpec, TokenSeq, _sample_template_tokens
-
-TOL = 1e-12
+from .mixture import MixtureSpec, TokenSeq, _sample_template_tokens, pad_tokens
 
 
 @dataclass(frozen=True)
@@ -76,25 +74,29 @@ def fit_ngram(corpus: Sequence[Sequence[int]], alpha: float, vocab_size: int) ->
     return NGramLM(vocab_size=vocab_size, bigram_counts=bigram, unigram_counts=unigram, alpha=alpha)
 
 
-def pseudo_log_likelihood(lm: NGramLM, seq: Sequence[int]) -> float:
-    """Sum of log masked-conditional probabilities over all positions."""
-    seq = tuple(int(t) for t in seq)
-    n = len(seq)
-    if n == 0:
-        raise ValueError("sequence must be nonempty")
-    if n == 1:
-        return float(np.log(lm.unigram_probs()[seq[0]]))
+def pseudo_log_likelihood(lm: NGramLM, token_seqs: Sequence[Sequence[int]]) -> np.ndarray:
+    """PLL of each sequence in a batch: the sum of its log masked-conditional
+    probabilities, added position by position."""
+    ids, mask = pad_tokens(token_seqs)
+    rows = np.arange(len(ids))
+    lengths = mask.sum(axis=1)
     cond = lm.conditionals()
-    total = 0.0
-    for i, tok in enumerate(seq):
+    # right-hand factors p(next | t) as contiguous rows, so every row sum
+    # reduces in the same order as the sum of one column of ``cond``
+    cond_next = np.ascontiguousarray(cond.T)
+    total = np.zeros(len(ids))
+    n_pos = ids.shape[1]
+    for i in range(n_pos if n_pos > 1 else 0):
         if i == 0:
-            weights = cond[:, seq[1]]
-        elif i == n - 1:
-            weights = cond[seq[n - 2], :]
+            weights = cond_next[ids[:, 1]]
+        elif i + 1 < n_pos:
+            left = cond[ids[:, i - 1]]
+            weights = np.where((i + 1 < lengths)[:, None], left * cond_next[ids[:, i + 1]], left)
         else:
-            weights = cond[seq[i - 1], :] * cond[:, seq[i + 1]]
-        total += float(np.log(weights[tok] / weights.sum()))
-    return total
+            weights = cond[ids[:, i - 1]]
+        term = np.log(weights[rows, ids[:, i]] / weights.sum(axis=1))
+        total += np.where(mask[:, i] & (lengths > 1), term, 0.0)
+    return np.where(lengths == 1, np.log(lm.unigram_probs()[ids[:, 0]]), total)
 
 
 def generate_report(spec: MixtureSpec, c: int, rng: np.random.Generator) -> TokenSeq:
@@ -107,13 +109,9 @@ def generate_report(spec: MixtureSpec, c: int, rng: np.random.Generator) -> Toke
 
 
 def pll_table(lm: NGramLM, sentences: Iterable[Sequence[int]]) -> dict[TokenSeq, float]:
-    """Precompute PLL for each distinct sentence (keyed by token tuple)."""
-    table: dict[TokenSeq, float] = {}
-    for seq in sentences:
-        key = tuple(int(t) for t in seq)
-        if key not in table:
-            table[key] = pseudo_log_likelihood(lm, key)
-    return table
+    """PLL of each distinct sentence (keyed by token tuple), scored in one batch."""
+    keys = list(dict.fromkeys(tuple(int(t) for t in seq) for seq in sentences))
+    return dict(zip(keys, pseudo_log_likelihood(lm, keys).tolist()))
 
 
 def write_pll_csv(path, table: dict[TokenSeq, float], header_comment: str | None = None) -> None:

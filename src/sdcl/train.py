@@ -88,7 +88,6 @@ class TrainResult:
     params: enc.EncoderParams
     trace: np.recarray  # one TRACE_DTYPE record per step: trace[-1].loss, trace.loss
     lm: Optional[textsim.NGramLM] = None
-    pll_table: Optional[dict] = None
 
     def trace_array(self) -> np.ndarray:
         """The trace as a float matrix, one column per TRACE_DTYPE field."""
@@ -127,16 +126,14 @@ class _Adam:
             p -= lr * cfg.weight_decay * p
 
 
-def build_lm_assets(spec: mix.MixtureSpec, config: TrainConfig):
-    """Corpus, fitted bigram model, and precomputed PLL table for eta_LM."""
+def build_lm_assets(spec: mix.MixtureSpec, config: TrainConfig) -> textsim.NGramLM:
+    """The bigram model behind eta_LM, fit to a corpus of simulated reports."""
     rng = stream(config.seed, 10)
     corpus = []
     for _ in range(config.lm_corpus_size):
         c = mix.sample_class(spec.class_dist, rng)
         corpus.append(textsim.generate_report(spec, c, rng))
-    lm = textsim.fit_ngram(corpus, config.lm_alpha, spec.vocab_size)
-    table = textsim.pll_table(lm, corpus)
-    return lm, table
+    return textsim.fit_ngram(corpus, config.lm_alpha, spec.vocab_size)
 
 
 def sample_training_batch(
@@ -173,18 +170,17 @@ def sample_training_batch(
 def train(
     spec: mix.MixtureSpec,
     config: TrainConfig,
-    lm_assets: Optional[tuple] = None,
+    lm: Optional[textsim.NGramLM] = None,
 ) -> TrainResult:
-    """Run the configured number of epochs over freshly simulated batches."""
+    """Run the configured number of epochs over freshly simulated batches;
+    eta_LM fits its bigram model here unless ``lm`` is given."""
     if config.mode == "cross_modal" and spec.vocab_size < 1:
         raise ValueError("cross-modal training needs a vocabulary")
 
-    lm = table = None
-    if config.eta.kind == "lm_log_linear" and config.objective == "dcl":
-        lm, table = lm_assets if lm_assets is not None else build_lm_assets(spec, config)
-    provider = None
-    if config.objective == "dcl":
-        provider = make_provider(config.eta, spec=spec, lm=lm, pll_table=table)
+    needs_tokens = config.objective == "dcl" and config.eta.kind == "lm_log_linear"
+    if needs_tokens and lm is None:
+        lm = build_lm_assets(spec, config)
+    provider = make_provider(config.eta, spec=spec, lm=lm) if config.objective == "dcl" else None
 
     init_rng = stream(config.seed, 0)
     params = enc.init_params(
@@ -199,7 +195,6 @@ def train(
     optimizer = _Adam(config)
     batches_per_epoch = max(1, config.samples_per_epoch // config.batch_size)
     total_steps = config.epochs * batches_per_epoch
-    needs_tokens = config.objective == "dcl" and config.eta.kind == "lm_log_linear"
     trace = np.recarray(total_steps, dtype=TRACE_DTYPE)
     step = 0
     for epoch in range(config.epochs):
@@ -244,4 +239,4 @@ def train(
             trace[step] = (step, result.loss, result.clamp_fraction, result.mean_eta,
                            result.fallback_count)
             step += 1
-    return TrainResult(params=params, trace=trace, lm=lm, pll_table=table)
+    return TrainResult(params=params, trace=trace, lm=lm)

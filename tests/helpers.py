@@ -1,10 +1,12 @@
 """Shared test utilities: full-pipeline losses, finite-difference checks, and
-the per-anchor reference for the batched in-batch loss."""
+per-anchor / per-sentence references for the batched in-batch loss, token
+pooling, token backward and PLL."""
 
 import numpy as np
 
 from sdcl import encoder as enc
 from sdcl.objectives import BatchLossResult, NegativeHandling, in_batch_loss
+from sdcl.textsim import NGramLM
 
 
 def pipeline_loss_and_grads(
@@ -244,3 +246,91 @@ def in_batch_loss_reference(anchor_embs, pos_embs, *, objective, gamma, etas=Non
         fallback_count=fallbacks,
         mean_eta=float(np.mean(etas)) if objective == "dcl" else 0.0,
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-sentence references for the padded token batch: pooling, the token
+# gradient and PLL computed one sequence (and one token) at a time
+# ---------------------------------------------------------------------------
+
+
+def _pool_tokens_reference(params, token_seqs):
+    if params.token_embed is None:
+        raise ValueError("encoder has no token embedding table")
+    pooled = np.empty((len(token_seqs), params.token_embed.shape[1]), dtype=np.float64)
+    for i, seq in enumerate(token_seqs):
+        idx = np.asarray(seq, dtype=np.int64)
+        if idx.size == 0:
+            raise ValueError("token sequence must be nonempty")
+        pooled[i] = params.token_embed[idx].mean(axis=0)
+    return pooled
+
+
+def forward_tokens_reference(params, token_seqs):
+    """``forward_tokens`` pooling row by row; the cache keeps the sequences."""
+    pooled = _pool_tokens_reference(params, token_seqs)
+    emb, cache = enc.forward_features(params, pooled)
+    cache.token_seqs = [tuple(int(t) for t in s) for s in token_seqs]
+    return emb, cache
+
+
+def backward_reference(params, cache, d_emb):
+    """``backward`` with the token gradient added sequence by sequence, token
+    by token; ``cache`` comes from ``forward_tokens_reference``."""
+    d_emb = np.atleast_2d(np.asarray(d_emb, dtype=np.float64))
+    radial = d_emb * cache.uhat
+    # projection: du = gamma/||u|| * (dE - uhat (uhat . dE))
+    inner = np.sum(radial, axis=1, keepdims=True)
+    du = params.gamma / cache.norms[:, None] * (d_emb - cache.uhat * inner)
+    da1 = du @ params.w2
+    dz1 = da1 * (1.0 - cache.a1**2)
+    d_token_embed = None if params.token_embed is None else np.zeros_like(params.token_embed)
+    if cache.token_seqs is not None:
+        dx = dz1 @ params.w1
+        for i, seq in enumerate(cache.token_seqs):
+            contribution = dx[i] / len(seq)
+            for t in seq:
+                d_token_embed[t] += contribution
+    grads = enc.EncoderGrads(
+        w1=dz1.T @ cache.x, b1=dz1.sum(axis=0), w2=du.T @ cache.a1, b2=du.sum(axis=0),
+        token_embed=d_token_embed, gamma=np.asarray(np.sum(radial)),
+    )
+    for name in grads.array_fields():
+        if not np.all(np.isfinite(getattr(grads, name))):
+            raise FloatingPointError(f"non-finite gradient in {name}")
+    return grads
+
+
+def pseudo_log_likelihood_reference(lm: NGramLM, seq) -> float:
+    """PLL of one sentence: log masked-conditional probabilities summed over
+    its positions as Python floats."""
+    seq = tuple(int(t) for t in seq)
+    n = len(seq)
+    if n == 0:
+        raise ValueError("sequence must be nonempty")
+    if n == 1:
+        return float(np.log(lm.unigram_probs()[seq[0]]))
+    cond = lm.conditionals()
+    total = 0.0
+    for i, tok in enumerate(seq):
+        if i == 0:
+            weights = cond[:, seq[1]]
+        elif i == n - 1:
+            weights = cond[seq[n - 2], :]
+        else:
+            weights = cond[seq[i - 1], :] * cond[:, seq[i + 1]]
+        total += float(np.log(weights[tok] / weights.sum()))
+    return total
+
+
+def token_batch(kind, rng, vocab, max_len=12):
+    """A token batch of one shape: ``ragged`` mixes length-1 rows with longer
+    ones, ``one_row`` is a single sequence, ``equal_length`` a full rectangle."""
+    if kind == "one_row":
+        lengths = [int(rng.integers(2, max_len + 1))]
+    elif kind == "equal_length":
+        lengths = [int(rng.integers(2, max_len + 1))] * 9
+    else:
+        lengths = [1, int(rng.integers(2, max_len + 1)), 1, max_len] + list(
+            rng.integers(1, max_len + 1, size=12))
+    return [tuple(int(t) for t in rng.integers(0, vocab, size=n)) for n in lengths]

@@ -260,3 +260,35 @@ def test_eval_bad_sidecar_exits_2(tmp_path, capsys, base_config, damage, needle)
     sidecar_path.write_text(json.dumps(sidecar))
     assert _eval(tmp_path, base_config, checkpoint) == 2
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage,needle", [
+    ("dim", "(dim 3, vocab 24)"),
+    ("vocab", "(dim 16, vocab 40)"),
+    ("label_fraction", "label_fraction"),
+])
+def test_eval_unusable_input_exits_2(tmp_path, capsys, damage, needle):
+    from sdcl import mixture as mix
+    from sdcl import pipelines as pl
+
+    train_cfg = write_config(tmp_path, {
+        "seed": 1,
+        "spec": {"preset": "eta-tradeoff"},
+        "train": {"mode": "cross_modal", "objective": "cl", "epochs": 1,
+                  "samples_per_epoch": 32, "batch_size": 16},
+    }, name="train.json")
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", train_cfg, "--out", str(run_dir)]) == 0
+    inline = mix.spec_to_dict(pl.tradeoff_spec(pl.TradeoffConfig()))
+    section = {"n_train": 100, "n_test": 50}
+    if damage == "dim":
+        inline["gaussian"]["means"] = [row[:3] for row in inline["gaussian"]["means"]]
+    elif damage == "vocab":
+        inline["vocab_size"] = 40
+    else:
+        section["label_fraction"] = 1.5
+    eval_cfg = write_config(tmp_path, {"spec": {"inline": inline}, "eval": section},
+                            name="eval.json")
+    assert main(["eval", "--config", eval_cfg, "--out", str(tmp_path / "ev"),
+                 "--checkpoint", str(run_dir / "checkpoint.bin")]) == 2
+    assert needle in capsys.readouterr().err

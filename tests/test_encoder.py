@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import backward_reference, forward_tokens_reference, token_batch
+
 from sdcl import encoder as enc
 from sdcl.rngstream import stream
 
@@ -109,6 +111,30 @@ def test_backward_matches_finite_differences_tokens():
 
     for seed in range(3):
         _fd_check(random_params(seed=seed + 20, vocab=4, gamma_trainable=True), loss_fn)
+
+
+@pytest.mark.parametrize("kind", ["ragged", "one_row", "equal_length"])
+def test_token_batch_matches_per_sequence_reference(kind):
+    # the padded batch pools and backpropagates bit for bit like the
+    # per-sequence loops, token repeats and length-1 rows included
+    r = stream(12, 1)
+    for seed in range(5):
+        params = random_params(seed=seed + 40, vocab=6, gamma_trainable=True)
+        seqs = token_batch(kind, r, vocab=6)
+        emb, cache = enc.forward_tokens(params, seqs)
+        ref_emb, ref_cache = forward_tokens_reference(params, seqs)
+        assert np.array_equal(emb, ref_emb)
+        d_emb = r.standard_normal(emb.shape)
+        grads = enc.backward(params, cache, d_emb)
+        ref = backward_reference(params, ref_cache, d_emb)
+        for name in params.array_fields():
+            assert np.array_equal(getattr(grads, name), getattr(ref, name)), name
+
+
+def test_token_batch_rejects_empty_sequence():
+    params = random_params(seed=31, vocab=4)
+    with pytest.raises(ValueError, match="nonempty"):
+        enc.forward_tokens(params, [(0, 1), ()])
 
 
 def test_single_linear_layer_closed_form():

@@ -48,26 +48,36 @@ def test_true_oracle_reads_prior():
         assert eta_mod.eta_of(provider, point(c)) == sub.class_dist.probs[c]
 
 
+def lm_provider(lm, **config):
+    return eta_mod.make_provider(eta_mod.EtaConfig(kind="lm_log_linear", **config), lm=lm)
+
+
 def test_lm_log_linear_at_pll_zero():
-    lm = ts.fit_ngram([(0, 1)], alpha=1.0, vocab_size=2)
-    provider = eta_mod.make_provider(
-        eta_mod.EtaConfig(kind="lm_log_linear", a=0.2, k=0.35), lm=lm
-    )
-    provider.pll_cache[(0, 1)] = 0.0  # p_LM = 1 exactly
-    assert abs(eta_mod.eta_of(provider, point(tokens=(0, 1))) - 0.2) < 1e-15
+    # a near-deterministic chain pins every masked conditional, so PLL ~ 0
+    # and eta ~ a
+    lm = ts.fit_ngram([tuple([0, 1, 2] * 60)], alpha=1e-10, vocab_size=3)
+    provider = lm_provider(lm, a=0.2, k=0.35)
+    (pll,) = ts.pseudo_log_likelihood(lm, [(0, 1, 2)])
+    assert abs(pll) < 1e-6
+    eta = eta_mod.eta_of(provider, point(tokens=(0, 1, 2)))
+    assert eta == np.clip(0.2 * np.exp(0.35 * pll), 1e-4, 0.9)
+    assert abs(eta - 0.2) < 1e-6
 
 
 def test_lm_log_linear_monotone_in_pll():
-    lm = ts.fit_ngram([(0, 1)], alpha=1.0, vocab_size=2)
-    provider = eta_mod.make_provider(
-        eta_mod.EtaConfig(kind="lm_log_linear", a=0.2, k=0.35), lm=lm
-    )
-    plls = np.linspace(-20, 3, 40)
-    for i, pll in enumerate(plls):
-        provider.pll_cache[(i, i)] = float(pll)
-    values = [eta_mod.eta_of(provider, point(tokens=(i, i))) for i in range(40)]
-    assert all(b >= a for a, b in zip(values, values[1:]))
-    assert all(1e-4 <= v <= 0.9 for v in values)
+    rng = stream(71, 0)
+    corpus = [(0, 1, 2, 3)] * 30 + [tuple(rng.integers(0, 8, size=4)) for _ in range(30)]
+    lm = ts.fit_ngram(corpus, alpha=0.5, vocab_size=8)
+    provider = lm_provider(lm, a=0.2, k=0.35)
+    seqs = [tuple(int(t) for t in rng.integers(0, 8, size=rng.integers(1, 7))) for _ in range(200)]
+    seqs += [(0, 1, 2, 3), (0, 1, 2)]
+    plls = ts.pseudo_log_likelihood(lm, seqs)
+    order = np.argsort(plls)
+    assert plls[order[-1]] - plls[order[0]] > 10.0  # sentences of clearly differing PLL
+    etas = eta_mod.eta_for_batch(provider, token_seqs=seqs)
+    assert np.array_equal(etas, np.clip(0.2 * np.exp(0.35 * plls), 1e-4, 0.9))
+    assert np.all(np.diff(etas[order]) >= 0)
+    assert np.all((etas >= 1e-4) & (etas <= 0.9))
 
 
 def test_lm_log_linear_requires_tokens():
@@ -78,13 +88,14 @@ def test_lm_log_linear_requires_tokens():
 
 
 def test_lm_log_linear_length_normalize():
-    lm = ts.fit_ngram([(0, 1)], alpha=1.0, vocab_size=2)
-    provider = eta_mod.make_provider(
-        eta_mod.EtaConfig(kind="lm_log_linear", a=0.2, k=0.35, length_normalize=True), lm=lm
-    )
-    provider.pll_cache[(0, 1, 0, 1)] = -4.0
-    expected = np.clip(0.2 * np.exp(0.35 * (-1.0)), 1e-4, 0.9)
-    assert abs(eta_mod.eta_of(provider, point(tokens=(0, 1, 0, 1))) - expected) < 1e-15
+    lm = ts.fit_ngram([(0, 1), (1, 0, 1)], alpha=1.0, vocab_size=2)
+    provider = lm_provider(lm, a=0.2, k=0.35, length_normalize=True)
+    seqs = [(0, 1, 0, 1), (1,), (0, 0, 1), (1, 1, 1, 1, 1, 0)]
+    plls = ts.pseudo_log_likelihood(lm, seqs)
+    lengths = np.array([len(s) for s in seqs])
+    expected = np.clip(0.2 * np.exp(0.35 * (plls / lengths)), 1e-4, 0.9)
+    assert np.array_equal(eta_mod.eta_for_batch(provider, token_seqs=seqs), expected)
+    assert eta_mod.eta_of(provider, point(tokens=seqs[0])) == expected[0]
 
 
 def test_eta_for_batch_matches_scalar():

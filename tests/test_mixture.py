@@ -36,6 +36,25 @@ def small_discrete_spec(probs=(0.3, 0.7), seed=0):
 
 
 # ---------------------------------------------------------------------------
+# Token batches
+# ---------------------------------------------------------------------------
+
+
+def test_pad_tokens_layout():
+    ids, mask = mix.pad_tokens([(3, 1), (2,), np.array([4, 4, 0])])
+    assert ids.dtype == np.int64 and ids.shape == mask.shape == (3, 3)
+    assert ids.tolist() == [[3, 1, 0], [2, 0, 0], [4, 4, 0]]
+    assert mask.tolist() == [[True, True, False], [True, False, False], [True, True, True]]
+    ids, mask = mix.pad_tokens([])
+    assert ids.shape == mask.shape == (0, 1)
+
+
+def test_pad_tokens_rejects_empty_sequence():
+    with pytest.raises(ValueError, match="nonempty"):
+        mix.pad_tokens([(1, 2), ()])
+
+
+# ---------------------------------------------------------------------------
 # ClassDistribution and sampling
 # ---------------------------------------------------------------------------
 

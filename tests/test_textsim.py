@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import pseudo_log_likelihood_reference, token_batch
+
 from sdcl import mixture as mix
 from sdcl import textsim as ts
 from sdcl.rngstream import stream
@@ -67,30 +69,34 @@ def test_conditionals_rows_sum_to_one():
 def test_pll_uniform_model():
     v, length = 4, 6
     lm = ts.NGramLM(v, np.zeros((v, v)), np.zeros(v), alpha=1.0)
-    seq = tuple(i % v for i in range(length))
-    assert abs(ts.pseudo_log_likelihood(lm, seq) - length * np.log(1.0 / v)) < 1e-12
+    seqs = [tuple(i % v for i in range(n)) for n in (length, 2, 1)]
+    plls = ts.pseudo_log_likelihood(lm, seqs)
+    assert plls.shape == (3,)
+    assert np.all(np.abs(plls - np.array([length, 2, 1]) * np.log(1.0 / v)) < 1e-12)
 
 
 def test_pll_length_one_is_smoothed_unigram():
     lm = ts.fit_ngram([(0, 1), (1, 1)], alpha=0.5, vocab_size=3)
     # unigram counts: [1, 3, 0]; p(0) = (1 + 0.5) / (4 + 1.5)
     expected = np.log(1.5 / 5.5)
-    assert abs(ts.pseudo_log_likelihood(lm, (0,)) - expected) < 1e-12
+    plls = ts.pseudo_log_likelihood(lm, [(0,), (0, 1), (0,)])
+    assert abs(plls[0] - expected) < 1e-12 and plls[2] == plls[0]
+    assert plls[1] != plls[0]
 
 
 def test_pll_deterministic_chain_approaches_zero():
     # one long cyclic chain 0,1,2,0,1,2,... pins every masked conditional
     corpus = [tuple([0, 1, 2] * 60)]
     lm = ts.fit_ngram(corpus, alpha=1e-10, vocab_size=3)
-    assert abs(ts.pseudo_log_likelihood(lm, (0, 1, 2))) < 1e-6
+    assert np.all(np.abs(ts.pseudo_log_likelihood(lm, [(0, 1, 2), (1, 2, 0, 1)])) < 1e-6)
 
 
 def test_pll_deterministic_across_runs():
     rng = stream(22, 0)
     corpus = [tuple(rng.integers(0, 6, size=5)) for _ in range(50)]
     lm = ts.fit_ngram(corpus, alpha=1.0, vocab_size=6)
-    seq = (2, 5, 0, 1)
-    values = {ts.pseudo_log_likelihood(lm, seq) for _ in range(5)}
+    batch = [(2, 5, 0, 1), (3,), (1, 1)]
+    values = {ts.pseudo_log_likelihood(lm, batch).tobytes() for _ in range(5)}
     assert len(values) == 1
 
 
@@ -106,7 +112,28 @@ def test_pll_favors_frequent_template():
             continue
         corpus = [frequent] * 200 + [rare] * 20
         lm = ts.fit_ngram(corpus, alpha=1.0, vocab_size=v)
-        assert ts.pseudo_log_likelihood(lm, frequent) >= ts.pseudo_log_likelihood(lm, rare)
+        pll_frequent, pll_rare = ts.pseudo_log_likelihood(lm, [frequent, rare])
+        assert pll_frequent >= pll_rare
+
+
+@pytest.mark.parametrize("kind", ["ragged", "one_row", "equal_length"])
+def test_pll_batch_matches_per_sentence_reference(kind):
+    # one batched call gives each sentence's PLL bit for bit as scoring it
+    # alone, with the same float summation order
+    rng = stream(28, 0)
+    for trial in range(5):
+        corpus = [tuple(rng.integers(0, 9, size=rng.integers(1, 8))) for _ in range(60)]
+        lm = ts.fit_ngram(corpus, alpha=0.5, vocab_size=9)
+        seqs = token_batch(kind, rng, vocab=9)
+        plls = ts.pseudo_log_likelihood(lm, seqs)
+        expected = [pseudo_log_likelihood_reference(lm, seq) for seq in seqs]
+        assert plls.tolist() == expected
+
+
+def test_pll_rejects_empty_sequence():
+    lm = ts.fit_ngram([(0, 1)], alpha=1.0, vocab_size=2)
+    with pytest.raises(ValueError, match="nonempty"):
+        ts.pseudo_log_likelihood(lm, [(0, 1), ()])
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +187,8 @@ def test_pll_table_and_csv(tmp_path):
     lm = ts.fit_ngram(corpus, alpha=1.0, vocab_size=4)
     table = ts.pll_table(lm, corpus)
     assert set(table) == set(corpus)
-    for seq, value in table.items():
-        assert value == ts.pseudo_log_likelihood(lm, seq)
+    assert list(table.values()) == ts.pseudo_log_likelihood(lm, list(table)).tolist()
+    assert all(type(value) is float for value in table.values())
     path = tmp_path / "pll.csv"
     ts.write_pll_csv(path, table, header_comment="config_hash=deadbeef seed=0")
     lines = path.read_text().splitlines()
