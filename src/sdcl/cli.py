@@ -219,7 +219,7 @@ def cmd_eval(args) -> int:
         train_emb, train_classes, test_emb, test_classes
     )
     if params.token_embed is not None:
-        texts = [ts.generate_report(spec, int(c), rng) for c in test_classes]
+        texts = mix.sample_reports(spec, test_classes, rng)
         txt_emb, _ = enc.forward_tokens(params, texts)
         report.retrieval = ev.retrieval_metrics(txt_emb, test_emb, ks=ks)
         rank_rows = [

@@ -10,6 +10,7 @@ parameter array (0-d) that the optimizer updates only when it is trainable.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -191,12 +192,14 @@ def params_from_flat(template: EncoderParams, flat: np.ndarray) -> EncoderParams
 def save_checkpoint(params: EncoderParams, path, meta: dict | None = None) -> None:
     import json
 
-    flat = params_to_flat(params).astype("<f8")
-    flat.tofile(str(path))
+    data = params_to_flat(params).astype("<f8").tobytes()
+    with open(str(path), "wb") as f:
+        f.write(data)
     sidecar = {
         "shapes": {name: list(getattr(params, name).shape) for name in params.array_fields()},
         "gamma_trainable": params.gamma_trainable,
         "dtype": "<f8",
+        "sha256": hashlib.sha256(data).hexdigest(),
     }
     sidecar.update(meta or {})
     with open(str(path) + ".json", "w") as f:
@@ -205,9 +208,8 @@ def save_checkpoint(params: EncoderParams, path, meta: dict | None = None) -> No
 
 def load_checkpoint(path) -> EncoderParams:
     """Read a checkpoint; ValueError unless the file holds exactly the arrays
-    its sidecar lists."""
+    its sidecar lists and its bytes match the sidecar's sha256."""
     import json
-    import os
 
     with open(str(path) + ".json") as f:
         sidecar = json.load(f)
@@ -225,11 +227,14 @@ def load_checkpoint(path) -> EncoderParams:
                              f"{shape!r}")
     names = [name for name in ARRAY_FIELDS if name in shapes]
     sizes = [math.prod(shapes[name]) for name in names]
-    n_bytes = os.path.getsize(str(path))
-    if n_bytes != 8 * sum(sizes):
-        raise ValueError(f"checkpoint holds {n_bytes} bytes; its sidecar shapes need "
+    with open(str(path), "rb") as f:
+        data = f.read()
+    if len(data) != 8 * sum(sizes):
+        raise ValueError(f"checkpoint holds {len(data)} bytes; its sidecar shapes need "
                          f"{8 * sum(sizes)}")
-    flat = np.fromfile(str(path), dtype="<f8")
+    if hashlib.sha256(data).hexdigest() != sidecar.get("sha256"):
+        raise ValueError("checkpoint bytes do not match the sidecar sha256")
+    flat = np.frombuffer(data, dtype="<f8").copy()
     arrays = {"token_embed": None}
     for name, part in zip(names, np.split(flat, np.cumsum(sizes)[:-1])):
         arrays[name] = part.reshape(shapes[name])

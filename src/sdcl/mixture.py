@@ -20,6 +20,7 @@ decomposes exactly as D = rho(c) * D_c + (1 - rho(c)) * E_c, which
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from dataclasses import dataclass, replace
@@ -171,6 +172,12 @@ class MixtureSpec:
                 raise ValueError(f"class {c} has no templates")
             if len(self.templates[c]) != len(self.template_weights[c]):
                 raise ValueError(f"class {c}: template/weight length mismatch")
+            weights = np.asarray(self.template_weights[c], dtype=np.float64)
+            with np.errstate(over="ignore"):
+                total = weights.sum()  # NaN or inf if any weight is, or on overflow
+            if not (np.all(weights >= 0) and 0.0 < total < np.inf):
+                raise ValueError(f"class {c}: template weights must be finite, nonnegative "
+                                 f"and have a positive finite sum")
             for seq in self.templates[c]:
                 if len(seq) == 0 or any(t < 0 or t >= self.vocab_size for t in seq):
                     raise ValueError(f"class {c}: template tokens out of vocab")
@@ -214,25 +221,57 @@ class DataPoint:
 # ---------------------------------------------------------------------------
 
 
+def _choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF ``rng.choice(n, p=probs)`` builds: for its one uniform draw u
+    it returns ``cdf.searchsorted(u, side="right")``."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def sample_class(dist: ClassDistribution, rng: np.random.Generator) -> int:
-    return int(rng.choice(dist.num_classes, p=dist.probs))
+    """One class draw; the same draw and result as ``rng.choice(K, p=dist.probs)``."""
+    return int(_choice_cdf(dist.probs).searchsorted(rng.random(), side="right"))
 
 
 def sample_class_array(dist: ClassDistribution, size: int, rng: np.random.Generator) -> np.ndarray:
     return rng.choice(dist.num_classes, size=size, p=dist.probs)
 
 
-def _sample_template_tokens(spec: MixtureSpec, c: int, rng: np.random.Generator) -> TokenSeq:
-    weights = np.asarray(spec.template_weights[c], dtype=np.float64)
-    idx = int(rng.choice(len(weights), p=weights / weights.sum()))
-    tokens = list(spec.templates[c][idx])
-    if spec.report_perturb_prob > 0.0 and rng.random() < spec.report_perturb_prob:
-        pos = int(rng.integers(len(tokens)))
-        # replace with a uniformly random *different* token so the expected
-        # hamming distance to the template equals report_perturb_prob exactly
-        offset = int(rng.integers(1, spec.vocab_size))
-        tokens[pos] = (tokens[pos] + offset) % spec.vocab_size
-    return tuple(tokens)
+def sample_reports(spec: MixtureSpec, classes, rng: np.random.Generator) -> list[TokenSeq]:
+    """One token report per entry of ``classes``: a weighted template choice,
+    then with probability ``spec.report_perturb_prob`` one position replaced
+    by a uniformly random different token.
+
+    Report by report, the draws are those of ``rng.choice(p=weights)``, then
+    ``rng.random()`` for the perturbation coin (only when the probability is
+    positive), then ``rng.integers`` for the position and the offset of a
+    perturbed report, so a batch draws exactly what one call per report would.
+    """
+    classes = np.asarray(classes, dtype=np.int64).tolist()
+    bad = [c for c in classes if not 0 <= c < spec.num_classes]
+    if bad:
+        raise ValueError(f"invalid class id {bad[0]}")
+    cdfs = {}
+    for c in set(classes):
+        weights = np.asarray(spec.template_weights[c], dtype=np.float64)
+        cdfs[c] = _choice_cdf(weights / weights.sum()).tolist()
+    perturb = spec.report_perturb_prob
+    n_draws = 2 if perturb > 0.0 else 1
+    reports = []
+    for c in classes:
+        u = rng.random(n_draws).tolist()
+        # bisect_right on the sorted cdf is searchsorted(side="right")
+        tokens = spec.templates[c][bisect.bisect_right(cdfs[c], u[0])]
+        if perturb > 0.0 and u[1] < perturb:
+            tokens = list(tokens)
+            pos = int(rng.integers(len(tokens)))
+            # replace with a uniformly random *different* token so the expected
+            # hamming distance to the template equals report_perturb_prob exactly
+            offset = int(rng.integers(1, spec.vocab_size))
+            tokens[pos] = (tokens[pos] + offset) % spec.vocab_size
+        reports.append(tuple(tokens))
+    return reports
 
 
 def sample_conditional(
@@ -254,7 +293,7 @@ def sample_conditional(
         if spec.point_tokens is not None:
             tokens = spec.point_tokens[point_index]
         else:
-            tokens = _sample_template_tokens(spec, c, rng)
+            tokens = sample_reports(spec, [c], rng)[0]
     return DataPoint(features=features, tokens=tokens, latent_class=c, point_index=point_index)
 
 

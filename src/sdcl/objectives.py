@@ -216,9 +216,13 @@ def negative_weights(
     elif handling.kind == "resample_by_sim":
         if not 1 <= handling.keep_count <= n_pool:
             raise ValueError("keep_count must lie in [1, N]")
-        lowest = np.argsort(pool_sims, axis=1, kind="stable")[:, : handling.keep_count]
-        keep = np.zeros_like(pool)
-        np.put_along_axis(keep, lowest, True, axis=1)
+        # each row's keep_count lowest, ties at the k-th value taken in index
+        # order: the first keep_count of a stable row argsort
+        k = handling.keep_count
+        kth = np.partition(pool_sims, k - 1, axis=1)[:, k - 1 : k]
+        keep = pool_sims < kth
+        at_kth = pool_sims == kth
+        keep |= at_kth & (np.cumsum(at_kth, axis=1) <= k - keep.sum(axis=1, keepdims=True))
     else:  # "none" under a negative cap
         keep = pool
     empty = np.flatnonzero(~keep.any(axis=1))

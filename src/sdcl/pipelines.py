@@ -299,7 +299,7 @@ def run_tradeoff_cell(spec: mix.MixtureSpec, config: TradeoffConfig, variant: st
         lm = tr.build_lm_assets(spec, train_config)
         cal_rng = stream(seed, 11)
         cal_classes = mix.sample_class_array(spec.class_dist, 1000, cal_rng)
-        cal_reports = [ts.generate_report(spec, int(c), cal_rng) for c in cal_classes]
+        cal_reports = mix.sample_reports(spec, cal_classes, cal_rng)
         a, k = calibrate_log_linear(
             ts.pseudo_log_likelihood(lm, cal_reports),
             eta_range=config.calibration_range, quantiles=config.calibration_quantiles,
@@ -314,7 +314,7 @@ def run_tradeoff_cell(spec: mix.MixtureSpec, config: TradeoffConfig, variant: st
     rng = stream(seed, 3, 0)
     classes = np.repeat(np.arange(spec.num_classes), config.retrieval_per_class)
     feats, _ = mix.sample_features_for_classes(spec, classes, rng)
-    texts = [ts.generate_report(spec, int(c), rng) for c in classes]
+    texts = mix.sample_reports(spec, classes, rng)
     img_emb, _ = enc.forward_features(params, feats)
     txt_emb, _ = enc.forward_tokens(params, texts)
     retrieval = ev.retrieval_metrics(txt_emb, img_emb, ks=config.retrieval_ks)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .mixture import MixtureSpec, TokenSeq, _sample_template_tokens, pad_tokens
+from .mixture import MixtureSpec, TokenSeq, pad_tokens, sample_reports
 
 
 @dataclass(frozen=True)
@@ -100,12 +100,8 @@ def pseudo_log_likelihood(lm: NGramLM, token_seqs: Sequence[Sequence[int]]) -> n
 
 
 def generate_report(spec: MixtureSpec, c: int, rng: np.random.Generator) -> TokenSeq:
-    """Draw a class-c token sequence: weighted template choice, then (with
-    probability ``spec.report_perturb_prob``) one position replaced by a
-    uniformly random different token."""
-    if not 0 <= c < spec.num_classes:
-        raise ValueError(f"invalid class id {c}")
-    return _sample_template_tokens(spec, c, rng)
+    """One class-c report: ``mixture.sample_reports`` on a batch of one."""
+    return sample_reports(spec, [c], rng)[0]
 
 
 def pll_table(lm: NGramLM, sentences: Iterable[Sequence[int]]) -> dict[TokenSeq, float]:

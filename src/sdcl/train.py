@@ -132,7 +132,7 @@ def build_lm_assets(spec: mix.MixtureSpec, config: TrainConfig) -> textsim.NGram
     corpus = []
     for _ in range(config.lm_corpus_size):
         c = mix.sample_class(spec.class_dist, rng)
-        corpus.append(textsim.generate_report(spec, c, rng))
+        corpus.extend(mix.sample_reports(spec, [c], rng))
     return textsim.fit_ngram(corpus, config.lm_alpha, spec.vocab_size)
 
 
@@ -160,9 +160,9 @@ def sample_training_batch(
             anchors, _ = mix.sample_features_for_classes(spec, classes, rng)
             positives, _ = mix.sample_features_for_classes(spec, classes, rng)
         if with_tokens:
-            anchor_tokens = [textsim.generate_report(spec, int(c), rng) for c in classes]
+            anchor_tokens = mix.sample_reports(spec, classes, rng)
     else:
-        anchor_tokens = [textsim.generate_report(spec, int(c), rng) for c in classes]
+        anchor_tokens = mix.sample_reports(spec, classes, rng)
         positives, _ = mix.sample_features_for_classes(spec, classes, rng)
     return classes, anchors, anchor_tokens, positives
 

@@ -1,6 +1,6 @@
 """Shared test utilities: full-pipeline losses, finite-difference checks, and
-per-anchor / per-sentence references for the batched in-batch loss, token
-pooling, token backward and PLL."""
+per-anchor / per-sentence / per-report references for the batched in-batch
+loss, token pooling, token backward, PLL and report sampling."""
 
 import numpy as np
 
@@ -334,3 +334,21 @@ def token_batch(kind, rng, vocab, max_len=12):
         lengths = [1, int(rng.integers(2, max_len + 1)), 1, max_len] + list(
             rng.integers(1, max_len + 1, size=12))
     return [tuple(int(t) for t in rng.integers(0, vocab, size=n)) for n in lengths]
+
+
+# ---------------------------------------------------------------------------
+# Per-report reference for ``mixture.sample_reports``
+# ---------------------------------------------------------------------------
+
+
+def sample_reports_reference(spec, c, rng):
+    weights = np.asarray(spec.template_weights[c], dtype=np.float64)
+    idx = int(rng.choice(len(weights), p=weights / weights.sum()))
+    tokens = list(spec.templates[c][idx])
+    if spec.report_perturb_prob > 0.0 and rng.random() < spec.report_perturb_prob:
+        pos = int(rng.integers(len(tokens)))
+        # replace with a uniformly random *different* token so the expected
+        # hamming distance to the template equals report_perturb_prob exactly
+        offset = int(rng.integers(1, spec.vocab_size))
+        tokens[pos] = (tokens[pos] + offset) % spec.vocab_size
+    return tuple(tokens)

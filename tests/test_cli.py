@@ -76,6 +76,17 @@ def test_bad_r_exits_2(tmp_path, capsys, r):
     assert "r must be in (0, 1]" in capsys.readouterr().err
 
 
+def test_bad_template_weights_exit_2(tmp_path, capsys):
+    from sdcl import mixture as mix
+    from sdcl import pipelines as pl
+
+    inline = mix.spec_to_dict(pl.tradeoff_spec(pl.TradeoffConfig()))
+    inline["template_weights"][3] = [0.0]
+    cfg = write_config(tmp_path, {"spec": {"inline": inline}, "simulate": {"samples": 20}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    assert "template weights" in capsys.readouterr().err
+
+
 def test_m_positives_is_an_unknown_train_field(tmp_path, capsys):
     cfg = write_config(
         tmp_path, {"spec": {"preset": "cifar-analog"}, "train": {"m_positives": 1}}
@@ -233,6 +244,15 @@ def test_eval_wrong_size_checkpoint_exits_2(tmp_path, capsys, base_config, damag
     checkpoint.write_bytes(data[:1000] if damage == "truncate" else data + data)
     assert _eval(tmp_path, base_config, checkpoint) == 2
     assert "bytes" in capsys.readouterr().err
+
+
+def test_eval_flipped_byte_checkpoint_exits_2(tmp_path, capsys, base_config):
+    checkpoint = _trained_checkpoint(tmp_path, base_config)
+    data = bytearray(checkpoint.read_bytes())
+    data[len(data) // 2] ^= 0xFF  # same size, one byte flipped
+    checkpoint.write_bytes(bytes(data))
+    assert _eval(tmp_path, base_config, checkpoint) == 2
+    assert "sha256" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("damage,needle", [

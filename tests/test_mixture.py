@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import sample_reports_reference
+
 from sdcl import mixture as mix
+from sdcl import pipelines as pl
 from sdcl.rngstream import stream
 
 
@@ -55,6 +58,78 @@ def test_pad_tokens_rejects_empty_sequence():
 
 
 # ---------------------------------------------------------------------------
+# Template weights and report sampling
+# ---------------------------------------------------------------------------
+
+
+def three_template_spec(perturb):
+    """Three classes, each with three templates of different lengths and
+    uneven weights."""
+    templates = tuple(((c, 3), (c, 4, 5, 6), (7 - c,)) for c in range(3))
+    return mix.MixtureSpec(
+        class_dist=mix.ClassDistribution(np.array([0.2, 0.5, 0.3])),
+        conditionals=mix.GaussianConditionals(means=np.zeros((3, 2)), stddevs=np.ones(3)),
+        templates=templates,
+        template_weights=((2.0, 1.0, 0.5), (0.1, 0.1, 0.8), (1.0, 0.0, 3.0)),
+        vocab_size=8,
+        report_perturb_prob=perturb,
+    )
+
+
+@pytest.mark.parametrize("weights", [
+    (0.0, 0.0),        # no mass to draw from
+    (np.inf, 1.0),
+    (np.nan, 1.0),
+    (-1.0,),           # a lone negative weight normalizes to 1
+    (-1.0, 2.0),
+    (1e308, 1e308),    # the sum overflows
+])
+def test_template_weights_validated_on_the_spec(weights):
+    templates = tuple((0,) for _ in weights)
+    with pytest.raises(ValueError, match="template weights"):
+        mix.MixtureSpec(
+            class_dist=mix.ClassDistribution(np.array([1.0])),
+            conditionals=mix.GaussianConditionals(means=np.zeros((1, 2)), stddevs=np.ones(1)),
+            templates=(templates,),
+            template_weights=(weights,),
+            vocab_size=1,
+        )
+
+
+REPORT_SPECS = {
+    "tradeoff": lambda: pl.tradeoff_spec(pl.TradeoffConfig()),
+    "three_templates_p0": lambda: three_template_spec(0.0),
+    "three_templates_p0.3": lambda: three_template_spec(0.3),
+    "three_templates_p1": lambda: three_template_spec(1.0),
+    "analog": lambda: pl.analog_spec(pl.AnalogConfig()),
+}
+
+
+@pytest.mark.parametrize("as_array", [True, False], ids=["array", "list"])
+@pytest.mark.parametrize("name", sorted(REPORT_SPECS))
+def test_sample_reports_matches_per_report_reference(name, as_array):
+    spec = REPORT_SPECS[name]()
+    classes = mix.sample_class_array(spec.class_dist, 600, stream(70, 0))
+    if not as_array:
+        classes = [int(c) for c in classes]
+    batch_rng, ref_rng = stream(70, 1), stream(70, 1)
+    reports = mix.sample_reports(spec, classes, batch_rng)
+    assert reports == [sample_reports_reference(spec, int(c), ref_rng) for c in classes]
+    assert all(type(r) is tuple for r in reports)
+    # both generators are left in the same state
+    assert batch_rng.random() == ref_rng.random()
+    assert batch_rng.integers(2**30) == ref_rng.integers(2**30)
+
+
+def test_sample_reports_rejects_invalid_class():
+    spec = three_template_spec(0.3)
+    assert mix.sample_reports(spec, [], stream(72, 0)) == []
+    for bad in ([0, 3], [-1], np.array([2, 1, 7])):
+        with pytest.raises(ValueError, match="invalid class id"):
+            mix.sample_reports(spec, bad, stream(72, 0))
+
+
+# ---------------------------------------------------------------------------
 # ClassDistribution and sampling
 # ---------------------------------------------------------------------------
 
@@ -72,6 +147,15 @@ def test_sample_class_degenerate_prior():
     dist = mix.ClassDistribution(np.array([1.0]))
     rng = stream(0, 1)
     assert all(mix.sample_class(dist, rng) == 0 for _ in range(50))
+
+
+@pytest.mark.parametrize("probs", [[0.1, 0.25, 0.05, 0.6], [0.1] * 10])
+def test_sample_class_matches_generator_choice(probs):
+    dist = mix.ClassDistribution(np.array(probs))
+    ours, theirs = stream(71, 0), stream(71, 0)
+    draws = [mix.sample_class(dist, ours) for _ in range(1000)]
+    assert draws == [int(theirs.choice(dist.num_classes, p=dist.probs)) for _ in range(1000)]
+    assert ours.random() == theirs.random()
 
 
 @pytest.mark.parametrize("p0", [0.5, 0.2])

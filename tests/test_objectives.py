@@ -471,17 +471,46 @@ REFERENCE_HANDLINGS = {
 }
 
 
+# dyadic unit rows, so every dot product is exact whatever the summation
+# order; repeating them makes many similarities in a row exactly equal
+TIE_ROWS = np.array([
+    [1.0, 0.0, 0.0, 0.0, 0.0],
+    [-1.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0, 0.0],
+    [0.5, 0.5, 0.5, 0.5, 0.0],
+    [0.5, -0.5, 0.5, -0.5, 0.0],
+])[[0, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 0]]
+
+
+def resample_by_argsort(pos, keep_count, max_negatives):
+    """``resample_by_sim`` weights chosen by a stable row argsort."""
+    b = pos.shape[0]
+    col = np.arange(b)
+    pool = col[None, :] != col[:, None]
+    if max_negatives is not None:
+        pool &= col[None, :] < max_negatives + (col[None, :] > col[:, None])
+    pool_sims = np.where(pool, pos @ pos.T, np.inf)
+    lowest = np.argsort(pool_sims, axis=1, kind="stable")[:, :keep_count]
+    weights = np.zeros((b, b))
+    np.put_along_axis(weights, lowest, 1.0, axis=1)
+    np.fill_diagonal(weights, 1.0)
+    # rows whose k-th value also sits outside the selection: ties split by index
+    at_kth = pool_sims == np.take_along_axis(pool_sims, lowest[:, -1:], axis=1)
+    straddled = int(np.sum(at_kth.sum(axis=1) > (at_kth & (weights == 1.0)).sum(axis=1)))
+    return weights, straddled
+
+
 @pytest.mark.parametrize("kind", sorted(REFERENCE_HANDLINGS))
 @pytest.mark.parametrize("cap", ["full", "half"])
 @pytest.mark.parametrize("objective", ["cl", "dcl"])
 def test_in_batch_loss_matches_reference(objective, cap, kind):
     # the batched weight-matrix path against the per-anchor loop
     rng = stream(64, 0)
-    sizes = [int(rng.integers(2, 11)) for _ in range(8)] + [128]
+    sizes = [int(rng.integers(2, 11)) for _ in range(8)] + [128, TIE_ROWS.shape[0]]
     fallbacks_seen = 0
     for trial, b in enumerate(sizes):
         a = unit_rows(rng, b, 5, 1.2)
-        p = unit_rows(rng, b, 5, 1.2)
+        p = TIE_ROWS if trial == 9 else unit_rows(rng, b, 5, 1.2)
         etas = rng.uniform(0.0, 0.9, size=b) if objective == "dcl" else None
         # the last small batch is single-class: remove_by_label falls back on every row
         classes = np.zeros(b, dtype=int) if trial == 7 else rng.integers(0, 3, size=b)
@@ -502,6 +531,12 @@ def test_in_batch_loss_matches_reference(objective, cap, kind):
         fallbacks_seen += fast.fallback_count
         if kind == "remove_all_by_sim" or (kind == "remove_by_label" and trial == 7):
             assert fast.fallback_count == b
+        if kind == "resample_by_sim":
+            weights, _ = obj.negative_weights(handling, p, max_negatives=max_negatives)
+            expected, straddled = resample_by_argsort(p, handling.keep_count, max_negatives)
+            assert np.array_equal(weights, expected)
+            if trial == 9:
+                assert straddled > 0  # ties at the k-th value split by index order
     if kind in ("none", "reweight_by_sim", "resample_by_sim"):
         assert fallbacks_seen == 0
 

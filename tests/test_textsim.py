@@ -152,20 +152,17 @@ def test_generate_report_template_frequency():
     spec = spec_with_templates(
         (((0, 1), (2, 3)),), ((0.5, 0.5),), vocab_size=4
     )
-    rng = stream(25, 0)
     n = 10**5
-    first = sum(ts.generate_report(spec, 0, rng) == (0, 1) for _ in range(n))
+    first = sum(r == (0, 1) for r in mix.sample_reports(spec, [0] * n, stream(25, 0)))
     assert abs(first / n - 0.5) < 0.005
 
 
 def test_generate_report_perturbation_hamming():
     template = (0, 1, 2, 3, 4)
     spec = spec_with_templates(((template,),), ((1.0,),), vocab_size=16, perturb=0.1)
-    rng = stream(26, 0)
     n = 10**5
     total = 0
-    for _ in range(n):
-        report = ts.generate_report(spec, 0, rng)
+    for report in mix.sample_reports(spec, [0] * n, stream(26, 0)):
         total += sum(a != b for a, b in zip(report, template))
     assert abs(total / n - 0.1) < 0.01
 

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from sdcl import encoder as enc
 from sdcl import mixture as mix
+from sdcl import pipelines as pl
 from sdcl import train as tr
 from sdcl.eta import EtaConfig
 from sdcl.objectives import NegativeHandling
@@ -144,6 +147,32 @@ def test_training_batch_cross_modal_token_layout():
     assert anchors is None
     assert [t[0] for t in anchor_tokens] == [int(c) for c in classes]  # class-c template
     assert positives.shape == (config.batch_size, spec.dim)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_cross_modal_draws_are_pinned():
+    # the eta-tradeoff study's draws at seed 0; any change to the order or the
+    # number of draws moves every trained cross-modal encoder, and this names it
+    config = pl.TradeoffConfig()
+    spec = pl.tradeoff_spec(config)
+    train_config = pl.tradeoff_train_config("dcl_eta_lm", config, 0)
+    classes, _, tokens, positives = tr.sample_training_batch(spec, train_config, stream(0, 1, 0, 0))
+    assert _digest(classes.astype(np.int64), *mix.pad_tokens(tokens), positives) == (
+        "ca680459dde9a33378324a44f4c0ec3243a820694a310b724efabedbe0ea411a")
+    lm = tr.build_lm_assets(spec, train_config)
+    assert _digest(lm.bigram_counts) == (
+        "b25f43f7318dc499eb4b09cf0a32348c2918c4e2705f6d26ca8e438e81c0eb4e")
+    # the calibration reports of pipelines.run_tradeoff_cell
+    rng = stream(0, 11)
+    reports = mix.sample_reports(spec, mix.sample_class_array(spec.class_dist, 1000, rng), rng)
+    assert _digest(*mix.pad_tokens(reports)) == (
+        "b906368f6b6ea9ff8050c083b514908d9bfb2119aeb78e9cf3ceb151e712d08a")
 
 
 def test_config_validation():
