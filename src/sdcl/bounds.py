@@ -34,13 +34,16 @@ import numpy as np
 from . import encoder as enc
 from .eta import EtaProvider, eta_for_batch
 from .linear_head import fit_softmax
-from .mixture import MixtureSpec
+from .mixture import MixtureSpec, choice_cdf
 from .objectives import asymptotic_loss, asymptotic_loss_from_scores
 
 E2 = math.e**2
 E4 = math.e**4
 PROOF_CONSTANTS = (3.0 * E2 * math.sqrt(math.pi / 2.0),) * 2 + (3.0 * E2,)
 STATEMENT_CONSTANTS = (3.0 * E2 * math.sqrt(math.pi / 2.0), 2.0 * E2, 2.0 * E2)
+# empirical_gap evaluates as many trials at once as keep its largest gathered
+# temporary within this many float64s (one trial at a time if one exceeds it)
+TRIAL_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass
@@ -166,17 +169,26 @@ def empirical_gap(
     Returns (gap, stderr_of_gap, gap_with_unclamped_estimator).  The
     unclamped variant is nan whenever some trial's denominator would go
     nonpositive without the clamp.
+
+    Trials are evaluated in blocks.  A trial draws its n marginal uniforms,
+    then m per class in class order, and maps them through the CDFs that
+    ``rng.choice`` builds, so the indices, the results and the generator's
+    state are those of one ``rng.choice`` call per sample set and trial.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
     cond = _require_discrete(spec)
     rho = spec.class_dist.probs
     pmfs = cond.pmfs
     k, p = pmfs.shape
     scores = _normalized_scores(spec, params)
     exp_scores = np.exp(scores)
+    exp_rows = np.ascontiguousarray(exp_scores.T)  # row j: every anchor's score with j
     floor = math.exp(-1.0)
-    marginal = rho @ pmfs
+    u_cdf = choice_cdf(rho @ pmfs)
+    v_cdfs = [choice_cdf(pmf) for pmf in pmfs]
 
     l_tilde = asymptotic_loss_from_scores(scores, rho, pmfs, n)
     etas = eta_matrix(spec, provider)
@@ -185,30 +197,34 @@ def empirical_gap(
 
     per_trial = np.empty(trials)
     per_trial_unclamped = np.empty(trials)
-    for t in range(trials):
-        u_idx = rng.choice(p, size=n, p=marginal)
-        mean_u = exp_scores[:, u_idx].mean(axis=1)  # per anchor point
-        g0 = np.empty((k, p))
-        for c in range(k):
-            v_idx = rng.choice(p, size=m, p=pmfs[c])
-            mean_v = exp_scores[:, v_idx].mean(axis=1)
-            g0[c] = (mean_u - etas[c] * mean_v) / (1.0 - etas[c])
+    block = max(1, TRIAL_BLOCK_ELEMENTS // (p * max(n, k * m, p)))
+    for start in range(0, trials, block):
+        t = min(block, trials - start)
+        draws = rng.random((t, n + k * m))
+        u_idx = u_cdf.searchsorted(draws[:, :n], side="right")
+        v_idx = np.stack([
+            cdf.searchsorted(draws[:, n + c * m:n + (c + 1) * m], side="right")
+            for c, cdf in enumerate(v_cdfs)
+        ], axis=1)
+        # sample rows gathered along a middle axis are summed one at a time in
+        # draw order, as in the per-trial exp_scores[:, idx], whose sample axis
+        # is strided (a contiguous sample axis would be summed pairwise)
+        mean_u = exp_rows[u_idx].mean(axis=1)  # (t, P) per anchor point
+        mean_v = exp_rows[v_idx].mean(axis=2)  # (t, k, P)
+        g0 = (mean_u[:, None, :] - etas * mean_v) / (1.0 - etas)
         g = np.maximum(g0, floor)
-        total = 0.0
-        total_unclamped = 0.0
-        valid = True
+        total = np.zeros(t)
+        total_unclamped = np.zeros(t)
+        valid = np.ones(t, dtype=bool)
         for c in range(k):
-            denom = exp_scores + n * g[c][:, None]
-            loss_ij = np.log(denom) - scores
-            total += rho[c] * float(pmfs[c] @ loss_ij @ pmfs[c])
-            denom0 = exp_scores + n * g0[c][:, None]
-            if np.any(denom0 <= 0.0):
-                valid = False
-            else:
-                loss0_ij = np.log(denom0) - scores
-                total_unclamped += rho[c] * float(pmfs[c] @ loss0_ij @ pmfs[c])
-        per_trial[t] = total
-        per_trial_unclamped[t] = total_unclamped if valid else np.nan
+            denom = exp_scores + n * g[:, c, :, None]
+            total += rho[c] * _pair_mean(np.log(denom) - scores, pmfs[c])
+            denom0 = exp_scores + n * g0[:, c, :, None]
+            valid &= ~np.any(denom0 <= 0.0, axis=(1, 2))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                total_unclamped += rho[c] * _pair_mean(np.log(denom0) - scores, pmfs[c])
+        per_trial[start:start + t] = total
+        per_trial_unclamped[start:start + t] = np.where(valid, total_unclamped, np.nan)
     l_est = float(per_trial.mean())
     stderr = float(per_trial.std(ddof=1) / math.sqrt(trials))
     if np.any(np.isnan(per_trial_unclamped)):
@@ -216,6 +232,14 @@ def empirical_gap(
     else:
         gap_unclamped = abs(l_tilde - float(per_trial_unclamped.mean()))
     return abs(l_tilde - l_est), stderr, gap_unclamped
+
+
+def _pair_mean(loss: np.ndarray, pmf: np.ndarray) -> np.ndarray:
+    """``pmf @ loss[i] @ pmf`` for each (P, P) slice of ``loss``, with the same
+    roundings: a stacked vector-matrix product, then one dot per slice (a
+    plain (t, P) @ (P,) goes through a matrix-vector product and rounds
+    differently)."""
+    return np.matmul((pmf @ loss)[:, None, :], pmf)[:, 0]
 
 
 def verify_prop1(

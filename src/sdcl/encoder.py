@@ -164,9 +164,15 @@ def backward(params: EncoderParams, cache: ForwardCache, d_emb: np.ndarray) -> E
         w1=dz1.T @ cache.x, b1=dz1.sum(axis=0), w2=du.T @ cache.a1, b2=du.sum(axis=0),
         token_embed=d_token_embed, gamma=np.asarray(np.sum(radial)),
     )
-    for name in grads.array_fields():
-        if not np.all(np.isfinite(getattr(grads, name))):
-            raise FloatingPointError(f"non-finite gradient in {name}")
+    # a non-finite entry makes its array's sum, and so the total, non-finite;
+    # finite arrays whose sums overflow are told apart by the scan
+    arrays = {name: getattr(grads, name) for name in grads.array_fields()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(float(a.sum()) for a in arrays.values())
+    if not math.isfinite(total):
+        for name, a in arrays.items():
+            if not np.all(np.isfinite(a)):
+                raise FloatingPointError(f"non-finite gradient in {name}")
     return grads
 
 

@@ -221,7 +221,7 @@ class DataPoint:
 # ---------------------------------------------------------------------------
 
 
-def _choice_cdf(probs: np.ndarray) -> np.ndarray:
+def choice_cdf(probs: np.ndarray) -> np.ndarray:
     """The CDF ``rng.choice(n, p=probs)`` builds: for its one uniform draw u
     it returns ``cdf.searchsorted(u, side="right")``."""
     cdf = probs.cumsum()
@@ -231,7 +231,7 @@ def _choice_cdf(probs: np.ndarray) -> np.ndarray:
 
 def sample_class(dist: ClassDistribution, rng: np.random.Generator) -> int:
     """One class draw; the same draw and result as ``rng.choice(K, p=dist.probs)``."""
-    return int(_choice_cdf(dist.probs).searchsorted(rng.random(), side="right"))
+    return int(choice_cdf(dist.probs).searchsorted(rng.random(), side="right"))
 
 
 def sample_class_array(dist: ClassDistribution, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -255,7 +255,7 @@ def sample_reports(spec: MixtureSpec, classes, rng: np.random.Generator) -> list
     cdfs = {}
     for c in set(classes):
         weights = np.asarray(spec.template_weights[c], dtype=np.float64)
-        cdfs[c] = _choice_cdf(weights / weights.sum()).tolist()
+        cdfs[c] = choice_cdf(weights / weights.sum()).tolist()
     perturb = spec.report_perturb_prob
     n_draws = 2 if perturb > 0.0 else 1
     reports = []

@@ -1,9 +1,13 @@
 """Shared test utilities: full-pipeline losses, finite-difference checks, and
-per-anchor / per-sentence / per-report references for the batched in-batch
-loss, token pooling, token backward, PLL and report sampling."""
+per-anchor / per-sentence / per-report / per-trial references for the batched
+in-batch loss, token pooling, token backward, PLL, report sampling and the
+bound's Monte Carlo gap."""
+
+import math
 
 import numpy as np
 
+from sdcl import bounds
 from sdcl import encoder as enc
 from sdcl.objectives import BatchLossResult, NegativeHandling, in_batch_loss
 from sdcl.textsim import NGramLM
@@ -352,3 +356,61 @@ def sample_reports_reference(spec, c, rng):
         offset = int(rng.integers(1, spec.vocab_size))
         tokens[pos] = (tokens[pos] + offset) % spec.vocab_size
     return tuple(tokens)
+
+
+# ---------------------------------------------------------------------------
+# Per-trial reference for ``bounds.empirical_gap``
+# ---------------------------------------------------------------------------
+
+
+def empirical_gap_reference(spec, params, provider, n, m, trials, rng):
+    """``empirical_gap`` one trial at a time, with ``1 + k`` ``rng.choice`` calls each."""
+    if trials < 2:
+        raise ValueError("need at least 2 trials for a standard error")
+    cond = bounds._require_discrete(spec)
+    rho = spec.class_dist.probs
+    pmfs = cond.pmfs
+    k, p = pmfs.shape
+    scores = bounds._normalized_scores(spec, params)
+    exp_scores = np.exp(scores)
+    floor = math.exp(-1.0)
+    marginal = rho @ pmfs
+
+    l_tilde = bounds.asymptotic_loss_from_scores(scores, rho, pmfs, n)
+    etas = bounds.eta_matrix(spec, provider)
+    if np.any(etas >= 1.0):
+        raise ValueError("eta must stay below 1")
+
+    per_trial = np.empty(trials)
+    per_trial_unclamped = np.empty(trials)
+    for t in range(trials):
+        u_idx = rng.choice(p, size=n, p=marginal)
+        mean_u = exp_scores[:, u_idx].mean(axis=1)  # per anchor point
+        g0 = np.empty((k, p))
+        for c in range(k):
+            v_idx = rng.choice(p, size=m, p=pmfs[c])
+            mean_v = exp_scores[:, v_idx].mean(axis=1)
+            g0[c] = (mean_u - etas[c] * mean_v) / (1.0 - etas[c])
+        g = np.maximum(g0, floor)
+        total = 0.0
+        total_unclamped = 0.0
+        valid = True
+        for c in range(k):
+            denom = exp_scores + n * g[c][:, None]
+            loss_ij = np.log(denom) - scores
+            total += rho[c] * float(pmfs[c] @ loss_ij @ pmfs[c])
+            denom0 = exp_scores + n * g0[c][:, None]
+            if np.any(denom0 <= 0.0):
+                valid = False
+            else:
+                loss0_ij = np.log(denom0) - scores
+                total_unclamped += rho[c] * float(pmfs[c] @ loss0_ij @ pmfs[c])
+        per_trial[t] = total
+        per_trial_unclamped[t] = total_unclamped if valid else np.nan
+    l_est = float(per_trial.mean())
+    stderr = float(per_trial.std(ddof=1) / math.sqrt(trials))
+    if np.any(np.isnan(per_trial_unclamped)):
+        gap_unclamped = float("nan")
+    else:
+        gap_unclamped = abs(l_tilde - float(per_trial_unclamped.mean()))
+    return abs(l_tilde - l_est), stderr, gap_unclamped

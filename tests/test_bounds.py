@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from helpers import empirical_gap_reference
 from sdcl import bounds
 from sdcl import encoder as enc
 from sdcl import mixture as mix
+from sdcl import pipelines as pl
 from sdcl import textsim as ts
 from sdcl.eta import EtaConfig, make_provider
 from sdcl.rngstream import stream
@@ -134,6 +137,79 @@ def test_gap_zero_for_constant_encoder():
     assert gap < 1e-10
     assert stderr < 1e-12
     assert gap_unclamped < 1e-10
+
+
+@pytest.mark.parametrize("n, m", [(0, 4), (4, 0), (-1, 4)])
+def test_gap_rejects_empty_sample_sets(n, m):
+    spec = discrete_spec(3)
+    provider = make_provider(EtaConfig(kind="constant", value=0.3))
+    with pytest.raises(ValueError, match="n and m"):
+        bounds.empirical_gap(spec, encoder_for(spec), provider, n=n, m=m, trials=4,
+                             rng=stream(3, 1))
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _assert_gap_matches_reference(spec, params, provider, n, m, trials, seed):
+    rng, rng_ref = stream(seed, 9), stream(seed, 9)
+    result = bounds.empirical_gap(spec, params, provider, n, m, trials, rng)
+    expected = empirical_gap_reference(spec, params, provider, n, m, trials, rng_ref)
+    assert _bits(result) == _bits(expected), (n, m, trials, result, expected)
+    assert rng.random() == rng_ref.random()
+    return result
+
+
+@pytest.mark.parametrize("variant", pl.BOUND_ETA_VARIANTS)
+def test_empirical_gap_matches_reference(variant):
+    # bound_sweep's specs, eta providers and (N, M) grid; 23 trials is not a
+    # multiple of the block size wherever a block holds fewer trials than that
+    config = pl.BoundSweepConfig()
+    variant_index = pl.BOUND_ETA_VARIANTS.index(variant)
+    for i, (n, m) in enumerate(itertools.product(config.n_grid, config.m_grid)):
+        rng = stream(17, variant_index, i)
+        spec = pl._random_discrete_spec(rng, config)
+        params = enc.init_params(spec.dim, 6, 4, rng, gamma=1.0)
+        provider = pl._bound_provider(variant, spec, rng)
+        _assert_gap_matches_reference(spec, params, provider, n, m, trials=23, seed=i)
+
+
+def test_empirical_gap_matches_reference_across_blocks():
+    # 32 points and N = 256 make blocks of 8 trials: 8 + 8 + 8 + 5
+    spec = discrete_spec(6, n_classes=4, n_points=32)
+    params = encoder_for(spec, seed=6)
+    provider = make_provider(EtaConfig(kind="constant", value=0.2))
+    assert bounds.TRIAL_BLOCK_ELEMENTS // (32 * 256) == 8
+    _assert_gap_matches_reference(spec, params, provider, n=256, m=16, trials=29, seed=6)
+
+
+def test_empirical_gap_matches_reference_on_invalid_trials():
+    provider = make_provider(EtaConfig(kind="constant", value=0.5))
+    spec = discrete_spec(0)
+    params = encoder_for(spec, seed=0, gamma=2.0)
+    # the first two trials are valid unclamped, a later one is not
+    assert math.isfinite(_assert_gap_matches_reference(spec, params, provider, 4, 1, 2, 0)[2])
+    assert math.isnan(_assert_gap_matches_reference(spec, params, provider, 4, 1, 40, 0)[2])
+    # already invalid in the first two trials
+    provider = make_provider(EtaConfig(kind="constant", value=0.9))
+    assert math.isnan(_assert_gap_matches_reference(spec, params, provider, 4, 1, 2, 0)[2])
+
+
+def test_verify_prop1_doubling_matches_reference():
+    # a tiny stderr fraction doubles the trials 16 -> 32 -> 64, drawing each
+    # call's trials after the previous call's from the same generator
+    spec = discrete_spec(7)
+    params = encoder_for(spec, seed=7)
+    provider = make_provider(EtaConfig(kind="constant", value=0.2))
+    rng, rng_ref = stream(7, 9), stream(7, 9)
+    report = bounds.verify_prop1(spec, params, provider, n=16, m=4, rng=rng, trials=16,
+                                 max_trials=64, stderr_fraction=1e-9)
+    for trials in (16, 32, 64):
+        expected = empirical_gap_reference(spec, params, provider, 16, 4, trials, rng_ref)
+    assert report.trials == 64
+    assert _bits((report.lhs, report.lhs_stderr, report.lhs_unclamped)) == _bits(expected)
+    assert rng.random() == rng_ref.random()
 
 
 def test_gap_shrinks_with_large_samples():

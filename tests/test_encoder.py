@@ -131,6 +131,24 @@ def test_token_batch_matches_per_sequence_reference(kind):
             assert np.array_equal(getattr(grads, name), getattr(ref, name)), name
 
 
+def test_backward_finite_check_names_the_array_and_allows_overflowing_sums():
+    # a hand-built cache with a1 = 0 and uhat = e1: an upstream e2 gives
+    # dz1 = gamma * w2[1], so the w1 gradient is gamma * w2[1]^T x
+    params = random_params(seed=34)
+    params.w2[1] = 1.0
+    uhat = np.eye(6)[:1]
+    x = np.full((1, 5), 1e307)
+    cache = enc.ForwardCache(x=x, a1=np.zeros((1, 7)), u=uhat, norms=np.ones(1), uhat=uhat)
+    d_emb = np.eye(6)[1:2]
+    grads = enc.backward(params, cache, d_emb)
+    # every entry is finite, only their sum overflows
+    assert np.all(np.isfinite(grads.w1))
+    assert sum(grads.w1.ravel().tolist()) == np.inf
+    x[0, 2] = np.inf
+    with pytest.raises(FloatingPointError, match="non-finite gradient in w1$"):
+        enc.backward(params, cache, d_emb)
+
+
 def test_token_batch_rejects_empty_sequence():
     params = random_params(seed=31, vocab=4)
     with pytest.raises(ValueError, match="nonempty"):
