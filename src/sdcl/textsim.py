@@ -60,17 +60,15 @@ def fit_ngram(corpus: Sequence[Sequence[int]], alpha: float, vocab_size: int) ->
     """Count adjacent token pairs and single tokens over the corpus."""
     if len(corpus) == 0:
         raise ValueError("corpus must be nonempty")
+    ids, mask = pad_tokens(corpus)  # raises on an empty sentence
+    tokens = ids[mask]
+    if tokens.min() < 0 or tokens.max() >= vocab_size:
+        raise ValueError("token id out of vocabulary")
+    pairs = mask[:, 1:]
     bigram = np.zeros((vocab_size, vocab_size), dtype=np.float64)
     unigram = np.zeros(vocab_size, dtype=np.float64)
-    for seq in corpus:
-        arr = np.asarray(seq, dtype=np.int64)
-        if arr.size == 0:
-            raise ValueError("corpus sentences must be nonempty")
-        if arr.min() < 0 or arr.max() >= vocab_size:
-            raise ValueError("token id out of vocabulary")
-        np.add.at(unigram, arr, 1.0)
-        if arr.size > 1:
-            np.add.at(bigram, (arr[:-1], arr[1:]), 1.0)
+    np.add.at(unigram, tokens, 1.0)
+    np.add.at(bigram, (ids[:, :-1][pairs], ids[:, 1:][pairs]), 1.0)
     return NGramLM(vocab_size=vocab_size, bigram_counts=bigram, unigram_counts=unigram, alpha=alpha)
 
 

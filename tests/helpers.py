@@ -1,7 +1,8 @@
 """Shared test utilities: full-pipeline losses, finite-difference checks, and
-per-anchor / per-sentence / per-report / per-trial references for the batched
-in-batch loss, token pooling, token backward, PLL, report sampling and the
-bound's Monte Carlo gap."""
+per-anchor / per-sentence / per-report / per-trial / row-major references for
+the batched in-batch loss, token pooling, token backward, PLL, report
+sampling, the bound's Monte Carlo gap, bigram counting and the linear probe's
+softmax loss."""
 
 import math
 
@@ -414,3 +415,47 @@ def empirical_gap_reference(spec, params, provider, n, m, trials, rng):
     else:
         gap_unclamped = abs(l_tilde - float(per_trial_unclamped.mean()))
     return abs(l_tilde - l_est), stderr, gap_unclamped
+
+
+def fit_ngram_reference(corpus, alpha, vocab_size):
+    """Bigram and unigram counts accumulated one sentence at a time."""
+    if len(corpus) == 0:
+        raise ValueError("corpus must be nonempty")
+    bigram = np.zeros((vocab_size, vocab_size), dtype=np.float64)
+    unigram = np.zeros(vocab_size, dtype=np.float64)
+    for seq in corpus:
+        arr = np.asarray(seq, dtype=np.int64)
+        if arr.size == 0:
+            raise ValueError("corpus sentences must be nonempty")
+        if arr.min() < 0 or arr.max() >= vocab_size:
+            raise ValueError("token id out of vocabulary")
+        np.add.at(unigram, arr, 1.0)
+        if arr.size > 1:
+            np.add.at(bigram, (arr[:-1], arr[1:]), 1.0)
+    return NGramLM(vocab_size=vocab_size, bigram_counts=bigram, unigram_counts=unigram, alpha=alpha)
+
+
+def loss_grad_reference(theta, x, y, sample_weight, k, d, fit_intercept, l2):
+    """The softmax loss and gradient in the row-major (n, K) layout, with a
+    one-hot label matrix."""
+    n = x.shape[0]
+    y_onehot = np.zeros((n, k))
+    y_onehot[np.arange(n), y] = 1.0
+    w = theta[: k * d].reshape(k, d)
+    b = theta[k * d :] if fit_intercept else np.zeros(k)
+    logits = x @ w.T + b
+    logits -= logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(logits).sum(axis=1))
+    log_probs = logits - log_z[:, None]
+    loss = -float(np.sum(sample_weight * np.sum(y_onehot * log_probs, axis=1)))
+    probs = np.exp(log_probs)
+    delta = sample_weight[:, None] * (probs - y_onehot)
+    grad_w = delta.T @ x
+    if l2 > 0:
+        loss += 0.5 * l2 * float(np.sum(w * w))
+        grad_w += l2 * w
+    if fit_intercept:
+        grad = np.concatenate([grad_w.ravel(), delta.sum(axis=0)])
+    else:
+        grad = grad_w.ravel()
+    return loss, grad

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import pseudo_log_likelihood_reference, token_batch
+from helpers import fit_ngram_reference, pseudo_log_likelihood_reference, token_batch
 
 from sdcl import mixture as mix
 from sdcl import textsim as ts
@@ -52,6 +52,28 @@ def test_fit_ngram_errors():
         ts.fit_ngram([(0, 5)], alpha=1.0, vocab_size=2)
     with pytest.raises(ValueError):
         ts.NGramLM(2, np.zeros((2, 2)), np.zeros(2), alpha=0.0)
+
+
+def test_fit_ngram_matches_per_sentence_reference():
+    rng = stream(21, 0)
+    spec = spec_with_templates([((0, 1, 2), (6, 7)), ((3, 4),), ((5,),)],
+                               [[1.0, 2.0], [1.0], [1.0]], 9, perturb=0.3)
+    corpora = [
+        mix.sample_reports(spec, rng.integers(0, 3, size=400), rng),
+        [tuple(rng.integers(0, 9, size=rng.integers(1, 9))) for _ in range(60)],
+        [(4,), (2,), (4,)],
+        [np.array([0, 8, 8, 0])],
+    ]
+    for corpus in corpora:
+        got = ts.fit_ngram(corpus, alpha=0.5, vocab_size=9)
+        want = fit_ngram_reference(corpus, alpha=0.5, vocab_size=9)
+        assert got.bigram_counts.tobytes() == want.bigram_counts.tobytes()
+        assert got.unigram_counts.tobytes() == want.unigram_counts.tobytes()
+    for bad in ([(0, 1), ()], [(0, 9)], [(-1, 0)]):
+        with pytest.raises(ValueError):
+            ts.fit_ngram(bad, alpha=0.5, vocab_size=9)
+        with pytest.raises(ValueError):
+            fit_ngram_reference(bad, alpha=0.5, vocab_size=9)
 
 
 def test_conditionals_rows_sum_to_one():
