@@ -285,38 +285,21 @@ def verify_prop1(
 # ---------------------------------------------------------------------------
 
 
-def _task_list(
-    spec: MixtureSpec,
-    k: int,
-    max_enumerate: int = 10_000,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """K-class tasks and their probabilities under p_T ∝ prod_c rho(c).
+MAX_TASKS = 10_000  # largest K-class task list the supervised losses enumerate
 
-    All subsets are enumerated when there are at most ``max_enumerate``;
-    otherwise tasks are sampled by drawing classes i.i.d. from rho until
-    distinct, which realizes the same distribution.
-    """
+
+def _task_list(spec: MixtureSpec, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """All K-class tasks and their probabilities under p_T ∝ prod_c rho(c)."""
     n_classes = spec.num_classes
     if not 1 <= k <= n_classes:
         raise ValueError(f"task size {k} exceeds the {n_classes} available classes")
+    n_tasks = math.comb(n_classes, k)
+    if n_tasks > MAX_TASKS:
+        raise ValueError(f"{n_tasks} tasks of size {k} exceed the {MAX_TASKS} enumerated")
     rho = spec.class_dist.probs
-    if math.comb(n_classes, k) <= max_enumerate:
-        tasks = [tuple(t) for t in itertools.combinations(range(n_classes), k)]
-        weights = np.array([np.prod(rho[list(t)]) for t in tasks])
-        return tasks, weights / weights.sum()
-    if rng is None:
-        raise ValueError("sampling tasks requires an rng")
-    tasks = []
-    attempts = 0
-    while len(tasks) < max_enumerate:
-        draw = rng.choice(n_classes, size=k, p=rho)
-        attempts += 1
-        if attempts > 100 * max_enumerate:
-            raise RuntimeError("task rejection sampling failed to find distinct classes")
-        if len(set(draw.tolist())) == k:
-            tasks.append(tuple(sorted(int(c) for c in draw)))
-    return tasks, np.full(len(tasks), 1.0 / len(tasks))
+    tasks = [tuple(t) for t in itertools.combinations(range(n_classes), k)]
+    weights = np.array([np.prod(rho[list(t)]) for t in tasks])
+    return tasks, weights / weights.sum()
 
 
 def _task_dataset(spec: MixtureSpec, task: tuple[int, ...]):
@@ -346,14 +329,13 @@ def sup_loss_mean_classifier(
     spec: MixtureSpec,
     params: enc.EncoderParams,
     k: int,
-    rng: Optional[np.random.Generator] = None,
 ) -> float:
     """Average supervised loss of the classifier whose rows are the exact
     class-conditional embedding means, over the K-class task distribution."""
     cond = _require_discrete(spec)
     emb, _ = enc.forward_features(params, cond.points)
     mus = cond.pmfs @ emb
-    tasks, task_probs = _task_list(spec, k, rng=rng)
+    tasks, task_probs = _task_list(spec, k)
     total = 0.0
     for task, tp in zip(tasks, task_probs):
         weights, labels = _task_dataset(spec, task)
@@ -365,9 +347,6 @@ def sup_loss_best_linear(
     spec: MixtureSpec,
     params: enc.EncoderParams,
     k: int,
-    rng: Optional[np.random.Generator] = None,
-    gtol: float = 1e-8,
-    max_iter: int = 5000,
 ) -> tuple[float, bool]:
     """Average supervised loss minimized over the weight matrix, per task.
 
@@ -379,7 +358,7 @@ def sup_loss_best_linear(
     cond = _require_discrete(spec)
     emb, _ = enc.forward_features(params, cond.points)
     mus = cond.pmfs @ emb
-    tasks, task_probs = _task_list(spec, k, rng=rng)
+    tasks, task_probs = _task_list(spec, k)
     total = 0.0
     all_converged = True
     for task, tp in zip(tasks, task_probs):
@@ -392,8 +371,8 @@ def sup_loss_best_linear(
             sample_weight=weights,
             fit_intercept=False,
             init_weights=mus[list(task)],
-            gtol=gtol,
-            max_iter=max_iter,
+            gtol=1e-8,
+            max_iter=5000,
         )
         total += tp * fit.loss
         all_converged = all_converged and fit.converged

@@ -59,10 +59,16 @@ def _out_dir(config: dict, args) -> Path:
 
 
 def _dataclass_from(cls, payload: dict, context: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - known
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(payload) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown {context} fields: {sorted(unknown)}")
+    # JSON has no tuples: a list given for a tuple-valued field becomes one
+    payload = {
+        name: tuple(value) if isinstance(value, list) and isinstance(defaults[name], tuple)
+        else value
+        for name, value in payload.items()
+    }
     try:
         return cls(**payload)
     except (TypeError, ValueError) as exc:
@@ -321,9 +327,6 @@ def cmd_repro(args) -> int:
         section = dict(config.get("analog", {}))
         if args.r_values:
             section["r_values"] = tuple(float(r) for r in args.r_values.split(","))
-        for key in ("subsampled", "label_fractions", "seeds", "r_values"):
-            if key in section:
-                section[key] = tuple(section[key])
         analog_config = _dataclass_from(pl.AnalogConfig, section, "analog")
         manifest = RunManifest(
             config={"analog": dataclasses.asdict(analog_config)}, seed=analog_config.spec_seed
@@ -336,19 +339,11 @@ def cmd_repro(args) -> int:
         ]
         write_csv(out / "analog_accuracy.csv",
                   ["r", "variant", "seed", "label_fraction", "accuracy"], csv_rows, manifest)
-        summary_rows = []
-        for r in (analog_config.r_values):
-            for fraction in analog_config.label_fractions:
-                means = {
-                    v: np.mean([
-                        row["accuracies"][fraction]
-                        for row in rows if row["variant"] == v and row["r"] == r
-                    ])
-                    for v in pl.ANALOG_VARIANTS
-                }
-                summary_rows.append(
-                    [r, fraction] + [float(means[v]) for v in pl.ANALOG_VARIANTS]
-                )
+        summary_rows = [
+            [r, fraction] + list(pl.analog_means(rows, r, fraction).values())
+            for r in analog_config.r_values
+            for fraction in analog_config.label_fractions
+        ]
         write_csv(out / "analog_summary.csv",
                   ["r", "label_fraction"] + list(pl.ANALOG_VARIANTS), summary_rows, manifest)
         manifest.save(out)
@@ -356,10 +351,6 @@ def cmd_repro(args) -> int:
         return 0
     if args.pipeline == "eta-tradeoff":
         section = dict(config.get("tradeoff", {}))
-        for key in ("constant_etas", "seeds", "retrieval_ks", "calibration_range",
-                    "calibration_quantiles"):
-            if key in section:
-                section[key] = tuple(section[key])
         tradeoff_config = _dataclass_from(pl.TradeoffConfig, section, "tradeoff")
         manifest = RunManifest(
             config={"tradeoff": dataclasses.asdict(tradeoff_config)},

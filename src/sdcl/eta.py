@@ -42,6 +42,8 @@ class EtaConfig:
             raise ValueError(f"unknown eta kind {self.kind!r}")
         if not 0.0 < self.eta_min <= self.eta_max < 1.0:
             raise ValueError("need 0 < eta_min <= eta_max < 1")
+        if not all(np.isfinite(x) for x in (self.value, self.a, self.k)):
+            raise ValueError("eta value, a and k must be finite")
         if self.kind == "lm_log_linear" and (self.a <= 0 or self.k <= 0):
             raise ValueError("log-linear map needs a > 0 and k > 0")
 

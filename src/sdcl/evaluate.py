@@ -37,7 +37,6 @@ class EvalReport:
     linear_probe_acc: Optional[float] = None
     mean_classifier_acc: Optional[float] = None
     retrieval: Optional[RetrievalReport] = None
-    prompt: Optional[PromptReport] = None
     label_fraction: Optional[float] = None
 
     def to_dict(self) -> dict:
@@ -54,11 +53,6 @@ class EvalReport:
                 "medr": dict(self.retrieval.medr),
                 "avg_recall": self.retrieval.avg_recall,
             }
-        if self.prompt is not None:
-            d["prompt"] = {
-                "accuracy": self.prompt.accuracy,
-                "per_class": dict(self.prompt.per_class),
-            }
         return d
 
 
@@ -69,9 +63,6 @@ def linear_probe(
     test_labels: np.ndarray,
     label_fraction: float,
     rng: np.random.Generator,
-    gtol: float = 1e-6,
-    max_iter: int = 1000,
-    l2: float = 1e-4,
 ) -> float:
     """Accuracy of a softmax head trained on a labeled fraction of the
     (frozen) training embeddings and evaluated on the test embeddings.
@@ -107,9 +98,9 @@ def linear_probe(
         train_labels[subset],
         num_classes=int(classes.max() + 1),
         fit_intercept=True,
-        gtol=gtol,
-        max_iter=max_iter,
-        l2=l2,
+        gtol=1e-6,
+        max_iter=1000,
+        l2=1e-4,
     )
     preds = predict_classes(fit, test_embs)
     return float(np.mean(preds == test_labels))
@@ -130,13 +121,14 @@ def mean_classifier_accuracy(
     return float(np.mean(preds == np.asarray(test_labels)))
 
 
-def _ranks_with_tie_break(scores: np.ndarray, true_idx: np.ndarray) -> np.ndarray:
-    """Rank of the true partner per query under descending score; ties are
-    broken by gallery index order, so results are deterministic."""
-    true_scores = scores[np.arange(scores.shape[0]), true_idx]
+def _ranks_with_tie_break(scores: np.ndarray) -> np.ndarray:
+    """Rank of each query's true partner (the diagonal) under descending
+    score; ties are broken by gallery index order, so results are
+    deterministic."""
+    idx = np.arange(scores.shape[0])
+    true_scores = scores[idx, idx]
     better = (scores > true_scores[:, None]).sum(axis=1)
-    gallery_idx = np.arange(scores.shape[1])
-    tied_before = ((scores == true_scores[:, None]) & (gallery_idx[None, :] < true_idx[:, None])).sum(axis=1)
+    tied_before = ((scores == true_scores[:, None]) & (idx[None, :] < idx[:, None])).sum(axis=1)
     return 1 + better + tied_before
 
 
@@ -149,28 +141,18 @@ def retrieval_metrics(
     query_embs: np.ndarray,
     gallery_embs: np.ndarray,
     ks: Sequence[int] = (10, 50, 100),
-    pairing: Optional[np.ndarray] = None,
 ) -> RetrievalReport:
     """R@K, median rank, and average recall over both retrieval directions.
 
-    ``pairing[i]`` is the gallery index of query i's true partner (identity
-    by default) and must be a bijection.  Median rank is the lower median.
+    Query i's true partner is gallery item i.  Median rank is the lower median.
     """
     q = query_embs.shape[0]
-    g = gallery_embs.shape[0]
-    if pairing is None:
-        if q != g:
-            raise ValueError("default pairing requires equal query/gallery sizes")
-        pairing = np.arange(q)
-    pairing = np.asarray(pairing, dtype=np.int64)
-    if q != g or not np.array_equal(np.sort(pairing), np.arange(g)):
-        raise ValueError("pairing must be a bijection between queries and gallery")
-    inverse = np.empty_like(pairing)
-    inverse[pairing] = np.arange(q)
+    if q != gallery_embs.shape[0]:
+        raise ValueError("retrieval needs equal query/gallery sizes")
 
     scores = query_embs @ gallery_embs.T
-    ranks_fwd = _ranks_with_tie_break(scores, pairing)
-    ranks_bwd = _ranks_with_tie_break(scores.T, inverse)
+    ranks_fwd = _ranks_with_tie_break(scores)
+    ranks_bwd = _ranks_with_tie_break(scores.T)
 
     recall_at = {}
     medr = {}

@@ -460,8 +460,3 @@ def spec_from_dict(d: dict) -> MixtureSpec:
 def save_spec(spec: MixtureSpec, path) -> None:
     with open(path, "w") as f:
         json.dump(spec_to_dict(spec), f, indent=2)
-
-
-def load_spec(path) -> MixtureSpec:
-    with open(path) as f:
-        return spec_from_dict(json.load(f))

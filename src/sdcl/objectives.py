@@ -83,14 +83,13 @@ class NegativeHandling:
             raise ValueError("keep_count must be >= 1")
 
 
-def contrastive_loss(pos_score: float, neg_scores: np.ndarray,
-                     weights: Optional[np.ndarray] = None) -> float:
-    """Vanilla contrastive loss; ``weights`` cover the reweighting baseline."""
+def contrastive_loss(pos_score: float, neg_scores: np.ndarray) -> float:
+    """Vanilla contrastive loss."""
     neg_scores = np.asarray(neg_scores, dtype=np.float64)
     if neg_scores.size < 1:
         raise ValueError("need at least one negative score")
     expn = np.exp(neg_scores)
-    z = float(np.sum(expn if weights is None else np.asarray(weights) * expn))
+    z = float(np.sum(expn))
     return float(np.log(np.exp(pos_score) + z) - pos_score)
 
 

@@ -147,50 +147,45 @@ def run_analog_cell(
 
 
 def analog_study(
-    config: AnalogConfig = AnalogConfig(),
-    r_values: Optional[tuple] = None,
-    variants: tuple = ANALOG_VARIANTS,
-    keep_params: bool = False,
+    config: AnalogConfig = AnalogConfig(), r_values: Optional[tuple] = None
 ) -> list[dict]:
-    """Full grid of (r, variant, seed) cells; rows sorted for reproducibility."""
+    """Full grid of (r, variant, seed) cells without their params and traces;
+    rows sorted for reproducibility."""
     base = analog_spec(config)
     rows = []
     for r in r_values if r_values is not None else config.r_values:
-        for variant in variants:
+        for variant in ANALOG_VARIANTS:
             for seed in config.seeds:
                 cell = run_analog_cell(base, config, r, variant, seed)
-                if not keep_params:
-                    cell.pop("params")
-                    cell.pop("trace")
+                cell.pop("params")
+                cell.pop("trace")
                 rows.append(cell)
     return rows
+
+
+def analog_means(rows: list[dict], r: float, fraction: float) -> dict:
+    """Seed-averaged probe accuracy per variant at one r and label fraction."""
+    return {
+        variant: float(np.mean([
+            row["accuracies"][fraction]
+            for row in rows
+            if row["variant"] == variant and row["r"] == r
+        ]))
+        for variant in ANALOG_VARIANTS
+    }
 
 
 def analog_gaps(rows: list[dict], r: float, fraction: float) -> float:
     """Seed-averaged accuracy edge of the true-eta variant over the best
     alternative, in accuracy points (x100)."""
-    means = {}
-    for variant in ANALOG_VARIANTS:
-        vals = [
-            row["accuracies"][fraction]
-            for row in rows
-            if row["variant"] == variant and row["r"] == r
-        ]
-        means[variant] = float(np.mean(vals))
+    means = analog_means(rows, r, fraction)
     others = max(means[v] for v in ANALOG_VARIANTS if v != "dcl_eta_true")
     return 100.0 * (means["dcl_eta_true"] - others)
 
 
 def analog_spread(rows: list[dict], r: float, fraction: float) -> float:
     """Max minus min seed-averaged accuracy across the four variants (x100)."""
-    means = []
-    for variant in ANALOG_VARIANTS:
-        vals = [
-            row["accuracies"][fraction]
-            for row in rows
-            if row["variant"] == variant and row["r"] == r
-        ]
-        means.append(float(np.mean(vals)))
+    means = analog_means(rows, r, fraction).values()
     return 100.0 * (max(means) - min(means))
 
 

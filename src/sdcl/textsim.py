@@ -117,21 +117,3 @@ def write_pll_csv(path, table: dict[TokenSeq, float], header_comment: str | None
         writer.writerow(["sentence_id", "tokens", "pll"])
         for i, (tokens, pll) in enumerate(sorted(table.items())):
             writer.writerow([i, " ".join(str(t) for t in tokens), repr(pll)])
-
-
-def lm_to_dict(lm: NGramLM) -> dict:
-    return {
-        "vocab_size": lm.vocab_size,
-        "bigram_counts": lm.bigram_counts.tolist(),
-        "unigram_counts": lm.unigram_counts.tolist(),
-        "alpha": lm.alpha,
-    }
-
-
-def lm_from_dict(d: dict) -> NGramLM:
-    return NGramLM(
-        vocab_size=int(d["vocab_size"]),
-        bigram_counts=np.array(d["bigram_counts"], dtype=np.float64),
-        unigram_counts=np.array(d["unigram_counts"], dtype=np.float64),
-        alpha=float(d["alpha"]),
-    )

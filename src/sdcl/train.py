@@ -22,6 +22,11 @@ from .eta import EtaConfig, eta_for_batch, make_provider
 from .objectives import NegativeHandling, in_batch_loss
 from .rngstream import stream
 
+# every study trains with Adam plus decoupled weight decay at these constants
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+WEIGHT_DECAY = 1e-6
+LM_ALPHA = 1.0  # add-alpha smoothing of the eta_LM bigram model
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -38,17 +43,10 @@ class TrainConfig:
     gamma: float = math.sqrt(2.0)
     gamma_trainable: bool = False
     learning_rate: float = 1e-3
-    weight_decay: float = 1e-6
     epochs: int = 50
     samples_per_epoch: int = 2048
-    optimizer: str = "adam"  # adam | sgd
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    cosine_schedule: bool = False
     seed: int = 0
     lm_corpus_size: int = 2000
-    lm_alpha: float = 1.0
 
     def __post_init__(self):
         if self.objective not in ("cl", "dcl"):
@@ -68,8 +66,13 @@ class TrainConfig:
         pool = self.n_negatives or self.batch_size - 1
         if self.handling.kind == "resample_by_sim" and self.handling.keep_count > pool:
             raise ValueError(f"keep_count {self.handling.keep_count} exceeds the {pool}-negative pool")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("epochs", "hidden_dim", "embed_dim", "lm_corpus_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError("gamma must be finite and positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and nonnegative")
 
 
 # one training step; fallback_count is the number of anchors whose handled
@@ -87,7 +90,6 @@ TRACE_DTYPE = np.dtype([
 class TrainResult:
     params: enc.EncoderParams
     trace: np.recarray  # one TRACE_DTYPE record per step: trace[-1].loss, trace.loss
-    lm: Optional[textsim.NGramLM] = None
 
     def trace_array(self) -> np.ndarray:
         """The trace as a float matrix, one column per TRACE_DTYPE field."""
@@ -95,35 +97,30 @@ class TrainResult:
 
 
 class _Adam:
-    """Adam (or plain SGD) plus decoupled weight decay over every parameter
-    array; gamma moves only when it is trainable."""
+    """Adam plus decoupled weight decay over every parameter array; gamma
+    moves only when it is trainable."""
 
-    def __init__(self, config: TrainConfig):
-        self.cfg = config
+    def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
     def update(self, params: enc.EncoderParams, grads: enc.EncoderGrads, lr: float) -> None:
-        cfg = self.cfg
         self.t += 1
         for name in params.array_fields():
             if name == "gamma" and not params.gamma_trainable:
                 continue
             g = getattr(grads, name)
             p = getattr(params, name)
-            if cfg.optimizer == "adam":
-                m = self.m.get(name, np.zeros_like(p))
-                v = self.v.get(name, np.zeros_like(p))
-                m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
-                v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * g * g
-                self.m[name], self.v[name] = m, v
-                mhat = m / (1 - cfg.adam_beta1**self.t)
-                vhat = v / (1 - cfg.adam_beta2**self.t)
-                p -= lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)
-            else:
-                p -= lr * g
-            p -= lr * cfg.weight_decay * p
+            m = self.m.get(name, np.zeros_like(p))
+            v = self.v.get(name, np.zeros_like(p))
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+            self.m[name], self.v[name] = m, v
+            mhat = m / (1 - ADAM_BETA1**self.t)
+            vhat = v / (1 - ADAM_BETA2**self.t)
+            p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            p -= lr * WEIGHT_DECAY * p
 
 
 def build_lm_assets(spec: mix.MixtureSpec, config: TrainConfig) -> textsim.NGramLM:
@@ -133,7 +130,7 @@ def build_lm_assets(spec: mix.MixtureSpec, config: TrainConfig) -> textsim.NGram
     for _ in range(config.lm_corpus_size):
         c = mix.sample_class(spec.class_dist, rng)
         corpus.extend(mix.sample_reports(spec, [c], rng))
-    return textsim.fit_ngram(corpus, config.lm_alpha, spec.vocab_size)
+    return textsim.fit_ngram(corpus, LM_ALPHA, spec.vocab_size)
 
 
 def sample_training_batch(
@@ -192,7 +189,7 @@ def train(
         gamma_trainable=config.gamma_trainable,
         vocab_size=spec.vocab_size if config.mode == "cross_modal" else None,
     )
-    optimizer = _Adam(config)
+    optimizer = _Adam()
     batches_per_epoch = max(1, config.samples_per_epoch // config.batch_size)
     total_steps = config.epochs * batches_per_epoch
     trace = np.recarray(total_steps, dtype=TRACE_DTYPE)
@@ -232,11 +229,8 @@ def train(
             grads.add_(enc.backward(params, p_cache, result.d_positive))
             grads.gamma += result.d_gamma
 
-            lr = config.learning_rate
-            if config.cosine_schedule:
-                lr = lr * 0.5 * (1.0 + math.cos(math.pi * step / max(1, total_steps)))
-            optimizer.update(params, grads, lr)
+            optimizer.update(params, grads, config.learning_rate)
             trace[step] = (step, result.loss, result.clamp_fraction, result.mean_eta,
                            result.fallback_count)
             step += 1
-    return TrainResult(params=params, trace=trace, lm=lm)
+    return TrainResult(params=params, trace=trace)

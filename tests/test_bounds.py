@@ -316,6 +316,18 @@ def test_best_linear_constant_encoder():
     assert abs(value - entropy) < 1e-6
 
 
+
+def test_sup_losses_enumerate_at_most_max_tasks():
+    spec = uniform_spec(n_classes=16)
+    params = encoder_for(spec, seed=10)
+    assert math.comb(16, 8) > bounds.MAX_TASKS >= math.comb(16, 4)
+    tasks, probs = bounds._task_list(spec, 4)
+    assert tasks == list(itertools.combinations(range(16), 4))
+    assert abs(probs.sum() - 1.0) < 1e-12
+    for loss in (bounds.sup_loss_mean_classifier, bounds.sup_loss_best_linear):
+        with pytest.raises(ValueError, match="tasks of size 8 exceed"):
+            loss(spec, params, 8)
+
 def test_lemma_threshold_and_errors():
     spec = uniform_spec()
     assert abs(bounds.lemma_a1_threshold(spec) - 9.0) < 1e-12

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -94,6 +95,48 @@ def test_m_positives_is_an_unknown_train_field(tmp_path, capsys):
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "unknown train fields" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize(
+    "train",
+    [
+        {"gamma": -1},
+        {"epochs": 0},
+        {"lm_corpus_size": 0, "eta": {"kind": "lm_log_linear"}},
+        {"embed_dim": 0},
+        {"learning_rate": float("nan")},
+        {"eta": {"kind": "constant", "value": float("nan")}},
+        {"eta": {"kind": "lm_log_linear", "a": float("nan")}},
+    ],
+    ids=["gamma", "epochs", "lm_corpus_size", "embed_dim", "learning_rate", "eta.value", "eta.a"],
+)
+def test_train_bad_field_exits_2(tmp_path, capsys, train):
+    section = {"objective": "dcl", "epochs": 1, "samples_per_epoch": 32, "batch_size": 16,
+               "lm_corpus_size": 20}
+    section.update(train)
+    cfg = write_config(tmp_path, {"spec": {"preset": "eta-tradeoff"}, "train": section})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["optimizer", "cosine_schedule", "adam_beta1", "adam_beta2", "adam_eps", "weight_decay",
+     "lm_alpha"],
+)
+def test_removed_train_fields_exit_2(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, {"spec": {"preset": "cifar-analog"}, "train": {name: 1}})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown train fields" in capsys.readouterr().err
+
+
+def test_json_lists_become_tuples():
+    from sdcl import pipelines as pl
+    from sdcl.cli import _dataclass_from
+
+    config = _dataclass_from(pl.BoundSweepConfig, {"n_grid": [4, 16]}, "bounds")
+    assert config.n_grid == (4, 16)
+    assert config == pl.BoundSweepConfig(n_grid=(4, 16))
 
 def test_simulate_train_eval_round_trip(tmp_path, base_config):
     sim_dir = tmp_path / "sim"
@@ -201,6 +244,27 @@ def test_repro_analog_bitwise_determinism(tmp_path):
     for name in ("analog_accuracy.csv", "analog_summary.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+
+
+def test_repro_analog_csv_bodies_are_pinned(tmp_path):
+    # criterion 11's config; the rows below the config-hash comment were
+    # recorded once, so any change to a trained encoder or a probe shows here
+    cfg = write_config(tmp_path, {"analog": {
+        "r_values": [0.1], "seeds": [0, 1], "epochs": 4, "samples_per_epoch": 256,
+        "batch_size": 32, "n_probe": 4000, "n_test_per_class": 50,
+        "label_fractions": [0.05, 1.0],
+    }})
+    out = tmp_path / "a"
+    assert main(["repro", "cifar-analog", "--config", cfg, "--out", str(out)]) == 0
+    digests = {}
+    for name in ("analog_accuracy.csv", "analog_summary.csv"):
+        comment, body = (out / name).read_bytes().split(b"\n", 1)
+        assert comment.startswith(b"# config_hash=")
+        digests[name] = hashlib.sha256(body).hexdigest()
+    assert digests == {
+        "analog_accuracy.csv": "df7a178ba7d2b02aa9882667b5ca70b56528c88966f67ca196894f6661a08deb",
+        "analog_summary.csv": "a5b957991c01825292797a90b20bb232c54714e04ff2e374b787ae78cd4fab1d",
+    }
 
 def test_repro_tradeoff_smoke(tmp_path):
     cfg = write_config(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -394,7 +396,8 @@ def test_spec_json_round_trip(tmp_path):
     for spec in (uniform_gaussian_spec(), small_discrete_spec()):
         path = tmp_path / "spec.json"
         mix.save_spec(spec, path)
-        loaded = mix.load_spec(path)
+        with open(path) as f:
+            loaded = mix.spec_from_dict(json.load(f))
         assert loaded.mode == spec.mode
         assert np.array_equal(loaded.class_dist.probs, spec.class_dist.probs)
         assert loaded.templates == spec.templates

@@ -214,11 +214,3 @@ def test_pll_table_and_csv(tmp_path):
     assert lines[0].startswith("# config_hash=")
     assert lines[1] == "sentence_id,tokens,pll"
     assert len(lines) == 2 + len(table)
-
-
-def test_lm_json_round_trip():
-    lm = ts.fit_ngram([(0, 1, 1)], alpha=0.25, vocab_size=2)
-    lm2 = ts.lm_from_dict(ts.lm_to_dict(lm))
-    assert np.array_equal(lm.bigram_counts, lm2.bigram_counts)
-    assert np.array_equal(lm.unigram_counts, lm2.unigram_counts)
-    assert lm.alpha == lm2.alpha

@@ -42,7 +42,7 @@ def small_config(**overrides):
 
 def test_zero_lr_keeps_params_bitwise():
     spec = gaussian_spec()
-    config = small_config(learning_rate=0.0, weight_decay=0.0)
+    config = small_config(learning_rate=0.0)
     result = tr.train(spec, config)
     init = enc.init_params(
         spec.dim, config.hidden_dim, config.embed_dim, stream(config.seed, 0),
@@ -83,8 +83,6 @@ def test_different_seed_changes_trace():
         ),
         small_config(handling=NegativeHandling(kind="remove_by_label")),
         small_config(handling=NegativeHandling(kind="reweight_by_sim", temperature=0.5)),
-        small_config(optimizer="sgd"),
-        small_config(cosine_schedule=True),
     ],
 )
 def test_training_traces_stay_finite(config):
@@ -119,7 +117,9 @@ def test_cross_modal_training_runs_and_trains_gamma():
         epochs=3,
     )
     result = tr.train(spec, config)
-    assert result.lm is not None
+    # eta_LM scored each batch's reports: a positive mean that varies by step
+    assert np.all(result.trace.mean_eta > 0)
+    assert np.unique(result.trace.mean_eta).size > 1
     assert result.params.token_embed is not None
     assert result.params.gamma != config.gamma  # moved by the optimizer
     assert np.all(np.isfinite(result.trace_array()))
@@ -180,8 +180,11 @@ def test_config_validation():
         tr.TrainConfig(objective="triplet")
     with pytest.raises(ValueError):
         tr.TrainConfig(batch_size=1)
-    with pytest.raises(ValueError):
-        tr.TrainConfig(optimizer="lion")
+    for bad in (dict(epochs=0), dict(hidden_dim=0), dict(embed_dim=0), dict(lm_corpus_size=0),
+                dict(gamma=-1.0), dict(gamma=float("inf")), dict(learning_rate=float("nan")),
+                dict(learning_rate=-1e-3)):
+        with pytest.raises(ValueError):
+            tr.TrainConfig(**bad)
     resample = NegativeHandling(kind="resample_by_sim", keep_count=8)
     tr.TrainConfig(batch_size=9, handling=resample)
     with pytest.raises(ValueError):
