@@ -34,7 +34,7 @@ import numpy as np
 from . import encoder as enc
 from .eta import EtaProvider, eta_for_batch
 from .linear_head import fit_softmax
-from .mixture import MixtureSpec, choice_cdf
+from .mixture import MixtureSpec, choice_cdf, pad_tokens
 from .objectives import asymptotic_loss, asymptotic_loss_from_scores
 
 E2 = math.e**2
@@ -109,7 +109,7 @@ def eta_matrix(spec: MixtureSpec, provider: EtaProvider) -> np.ndarray:
     """eta evaluated on every (class, point) cell of a discrete spec."""
     cond = _require_discrete(spec)
     k, p = cond.num_classes, cond.num_points
-    tokens = None if spec.point_tokens is None else spec.point_tokens * k
+    tokens = None if spec.point_tokens is None else pad_tokens(spec.point_tokens * k)
     return eta_for_batch(provider, np.repeat(np.arange(k), p), tokens).reshape(k, p)
 
 

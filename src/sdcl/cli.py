@@ -28,7 +28,7 @@ from . import pipelines as pl
 from . import textsim as ts
 from . import train as tr
 from .eta import EtaConfig
-from .manifest import RunManifest, write_csv, write_json
+from .manifest import RunManifest, to_json, write_csv, write_json
 from .objectives import NegativeHandling
 from .rngstream import stream
 
@@ -134,7 +134,7 @@ def cmd_simulate(args) -> int:
     manifest.record(out / "spec.json")
     lm = None
     if sentences:
-        lm = ts.fit_ngram(sentences, alpha=1.0, vocab_size=spec.vocab_size)
+        lm = ts.fit_ngram(*mix.pad_tokens(sentences), alpha=1.0, vocab_size=spec.vocab_size)
         table = ts.pll_table(lm, sentences)
         ts.write_pll_csv(
             out / "pll.csv", table,
@@ -149,11 +149,10 @@ def cmd_simulate(args) -> int:
             raise ConfigError("eta dump with lm_log_linear needs token templates in the spec")
         provider = make_provider(eta_cfg, spec=spec, lm=lm)
         classes = np.array([int(row[1]) for row in rows])
-        token_seqs = [tuple(int(t) for t in row[2].split()) if row[2] else None for row in rows]
-        etas = eta_for_batch(
-            provider, classes=classes,
-            token_seqs=token_seqs if eta_cfg.kind == "lm_log_linear" else None,
-        )
+        tokens = None
+        if eta_cfg.kind == "lm_log_linear":
+            tokens = mix.pad_tokens([[int(t) for t in row[2].split()] for row in rows])
+        etas = eta_for_batch(provider, classes=classes, tokens=tokens)
         eta_rows = [[i, int(classes[i]), etas[i]] for i in range(n)]
         write_csv(out / "etas.csv", ["index", "latent_class", "eta"], eta_rows, manifest)
     manifest.save(out)
@@ -226,7 +225,7 @@ def cmd_eval(args) -> int:
     )
     if params.token_embed is not None:
         texts = mix.sample_reports(spec, test_classes, rng)
-        txt_emb, _ = enc.forward_tokens(params, texts)
+        txt_emb, _ = enc.forward_tokens(params, *texts)
         report.retrieval = ev.retrieval_metrics(txt_emb, test_emb, ks=ks)
         rank_rows = [
             [i, int(report.retrieval.ranks["query_to_gallery"][i]),
@@ -242,7 +241,7 @@ def cmd_eval(args) -> int:
     write_csv(out / "projection.csv", ["index", "latent_class", "pc1", "pc2"], proj_rows, manifest)
     write_json(out / "report.json", report.to_dict(), manifest)
     manifest.save(out)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(to_json(report.to_dict()))
     return 0
 
 
@@ -368,7 +367,7 @@ def cmd_repro(args) -> int:
         summary = pl.tradeoff_summary(rows, tradeoff_config)
         write_json(out / "tradeoff_summary.json", summary, manifest)
         manifest.save(out)
-        print(json.dumps(summary, indent=2))
+        print(to_json(summary))
         return 0
     raise ConfigError(f"unknown repro pipeline {args.pipeline!r}")
 

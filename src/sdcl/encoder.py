@@ -13,11 +13,9 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-
-from .mixture import pad_tokens
 
 NORM_FLOOR = 1e-12
 
@@ -112,7 +110,7 @@ class ForwardCache:
     u: np.ndarray          # (B, out) pre-projection
     norms: np.ndarray      # (B,)
     uhat: np.ndarray       # (B, out)
-    token_seqs: Optional[tuple[np.ndarray, np.ndarray]] = None  # pad_tokens (ids, mask)
+    token_seqs: Optional[tuple[np.ndarray, np.ndarray]] = None  # padded (ids, mask)
 
 
 def forward_features(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -128,13 +126,15 @@ def forward_features(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, 
     return emb, ForwardCache(x=x, a1=a1, u=u, norms=norms, uhat=uhat)
 
 
-def forward_tokens(params: EncoderParams,
-                   token_seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, ForwardCache]:
-    """Token path: mean of embedding rows feeds the shared MLP.  Padded rows
-    are zeroed and positions summed in order, so a row equals its sequence's mean."""
+def forward_tokens(params: EncoderParams, ids: np.ndarray,
+                   mask: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Token path on a padded ``(ids, mask)`` batch: the mean of each row's
+    embedding rows feeds the shared MLP.  Padded slots are zeroed and
+    positions summed in order, so a row equals its sequence's mean."""
     if params.token_embed is None:
         raise ValueError("encoder has no token embedding table")
-    ids, mask = pad_tokens(token_seqs)
+    if not mask[:, 0].all():
+        raise ValueError("token sequence must be nonempty")
     rows = np.where(mask[:, :, None], params.token_embed[ids], 0.0)
     emb, cache = forward_features(params, rows.sum(axis=1) / mask.sum(axis=1)[:, None])
     cache.token_seqs = (ids, mask)
@@ -155,11 +155,17 @@ def backward(params: EncoderParams, cache: ForwardCache, d_emb: np.ndarray) -> E
     dz1 = da1 * (1.0 - cache.a1**2)
     d_token_embed = None if params.token_embed is None else np.zeros_like(params.token_embed)
     if cache.token_seqs is not None:
-        # dx / length goes to each token's row, in batch then position order
+        # dx / length goes to each token's row, in batch then position order;
+        # bincount adds its weights in input order, as np.add.at does
         ids, mask = cache.token_seqs
         lengths = mask.sum(axis=1)
         dx = dz1 @ params.w1
-        np.add.at(d_token_embed, ids[mask], np.repeat(dx / lengths[:, None], lengths, axis=0))
+        width = dx.shape[1]
+        d_token_embed = np.bincount(
+            (ids[mask][:, None] * width + np.arange(width)).ravel(),
+            np.repeat(dx / lengths[:, None], lengths, axis=0).ravel(),
+            minlength=params.token_embed.size,
+        ).reshape(params.token_embed.shape)
     grads = EncoderGrads(
         w1=dz1.T @ cache.x, b1=dz1.sum(axis=0), w2=du.T @ cache.a1, b2=du.sum(axis=0),
         token_embed=d_token_embed, gamma=np.asarray(np.sum(radial)),

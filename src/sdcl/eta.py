@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mixture import DataPoint, MixtureSpec, TokenSeq, pad_tokens
+from .mixture import DataPoint, MixtureSpec, pad_tokens
 from .textsim import NGramLM, pseudo_log_likelihood
 
 DEFAULT_ETA_MIN = 1e-4
@@ -98,7 +98,7 @@ def make_provider(
 
 def eta_of(provider: EtaProvider, x: DataPoint) -> float:
     """eta(x) for one point: ``eta_for_batch`` on a batch of one."""
-    tokens = None if x.tokens is None else [x.tokens]
+    tokens = None if x.tokens is None else pad_tokens([x.tokens])
     return float(eta_for_batch(provider, [x.latent_class], tokens)[0])
 
 
@@ -130,20 +130,22 @@ def calibrate_log_linear(
 def eta_for_batch(
     provider: EtaProvider,
     classes: Optional[np.ndarray] = None,
-    token_seqs: Optional[list[TokenSeq]] = None,
+    tokens: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
-    """Vectorized eta for a batch described by latent classes and/or tokens."""
+    """Vectorized eta for a batch described by latent classes and/or a
+    padded ``(ids, mask)`` token batch."""
     if isinstance(provider, ConstantEta):
-        size = len(classes) if classes is not None else len(token_seqs)
+        size = len(classes) if classes is not None else len(tokens[0])
         return np.full(size, np.clip(provider.value, provider.eta_min, provider.eta_max))
     if isinstance(provider, TrueOracleEta):
         if classes is None:
             raise ValueError("oracle eta needs latent classes")
         rho = provider.spec.class_dist.probs[np.asarray(classes)]
         return np.clip(rho, provider.eta_min, provider.eta_max)
-    if token_seqs is None:
+    if tokens is None:
         raise ValueError("lm_log_linear eta needs token sequences")
-    pll = pseudo_log_likelihood(provider.lm, token_seqs)
+    ids, mask = tokens
+    pll = pseudo_log_likelihood(provider.lm, ids, mask)
     if provider.length_normalize:
-        pll = pll / pad_tokens(token_seqs)[1].sum(axis=1)
+        pll = pll / mask.sum(axis=1)
     return np.clip(provider.a * np.exp(provider.k * pll), provider.eta_min, provider.eta_max)

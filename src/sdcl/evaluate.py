@@ -15,7 +15,7 @@ import numpy as np
 
 from . import encoder as enc
 from .linear_head import fit_softmax, predict_classes
-from .mixture import TokenSeq
+from .mixture import TokenSeq, pad_tokens
 
 
 @dataclass
@@ -185,7 +185,7 @@ def prompt_classify(
         neg_prompt, pos_prompt = prompts[cls]
         if len(neg_prompt) == 0 or len(pos_prompt) == 0:
             raise ValueError(f"class {cls}: missing prompt")
-        prompt_embs, _ = enc.forward_tokens(params, [neg_prompt, pos_prompt])
+        prompt_embs, _ = enc.forward_tokens(params, *pad_tokens([neg_prompt, pos_prompt]))
         s_neg = image_embs @ prompt_embs[0]
         s_pos = image_embs @ prompt_embs[1]
         pred = s_pos > s_neg

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -88,11 +89,27 @@ def write_csv(path, header: list[str], rows, manifest: RunManifest) -> Path:
     return manifest.record(path)
 
 
+def _finite_or_none(value):
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def to_json(obj) -> str:
+    """Strict JSON text: JSON has no NaN or infinity, so non-finite floats
+    (an undefined rank correlation, say) are written as null."""
+    return json.dumps(_finite_or_none(obj), indent=2, allow_nan=False)
+
+
 def write_json(path, payload: dict, manifest: RunManifest) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     body = {"config_hash": manifest.hash, "seed": manifest.seed}
     body.update(payload)
     with open(path, "w") as f:
-        json.dump(body, f, indent=2)
+        f.write(to_json(body))
     return manifest.record(path)

@@ -24,7 +24,7 @@ import bisect
 import itertools
 import json
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +46,17 @@ def pad_tokens(token_seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndar
     ids[mask] = np.fromiter(itertools.chain.from_iterable(token_seqs), dtype=np.int64,
                             count=int(lengths.sum()))
     return ids, mask
+
+
+class ReportTable(NamedTuple):
+    """Every class's templates padded into one table, class after class, from
+    row ``offsets[c]``; ``cdfs[c]`` is class c's template CDF, inf-padded."""
+
+    ids: np.ndarray      # (templates, longest) int64
+    mask: np.ndarray     # (templates, longest) bool
+    lengths: np.ndarray  # (templates,)
+    offsets: np.ndarray  # (classes,)
+    cdfs: np.ndarray     # (classes, most templates of one class)
 
 
 def _frozen_array(a, dtype=np.float64) -> np.ndarray:
@@ -167,10 +178,12 @@ class MixtureSpec:
             raise ValueError("conditionals do not match number of classes")
         if len(self.templates) != k or len(self.template_weights) != k:
             raise ValueError("templates must be given for every class")
+        counts = [len(ts) for ts in self.templates]
+        cdfs = np.full((k, max(counts)), np.inf)
         for c in range(k):
-            if len(self.templates[c]) == 0:
+            if counts[c] == 0:
                 raise ValueError(f"class {c} has no templates")
-            if len(self.templates[c]) != len(self.template_weights[c]):
+            if counts[c] != len(self.template_weights[c]):
                 raise ValueError(f"class {c}: template/weight length mismatch")
             weights = np.asarray(self.template_weights[c], dtype=np.float64)
             with np.errstate(over="ignore"):
@@ -178,6 +191,7 @@ class MixtureSpec:
             if not (np.all(weights >= 0) and 0.0 < total < np.inf):
                 raise ValueError(f"class {c}: template weights must be finite, nonnegative "
                                  f"and have a positive finite sum")
+            cdfs[c, : counts[c]] = choice_cdf(weights / total)
             for seq in self.templates[c]:
                 if len(seq) == 0 or any(t < 0 or t >= self.vocab_size for t in seq):
                     raise ValueError(f"class {c}: template tokens out of vocab")
@@ -188,6 +202,11 @@ class MixtureSpec:
                 raise ValueError("point_tokens only apply to discrete mode")
             if len(self.point_tokens) != self.conditionals.num_points:
                 raise ValueError("point_tokens must cover the full alphabet")
+        ids, mask = pad_tokens([seq for ts in self.templates for seq in ts])
+        object.__setattr__(self, "report_table", ReportTable(
+            ids=ids, mask=mask, lengths=mask.sum(axis=1),
+            offsets=np.cumsum([0] + counts[:-1]), cdfs=cdfs,
+        ))
 
     @property
     def mode(self) -> str:
@@ -238,40 +257,83 @@ def sample_class_array(dist: ClassDistribution, size: int, rng: np.random.Genera
     return rng.choice(dist.num_classes, size=size, p=dist.probs)
 
 
-def sample_reports(spec: MixtureSpec, classes, rng: np.random.Generator) -> list[TokenSeq]:
-    """One token report per entry of ``classes``: a weighted template choice,
-    then with probability ``spec.report_perturb_prob`` one position replaced
-    by a uniformly random different token.
+# rows of uniforms drawn at once; a perturbed report rewinds and redraws its
+# block, so this bounds the extra draws per perturbed report
+REPORT_BLOCK = 64
 
-    Report by report, the draws are those of ``rng.choice(p=weights)``, then
-    ``rng.random()`` for the perturbation coin (only when the probability is
+
+def _draw_reports(spec: MixtureSpec, size: int, classes: Optional[np.ndarray],
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` reports as a padded ``(ids, mask)`` batch, exactly
+    ``pad_tokens`` of the reports; report i has class ``classes[i]`` or,
+    when ``classes`` is None, one drawn just before it as ``sample_class`` would.
+
+    Report by report, the draws are a class uniform (drawn classes only), a
+    template uniform, the perturbation coin (only when the probability is
     positive), then ``rng.integers`` for the position and the offset of a
-    perturbed report, so a batch draws exactly what one call per report would.
+    perturbed report.  Uniforms come a block of rows at a time; a perturbed
+    report rewinds the generator, redraws the rows up to its own and makes
+    its two integer draws, so the generator ends where one call per report
+    would leave it.
     """
-    classes = np.asarray(classes, dtype=np.int64).tolist()
-    bad = [c for c in classes if not 0 <= c < spec.num_classes]
-    if bad:
-        raise ValueError(f"invalid class id {bad[0]}")
-    cdfs = {}
-    for c in set(classes):
-        weights = np.asarray(spec.template_weights[c], dtype=np.float64)
-        cdfs[c] = choice_cdf(weights / weights.sum()).tolist()
+    table = spec.report_table
     perturb = spec.report_perturb_prob
-    n_draws = 2 if perturb > 0.0 else 1
-    reports = []
-    for c in classes:
-        u = rng.random(n_draws).tolist()
-        # bisect_right on the sorted cdf is searchsorted(side="right")
-        tokens = spec.templates[c][bisect.bisect_right(cdfs[c], u[0])]
-        if perturb > 0.0 and u[1] < perturb:
-            tokens = list(tokens)
-            pos = int(rng.integers(len(tokens)))
+    lead = int(classes is None)
+    width = lead + (2 if perturb > 0.0 else 1)
+    class_cdf = choice_cdf(spec.class_dist.probs)
+    u = np.empty((size, width))
+    hits = []  # (report, position, offset) of each perturbed report
+    start = 0
+    while start < size:
+        state = rng.bit_generator.state
+        block = rng.random((size - start if perturb == 0.0 else min(size - start, REPORT_BLOCK),
+                            width))
+        coins = block[:, -1] < perturb
+        first = int(coins.argmax())
+        stop = first + 1 if coins[first] else len(block)
+        u[start : start + stop] = block[:stop]
+        start += stop
+        if coins[first]:
+            rng.bit_generator.state = state
+            rng.random((stop, width))
+            i = start - 1
+            c = int(classes[i]) if classes is not None else bisect.bisect_right(class_cdf, u[i, 0])
+            row = table.offsets[c] + bisect.bisect_right(table.cdfs[c], u[i, lead])
             # replace with a uniformly random *different* token so the expected
             # hamming distance to the template equals report_perturb_prob exactly
-            offset = int(rng.integers(1, spec.vocab_size))
-            tokens[pos] = (tokens[pos] + offset) % spec.vocab_size
-        reports.append(tuple(tokens))
-    return reports
+            hits.append((i, int(rng.integers(table.lengths[row])),
+                         int(rng.integers(1, spec.vocab_size))))
+    if classes is None:
+        classes = class_cdf.searchsorted(u[:, 0], side="right")
+    # counting the cdf entries <= u is bisect_right, i.e. searchsorted(side="right")
+    rows = table.offsets[classes] + (table.cdfs[classes] <= u[:, lead, None]).sum(axis=1)
+    longest = table.lengths[rows].max(initial=1)
+    ids, mask = table.ids[rows, :longest], table.mask[rows, :longest]
+    for i, pos, offset in hits:
+        ids[i, pos] = (ids[i, pos] + offset) % spec.vocab_size
+    return ids, mask
+
+
+def sample_reports(spec: MixtureSpec, classes, rng: np.random.Generator
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """One token report per entry of ``classes``, as a padded ``(ids, mask)``
+    batch: a weighted template choice, then with probability
+    ``spec.report_perturb_prob`` one position replaced by a uniformly random
+    different token.  The draws are exactly those of one
+    ``rng.choice(p=weights)``, ``rng.random()`` coin and, when perturbed, two
+    ``rng.integers`` calls per report, in report order."""
+    classes = np.asarray(classes, dtype=np.int64)
+    bad = classes[(classes < 0) | (classes >= spec.num_classes)]
+    if bad.size:
+        raise ValueError(f"invalid class id {bad[0]}")
+    return _draw_reports(spec, classes.size, classes, rng)
+
+
+def sample_marginal_reports(spec: MixtureSpec, size: int, rng: np.random.Generator
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` reports of classes drawn from the prior: the draws of ``size``
+    alternating ``sample_class`` and one-report ``sample_reports`` calls."""
+    return _draw_reports(spec, size, None, rng)
 
 
 def sample_conditional(
@@ -293,7 +355,8 @@ def sample_conditional(
         if spec.point_tokens is not None:
             tokens = spec.point_tokens[point_index]
         else:
-            tokens = sample_reports(spec, [c], rng)[0]
+            # a one-report batch is exactly as wide as its report
+            tokens = tuple(sample_reports(spec, [c], rng)[0][0].tolist())
     return DataPoint(features=features, tokens=tokens, latent_class=c, point_index=point_index)
 
 

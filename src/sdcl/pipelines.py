@@ -296,7 +296,7 @@ def run_tradeoff_cell(spec: mix.MixtureSpec, config: TradeoffConfig, variant: st
         cal_classes = mix.sample_class_array(spec.class_dist, 1000, cal_rng)
         cal_reports = mix.sample_reports(spec, cal_classes, cal_rng)
         a, k = calibrate_log_linear(
-            ts.pseudo_log_likelihood(lm, cal_reports),
+            ts.pseudo_log_likelihood(lm, *cal_reports),
             eta_range=config.calibration_range, quantiles=config.calibration_quantiles,
         )
         train_config = replace(
@@ -311,7 +311,7 @@ def run_tradeoff_cell(spec: mix.MixtureSpec, config: TradeoffConfig, variant: st
     feats, _ = mix.sample_features_for_classes(spec, classes, rng)
     texts = mix.sample_reports(spec, classes, rng)
     img_emb, _ = enc.forward_features(params, feats)
-    txt_emb, _ = enc.forward_tokens(params, texts)
+    txt_emb, _ = enc.forward_tokens(params, *texts)
     retrieval = ev.retrieval_metrics(txt_emb, img_emb, ks=config.retrieval_ks)
     tail_mask = np.isin(classes, config.tail_classes)
     tail_vals = [
@@ -447,7 +447,7 @@ def _bound_provider(variant: str, spec: mix.MixtureSpec, rng: np.random.Generato
     marginal = mix.exact_marginal_pmf(spec)
     corpus_idx = rng.choice(len(spec.point_tokens), size=400, p=marginal)
     corpus = [spec.point_tokens[i] for i in corpus_idx]
-    lm = ts.fit_ngram(corpus, alpha=1.0, vocab_size=spec.vocab_size)
+    lm = ts.fit_ngram(*mix.pad_tokens(corpus), alpha=1.0, vocab_size=spec.vocab_size)
     return make_provider(EtaConfig(kind="lm_log_linear", a=0.2, k=0.35), lm=lm)
 
 

@@ -56,11 +56,10 @@ class NGramLM:
         return (self.unigram_counts + self.alpha) / (total + self.alpha * self.vocab_size)
 
 
-def fit_ngram(corpus: Sequence[Sequence[int]], alpha: float, vocab_size: int) -> NGramLM:
-    """Count adjacent token pairs and single tokens over the corpus."""
-    if len(corpus) == 0:
+def fit_ngram(ids: np.ndarray, mask: np.ndarray, alpha: float, vocab_size: int) -> NGramLM:
+    """Count adjacent token pairs and single tokens over a padded corpus."""
+    if len(ids) == 0:
         raise ValueError("corpus must be nonempty")
-    ids, mask = pad_tokens(corpus)  # raises on an empty sentence
     tokens = ids[mask]
     if tokens.min() < 0 or tokens.max() >= vocab_size:
         raise ValueError("token id out of vocabulary")
@@ -72,10 +71,11 @@ def fit_ngram(corpus: Sequence[Sequence[int]], alpha: float, vocab_size: int) ->
     return NGramLM(vocab_size=vocab_size, bigram_counts=bigram, unigram_counts=unigram, alpha=alpha)
 
 
-def pseudo_log_likelihood(lm: NGramLM, token_seqs: Sequence[Sequence[int]]) -> np.ndarray:
-    """PLL of each sequence in a batch: the sum of its log masked-conditional
-    probabilities, added position by position."""
-    ids, mask = pad_tokens(token_seqs)
+def pseudo_log_likelihood(lm: NGramLM, ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """PLL of each sequence of a padded batch: the sum of its log
+    masked-conditional probabilities, added position by position."""
+    if not mask[:, 0].all():
+        raise ValueError("token sequence must be nonempty")
     rows = np.arange(len(ids))
     lengths = mask.sum(axis=1)
     cond = lm.conditionals()
@@ -98,14 +98,15 @@ def pseudo_log_likelihood(lm: NGramLM, token_seqs: Sequence[Sequence[int]]) -> n
 
 
 def generate_report(spec: MixtureSpec, c: int, rng: np.random.Generator) -> TokenSeq:
-    """One class-c report: ``mixture.sample_reports`` on a batch of one."""
-    return sample_reports(spec, [c], rng)[0]
+    """One class-c report: ``mixture.sample_reports`` on a batch of one,
+    which is exactly as wide as its report."""
+    return tuple(sample_reports(spec, [c], rng)[0][0].tolist())
 
 
 def pll_table(lm: NGramLM, sentences: Iterable[Sequence[int]]) -> dict[TokenSeq, float]:
     """PLL of each distinct sentence (keyed by token tuple), scored in one batch."""
     keys = list(dict.fromkeys(tuple(int(t) for t in seq) for seq in sentences))
-    return dict(zip(keys, pseudo_log_likelihood(lm, keys).tolist()))
+    return dict(zip(keys, pseudo_log_likelihood(lm, *pad_tokens(keys)).tolist()))
 
 
 def write_pll_csv(path, table: dict[TokenSeq, float], header_comment: str | None = None) -> None:

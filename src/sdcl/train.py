@@ -97,40 +97,39 @@ class TrainResult:
 
 
 class _Adam:
-    """Adam plus decoupled weight decay over every parameter array; gamma
-    moves only when it is trainable."""
+    """Adam plus decoupled weight decay over one flat vector that holds every
+    parameter array: binding to ``params`` makes each of its arrays a view of
+    the vector.  Gamma is last, so it moves only when it is trainable."""
 
-    def __init__(self):
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+    def __init__(self, params: enc.EncoderParams):
+        names = params.array_fields()
+        self.flat = enc.params_to_flat(params)
+        sizes = np.cumsum([getattr(params, name).size for name in names])
+        for name, part in zip(names, np.split(self.flat, sizes[:-1])):
+            setattr(params, name, part.reshape(getattr(params, name).shape))
+        self.size = self.flat.size - (0 if params.gamma_trainable else 1)
+        self.m = np.zeros(self.size)
+        self.v = np.zeros(self.size)
         self.t = 0
 
-    def update(self, params: enc.EncoderParams, grads: enc.EncoderGrads, lr: float) -> None:
+    def update(self, grads: enc.EncoderGrads, lr: float) -> None:
         self.t += 1
-        for name in params.array_fields():
-            if name == "gamma" and not params.gamma_trainable:
-                continue
-            g = getattr(grads, name)
-            p = getattr(params, name)
-            m = self.m.get(name, np.zeros_like(p))
-            v = self.v.get(name, np.zeros_like(p))
-            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
-            self.m[name], self.v[name] = m, v
-            mhat = m / (1 - ADAM_BETA1**self.t)
-            vhat = v / (1 - ADAM_BETA2**self.t)
-            p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-            p -= lr * WEIGHT_DECAY * p
+        flat_grads = np.concatenate([getattr(grads, name).ravel() for name in grads.array_fields()])
+        g, m, v, p = flat_grads[: self.size], self.m, self.v, self.flat[: self.size]
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        mhat = m / (1 - ADAM_BETA1**self.t)
+        vhat = v / (1 - ADAM_BETA2**self.t)
+        p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        p -= lr * WEIGHT_DECAY * p
 
 
 def build_lm_assets(spec: mix.MixtureSpec, config: TrainConfig) -> textsim.NGramLM:
     """The bigram model behind eta_LM, fit to a corpus of simulated reports."""
-    rng = stream(config.seed, 10)
-    corpus = []
-    for _ in range(config.lm_corpus_size):
-        c = mix.sample_class(spec.class_dist, rng)
-        corpus.extend(mix.sample_reports(spec, [c], rng))
-    return textsim.fit_ngram(corpus, LM_ALPHA, spec.vocab_size)
+    ids, mask = mix.sample_marginal_reports(spec, config.lm_corpus_size, stream(config.seed, 10))
+    return textsim.fit_ngram(ids, mask, LM_ALPHA, spec.vocab_size)
 
 
 def sample_training_batch(
@@ -142,8 +141,9 @@ def sample_training_batch(
     Positives are independent same-class redraws by default; ``view`` mode
     instead emits two jittered views of one underlying draw, the augmentation
     analog where the pair carries no class information beyond the instance.
-    Anchor tokens are generated in cross-modal mode (they are the anchor
-    input) and whenever the eta strategy scores text.
+    Anchor tokens, a padded ``(ids, mask)`` batch, are generated in
+    cross-modal mode (they are the anchor input) and whenever the eta
+    strategy scores text.
     """
     classes = mix.sample_class_array(spec.class_dist, config.batch_size, rng)
     anchors = None
@@ -189,7 +189,7 @@ def train(
         gamma_trainable=config.gamma_trainable,
         vocab_size=spec.vocab_size if config.mode == "cross_modal" else None,
     )
-    optimizer = _Adam()
+    optimizer = _Adam(params)
     batches_per_epoch = max(1, config.samples_per_epoch // config.batch_size)
     total_steps = config.epochs * batches_per_epoch
     trace = np.recarray(total_steps, dtype=TRACE_DTYPE)
@@ -203,12 +203,12 @@ def train(
             if config.mode == "unimodal":
                 a_emb, a_cache = enc.forward_features(params, anchors)
             else:
-                a_emb, a_cache = enc.forward_tokens(params, anchor_tokens)
+                a_emb, a_cache = enc.forward_tokens(params, *anchor_tokens)
             p_emb, p_cache = enc.forward_features(params, positives)
 
             etas = None
             if config.objective == "dcl":
-                etas = eta_for_batch(provider, classes=classes, token_seqs=anchor_tokens)
+                etas = eta_for_batch(provider, classes=classes, tokens=anchor_tokens)
 
             result = in_batch_loss(
                 a_emb,
@@ -229,7 +229,7 @@ def train(
             grads.add_(enc.backward(params, p_cache, result.d_positive))
             grads.gamma += result.d_gamma
 
-            optimizer.update(params, grads, config.learning_rate)
+            optimizer.update(grads, config.learning_rate)
             trace[step] = (step, result.loss, result.clamp_fraction, result.mean_eta,
                            result.fallback_count)
             step += 1

@@ -1,17 +1,37 @@
 """Shared test utilities: full-pipeline losses, finite-difference checks, and
-per-anchor / per-sentence / per-report / per-trial / row-major references for
-the batched in-batch loss, token pooling, token backward, PLL, report
-sampling, the bound's Monte Carlo gap, bigram counting and the linear probe's
-softmax loss."""
+per-anchor / per-sentence / per-report / per-trial / per-array / row-major
+references for the batched in-batch loss, token pooling, token backward, PLL,
+report sampling, the LM corpus, Adam, the bound's Monte Carlo gap, bigram
+counting and the linear probe's softmax loss."""
 
+import bisect
 import math
 
 import numpy as np
 
 from sdcl import bounds
 from sdcl import encoder as enc
+from sdcl import mixture as mix
+from sdcl import textsim
 from sdcl.objectives import BatchLossResult, NegativeHandling, in_batch_loss
+from sdcl.rngstream import stream
 from sdcl.textsim import NGramLM
+from sdcl.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LM_ALPHA, WEIGHT_DECAY
+
+
+def unpad(ids, mask):
+    """A padded ``(ids, mask)`` batch as a list of token tuples."""
+    return [tuple(row[valid].tolist()) for row, valid in zip(ids, mask)]
+
+
+def fit_ngram_seqs(corpus, alpha, vocab_size):
+    """``textsim.fit_ngram`` on a list of token sequences."""
+    return textsim.fit_ngram(*mix.pad_tokens(corpus), alpha=alpha, vocab_size=vocab_size)
+
+
+def pll_seqs(lm, seqs):
+    """``textsim.pseudo_log_likelihood`` on a list of token sequences."""
+    return textsim.pseudo_log_likelihood(lm, *mix.pad_tokens(seqs))
 
 
 def pipeline_loss_and_grads(
@@ -31,7 +51,7 @@ def pipeline_loss_and_grads(
     gamma included whether or not it is trainable.
     """
     if anchor_tokens is not None:
-        a_emb, a_cache = enc.forward_tokens(params, anchor_tokens)
+        a_emb, a_cache = enc.forward_tokens(params, *mix.pad_tokens(anchor_tokens))
     else:
         a_emb, a_cache = enc.forward_features(params, anchor_x)
     p_emb, p_cache = enc.forward_features(params, pos_x)
@@ -306,6 +326,28 @@ def backward_reference(params, cache, d_emb):
     return grads
 
 
+def backward_add_at(params, cache, d_emb):
+    """``backward`` as it scattered the token gradient before, with one
+    ``np.add.at``; ``cache`` comes from ``forward_tokens``."""
+    d_emb = np.atleast_2d(np.asarray(d_emb, dtype=np.float64))
+    radial = d_emb * cache.uhat
+    inner = np.sum(radial, axis=1, keepdims=True)
+    du = params.gamma / cache.norms[:, None] * (d_emb - cache.uhat * inner)
+    da1 = du @ params.w2
+    dz1 = da1 * (1.0 - cache.a1**2)
+    d_token_embed = None if params.token_embed is None else np.zeros_like(params.token_embed)
+    if cache.token_seqs is not None:
+        # dx / length goes to each token's row, in batch then position order
+        ids, mask = cache.token_seqs
+        lengths = mask.sum(axis=1)
+        dx = dz1 @ params.w1
+        np.add.at(d_token_embed, ids[mask], np.repeat(dx / lengths[:, None], lengths, axis=0))
+    return enc.EncoderGrads(
+        w1=dz1.T @ cache.x, b1=dz1.sum(axis=0), w2=du.T @ cache.a1, b2=du.sum(axis=0),
+        token_embed=d_token_embed, gamma=np.asarray(np.sum(radial)),
+    )
+
+
 def pseudo_log_likelihood_reference(lm: NGramLM, seq) -> float:
     """PLL of one sentence: log masked-conditional probabilities summed over
     its positions as Python floats."""
@@ -342,7 +384,8 @@ def token_batch(kind, rng, vocab, max_len=12):
 
 
 # ---------------------------------------------------------------------------
-# Per-report reference for ``mixture.sample_reports``
+# Per-report references for ``mixture.sample_reports`` and the LM corpus of
+# ``train.build_lm_assets``, and the per-array Adam ``train._Adam`` replaced
 # ---------------------------------------------------------------------------
 
 
@@ -357,6 +400,77 @@ def sample_reports_reference(spec, c, rng):
         offset = int(rng.integers(1, spec.vocab_size))
         tokens[pos] = (tokens[pos] + offset) % spec.vocab_size
     return tuple(tokens)
+
+
+def sample_reports_loop(spec, classes, rng):
+    """The per-report loop ``mixture.sample_reports`` replaced: a list of
+    token tuples, drawn one report at a time."""
+    classes = np.asarray(classes, dtype=np.int64).tolist()
+    bad = [c for c in classes if not 0 <= c < spec.num_classes]
+    if bad:
+        raise ValueError(f"invalid class id {bad[0]}")
+    cdfs = {}
+    for c in set(classes):
+        weights = np.asarray(spec.template_weights[c], dtype=np.float64)
+        cdfs[c] = mix.choice_cdf(weights / weights.sum()).tolist()
+    perturb = spec.report_perturb_prob
+    n_draws = 2 if perturb > 0.0 else 1
+    reports = []
+    for c in classes:
+        u = rng.random(n_draws).tolist()
+        # bisect_right on the sorted cdf is searchsorted(side="right")
+        tokens = spec.templates[c][bisect.bisect_right(cdfs[c], u[0])]
+        if perturb > 0.0 and u[1] < perturb:
+            tokens = list(tokens)
+            pos = int(rng.integers(len(tokens)))
+            # replace with a uniformly random *different* token so the expected
+            # hamming distance to the template equals report_perturb_prob exactly
+            offset = int(rng.integers(1, spec.vocab_size))
+            tokens[pos] = (tokens[pos] + offset) % spec.vocab_size
+        reports.append(tuple(tokens))
+    return reports
+
+
+def lm_corpus_loop(spec, size, rng):
+    """The LM corpus as ``train.build_lm_assets`` drew it before: one
+    ``sample_class`` then one one-report sampler call per sentence."""
+    corpus = []
+    for _ in range(size):
+        c = mix.sample_class(spec.class_dist, rng)
+        corpus.extend(sample_reports_loop(spec, [c], rng))
+    return corpus
+
+
+def build_lm_assets_loop(spec, config):
+    corpus = lm_corpus_loop(spec, config.lm_corpus_size, stream(config.seed, 10))
+    return fit_ngram_seqs(corpus, LM_ALPHA, spec.vocab_size)
+
+
+class AdamPerArray:
+    """Adam plus decoupled weight decay over every parameter array; gamma
+    moves only when it is trainable."""
+
+    def __init__(self):
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+        self.t = 0
+
+    def update(self, params: enc.EncoderParams, grads: enc.EncoderGrads, lr: float) -> None:
+        self.t += 1
+        for name in params.array_fields():
+            if name == "gamma" and not params.gamma_trainable:
+                continue
+            g = getattr(grads, name)
+            p = getattr(params, name)
+            m = self.m.get(name, np.zeros_like(p))
+            v = self.v.get(name, np.zeros_like(p))
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+            self.m[name], self.v[name] = m, v
+            mhat = m / (1 - ADAM_BETA1**self.t)
+            vhat = v / (1 - ADAM_BETA2**self.t)
+            p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            p -= lr * WEIGHT_DECAY * p
 
 
 # ---------------------------------------------------------------------------

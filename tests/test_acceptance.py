@@ -239,9 +239,9 @@ def _eta_values_for(source: str, spec, classes, token_seqs, rng):
     else:
         corpus = [tuple(int(t) for t in rng.integers(0, spec.vocab_size, size=4))
                   for _ in range(30)]
-        lm = ts.fit_ngram(corpus, alpha=1.0, vocab_size=spec.vocab_size)
+        lm = ts.fit_ngram(*mix.pad_tokens(corpus), alpha=1.0, vocab_size=spec.vocab_size)
         provider = make_provider(EtaConfig(kind="lm_log_linear", a=0.2, k=0.35), lm=lm)
-    return eta_for_batch(provider, classes=classes, token_seqs=token_seqs)
+    return eta_for_batch(provider, classes=classes, tokens=mix.pad_tokens(token_seqs))
 
 
 def test_criterion_6_gradient_checks():

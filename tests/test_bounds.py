@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import empirical_gap_reference
+from helpers import empirical_gap_reference, fit_ngram_seqs
 from sdcl import bounds
 from sdcl import encoder as enc
 from sdcl import mixture as mix
 from sdcl import pipelines as pl
-from sdcl import textsim as ts
 from sdcl.eta import EtaConfig, make_provider
 from sdcl.rngstream import stream
 
@@ -239,7 +238,7 @@ def test_eta_matrix_uses_point_tokens():
     spec = discrete_spec(5, with_point_tokens=True)
     rng = stream(5, 3)
     corpus = [spec.point_tokens[int(rng.integers(0, len(spec.point_tokens)))] for _ in range(50)]
-    lm = ts.fit_ngram(corpus, alpha=1.0, vocab_size=spec.vocab_size)
+    lm = fit_ngram_seqs(corpus, alpha=1.0, vocab_size=spec.vocab_size)
     provider = make_provider(EtaConfig(kind="lm_log_linear", a=0.2, k=0.35), lm=lm)
     etas = bounds.eta_matrix(spec, provider)
     # eta_LM depends only on the point, not the class

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import backward_reference, forward_tokens_reference, token_batch
+from helpers import backward_add_at, backward_reference, forward_tokens_reference, token_batch
 
 from sdcl import encoder as enc
+from sdcl import mixture as mix
 from sdcl.rngstream import stream
 
 
@@ -105,7 +106,7 @@ def test_backward_matches_finite_differences_tokens():
     target = r.standard_normal((3, 6))
 
     def loss_fn(params):
-        emb, cache = enc.forward_tokens(params, seqs)
+        emb, cache = enc.forward_tokens(params, *mix.pad_tokens(seqs))
         loss = float(np.sum(target * emb))
         return loss, enc.backward(params, cache, target)
 
@@ -121,7 +122,7 @@ def test_token_batch_matches_per_sequence_reference(kind):
     for seed in range(5):
         params = random_params(seed=seed + 40, vocab=6, gamma_trainable=True)
         seqs = token_batch(kind, r, vocab=6)
-        emb, cache = enc.forward_tokens(params, seqs)
+        emb, cache = enc.forward_tokens(params, *mix.pad_tokens(seqs))
         ref_emb, ref_cache = forward_tokens_reference(params, seqs)
         assert np.array_equal(emb, ref_emb)
         d_emb = r.standard_normal(emb.shape)
@@ -129,6 +130,21 @@ def test_token_batch_matches_per_sequence_reference(kind):
         ref = backward_reference(params, ref_cache, d_emb)
         for name in params.array_fields():
             assert np.array_equal(getattr(grads, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("kind", ["ragged", "one_row", "equal_length"])
+def test_token_scatter_matches_add_at(kind):
+    # the bincount scatter adds in the order np.add.at does; a 3-token
+    # vocabulary makes most ids repeat within and across rows
+    r = stream(12, 2)
+    for seed in range(5):
+        params = random_params(seed=seed + 50, vocab=3, gamma_trainable=True)
+        emb, cache = enc.forward_tokens(params, *mix.pad_tokens(token_batch(kind, r, vocab=3)))
+        d_emb = r.standard_normal(emb.shape)
+        grads = enc.backward(params, cache, d_emb)
+        ref = backward_add_at(params, cache, d_emb)
+        for name in params.array_fields():
+            assert getattr(grads, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 def test_backward_finite_check_names_the_array_and_allows_overflowing_sums():
@@ -151,8 +167,10 @@ def test_backward_finite_check_names_the_array_and_allows_overflowing_sums():
 
 def test_token_batch_rejects_empty_sequence():
     params = random_params(seed=31, vocab=4)
+    ids, mask = mix.pad_tokens([(0, 1), (2,)])
+    mask[1] = False
     with pytest.raises(ValueError, match="nonempty"):
-        enc.forward_tokens(params, [(0, 1), ()])
+        enc.forward_tokens(params, ids, mask)
 
 
 def test_single_linear_layer_closed_form():
@@ -178,12 +196,12 @@ def test_single_linear_layer_closed_form():
 def test_encode_single_point_paths():
     params = random_params(seed=30, vocab=5)
     e_feat, _ = enc.forward_features(params, np.ones(5))
-    e_tok, _ = enc.forward_tokens(params, [(0, 1)])
+    e_tok, _ = enc.forward_tokens(params, *mix.pad_tokens([(0, 1)]))
     assert e_feat.shape == e_tok.shape == (1, 6)
     assert abs(np.linalg.norm(e_feat) - params.gamma) < 1e-9
     assert abs(np.linalg.norm(e_tok) - params.gamma) < 1e-9
     with pytest.raises(ValueError):
-        enc.forward_tokens(random_params(seed=30), [(0, 1)])  # no token table
+        enc.forward_tokens(random_params(seed=30), *mix.pad_tokens([(0, 1)]))  # no token table
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import fit_ngram_seqs, pll_seqs
+
 from sdcl import eta as eta_mod
 from sdcl import mixture as mix
-from sdcl import textsim as ts
 from sdcl.mixture import DataPoint
 from sdcl.rngstream import stream
 
@@ -55,9 +56,9 @@ def lm_provider(lm, **config):
 def test_lm_log_linear_at_pll_zero():
     # a near-deterministic chain pins every masked conditional, so PLL ~ 0
     # and eta ~ a
-    lm = ts.fit_ngram([tuple([0, 1, 2] * 60)], alpha=1e-10, vocab_size=3)
+    lm = fit_ngram_seqs([tuple([0, 1, 2] * 60)], alpha=1e-10, vocab_size=3)
     provider = lm_provider(lm, a=0.2, k=0.35)
-    (pll,) = ts.pseudo_log_likelihood(lm, [(0, 1, 2)])
+    (pll,) = pll_seqs(lm, [(0, 1, 2)])
     assert abs(pll) < 1e-6
     eta = eta_mod.eta_of(provider, point(tokens=(0, 1, 2)))
     assert eta == np.clip(0.2 * np.exp(0.35 * pll), 1e-4, 0.9)
@@ -67,40 +68,40 @@ def test_lm_log_linear_at_pll_zero():
 def test_lm_log_linear_monotone_in_pll():
     rng = stream(71, 0)
     corpus = [(0, 1, 2, 3)] * 30 + [tuple(rng.integers(0, 8, size=4)) for _ in range(30)]
-    lm = ts.fit_ngram(corpus, alpha=0.5, vocab_size=8)
+    lm = fit_ngram_seqs(corpus, alpha=0.5, vocab_size=8)
     provider = lm_provider(lm, a=0.2, k=0.35)
     seqs = [tuple(int(t) for t in rng.integers(0, 8, size=rng.integers(1, 7))) for _ in range(200)]
     seqs += [(0, 1, 2, 3), (0, 1, 2)]
-    plls = ts.pseudo_log_likelihood(lm, seqs)
+    plls = pll_seqs(lm, seqs)
     order = np.argsort(plls)
     assert plls[order[-1]] - plls[order[0]] > 10.0  # sentences of clearly differing PLL
-    etas = eta_mod.eta_for_batch(provider, token_seqs=seqs)
+    etas = eta_mod.eta_for_batch(provider, tokens=mix.pad_tokens(seqs))
     assert np.array_equal(etas, np.clip(0.2 * np.exp(0.35 * plls), 1e-4, 0.9))
     assert np.all(np.diff(etas[order]) >= 0)
     assert np.all((etas >= 1e-4) & (etas <= 0.9))
 
 
 def test_lm_log_linear_requires_tokens():
-    lm = ts.fit_ngram([(0, 1)], alpha=1.0, vocab_size=2)
+    lm = fit_ngram_seqs([(0, 1)], alpha=1.0, vocab_size=2)
     provider = eta_mod.make_provider(eta_mod.EtaConfig(kind="lm_log_linear"), lm=lm)
     with pytest.raises(ValueError):
         eta_mod.eta_of(provider, point(tokens=None))
 
 
 def test_lm_log_linear_length_normalize():
-    lm = ts.fit_ngram([(0, 1), (1, 0, 1)], alpha=1.0, vocab_size=2)
+    lm = fit_ngram_seqs([(0, 1), (1, 0, 1)], alpha=1.0, vocab_size=2)
     provider = lm_provider(lm, a=0.2, k=0.35, length_normalize=True)
     seqs = [(0, 1, 0, 1), (1,), (0, 0, 1), (1, 1, 1, 1, 1, 0)]
-    plls = ts.pseudo_log_likelihood(lm, seqs)
+    plls = pll_seqs(lm, seqs)
     lengths = np.array([len(s) for s in seqs])
     expected = np.clip(0.2 * np.exp(0.35 * (plls / lengths)), 1e-4, 0.9)
-    assert np.array_equal(eta_mod.eta_for_batch(provider, token_seqs=seqs), expected)
+    assert np.array_equal(eta_mod.eta_for_batch(provider, tokens=mix.pad_tokens(seqs)), expected)
     assert eta_mod.eta_of(provider, point(tokens=seqs[0])) == expected[0]
 
 
 def test_eta_for_batch_matches_scalar():
     spec = simple_spec()
-    lm = ts.fit_ngram([(0, 1), (1, 2), (2, 3)], alpha=1.0, vocab_size=10)
+    lm = fit_ngram_seqs([(0, 1), (1, 2), (2, 3)], alpha=1.0, vocab_size=10)
     rng = stream(70, 0)
     classes = rng.integers(0, 10, size=20)
     token_seqs = [tuple(rng.integers(0, 10, size=3)) for _ in range(20)]
@@ -110,7 +111,8 @@ def test_eta_for_batch_matches_scalar():
         eta_mod.EtaConfig(kind="lm_log_linear", a=0.2, k=0.35),
     ):
         provider = eta_mod.make_provider(config, spec=spec, lm=lm)
-        batch = eta_mod.eta_for_batch(provider, classes=classes, token_seqs=token_seqs)
+        batch = eta_mod.eta_for_batch(provider, classes=classes,
+                                      tokens=mix.pad_tokens(token_seqs))
         for i in range(20):
             p = DataPoint(features=np.zeros(2), tokens=token_seqs[i], latent_class=int(classes[i]))
             assert abs(batch[i] - eta_mod.eta_of(provider, p)) < 1e-15

@@ -3,6 +3,7 @@ import pytest
 
 from sdcl import encoder as enc
 from sdcl import evaluate as ev
+from sdcl import mixture as mix
 from sdcl.rngstream import stream
 
 
@@ -139,7 +140,7 @@ def test_prompt_classify_ideal_images():
     diffs = []
     for c in range(k):
         neg_t, pos_t = prompts[c]
-        embs, _ = enc.forward_tokens(params, [neg_t, pos_t])
+        embs, _ = enc.forward_tokens(params, *mix.pad_tokens([neg_t, pos_t]))
         diffs.append(embs[1] - embs[0])
     diffs = np.stack(diffs)
     gamma = params.gamma

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import sample_reports_reference
+from helpers import lm_corpus_loop, sample_reports_loop, sample_reports_reference
 
 from sdcl import mixture as mix
 from sdcl import pipelines as pl
@@ -101,6 +101,7 @@ def test_template_weights_validated_on_the_spec(weights):
 REPORT_SPECS = {
     "tradeoff": lambda: pl.tradeoff_spec(pl.TradeoffConfig()),
     "three_templates_p0": lambda: three_template_spec(0.0),
+    "three_templates_p0.05": lambda: three_template_spec(0.05),
     "three_templates_p0.3": lambda: three_template_spec(0.3),
     "three_templates_p1": lambda: three_template_spec(1.0),
     "analog": lambda: pl.analog_spec(pl.AnalogConfig()),
@@ -115,20 +116,53 @@ def test_sample_reports_matches_per_report_reference(name, as_array):
     if not as_array:
         classes = [int(c) for c in classes]
     batch_rng, ref_rng = stream(70, 1), stream(70, 1)
-    reports = mix.sample_reports(spec, classes, batch_rng)
-    assert reports == [sample_reports_reference(spec, int(c), ref_rng) for c in classes]
-    assert all(type(r) is tuple for r in reports)
+    ids, mask = mix.sample_reports(spec, classes, batch_rng)
+    ref_ids, ref_mask = mix.pad_tokens(
+        [sample_reports_reference(spec, int(c), ref_rng) for c in classes])
+    assert ids.dtype == ref_ids.dtype and mask.dtype == ref_mask.dtype
+    assert np.array_equal(ids, ref_ids) and np.array_equal(mask, ref_mask)
     # both generators are left in the same state
     assert batch_rng.random() == ref_rng.random()
     assert batch_rng.integers(2**30) == ref_rng.integers(2**30)
 
 
+@pytest.mark.parametrize("size", [0, 1, 2000])
+@pytest.mark.parametrize("perturb", [0.0, 0.05, 0.3, 1.0])
+def test_sample_reports_matches_the_per_report_loop(perturb, size):
+    # templates of unequal lengths, length-1 ones and a zero-weight one; at
+    # perturb 1 every report rewinds the generator once
+    spec = three_template_spec(perturb)
+    classes = mix.sample_class_array(spec.class_dist, size, stream(73, size))
+    rng, ref_rng = stream(73, 1), stream(73, 1)
+    ids, mask = mix.sample_reports(spec, classes, rng)
+    ref_ids, ref_mask = mix.pad_tokens(sample_reports_loop(spec, classes, ref_rng))
+    assert ids.dtype == ref_ids.dtype and mask.dtype == ref_mask.dtype
+    assert ids.shape == ref_ids.shape and mask.shape == ref_mask.shape
+    assert np.array_equal(ids, ref_ids) and np.array_equal(mask, ref_mask)
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("size", [0, 1, 2000])
+@pytest.mark.parametrize("perturb", [0.0, 0.05, 1.0])
+def test_sample_marginal_reports_matches_the_interleaved_loop(perturb, size):
+    spec = three_template_spec(perturb)
+    rng, ref_rng = stream(74, size), stream(74, size)
+    ids, mask = mix.sample_marginal_reports(spec, size, rng)
+    ref_ids, ref_mask = mix.pad_tokens(lm_corpus_loop(spec, size, ref_rng))
+    assert ids.shape == ref_ids.shape and mask.shape == ref_mask.shape
+    assert np.array_equal(ids, ref_ids) and np.array_equal(mask, ref_mask)
+    assert rng.random() == ref_rng.random()
+
+
 def test_sample_reports_rejects_invalid_class():
     spec = three_template_spec(0.3)
-    assert mix.sample_reports(spec, [], stream(72, 0)) == []
+    ids, mask = mix.sample_reports(spec, [], stream(72, 0))
+    assert ids.shape == mask.shape == (0, 1)
     for bad in ([0, 3], [-1], np.array([2, 1, 7])):
         with pytest.raises(ValueError, match="invalid class id"):
             mix.sample_reports(spec, bad, stream(72, 0))
+        with pytest.raises(ValueError, match="invalid class id"):
+            sample_reports_loop(spec, bad, stream(72, 0))
 
 
 # ---------------------------------------------------------------------------

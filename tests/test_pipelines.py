@@ -1,10 +1,13 @@
 import hashlib
+import json
+import math
 
 import numpy as np
 import pytest
 
 from sdcl import pipelines as pl
 from sdcl import mixture as mix
+from sdcl.manifest import RunManifest, write_json
 
 
 def tiny_analog_config(**overrides):
@@ -96,6 +99,25 @@ def test_tradeoff_study_and_summary():
     assert 0.0 <= summary["lm_tail_avg_recall"] <= 1.0
     lm_rows = [r for r in rows if r["variant"] == "dcl_eta_lm"]
     assert lm_rows[0]["eta_a"] > 0 and lm_rows[0]["eta_k"] > 0
+
+
+def test_tradeoff_summary_with_a_constant_column_is_strict_json(tmp_path):
+    # a constant head-accuracy column has no rank correlation: nan in Python
+    # (criterion 9 reads it), null in the written file, which strict parsers accept
+    config = pl.TradeoffConfig()
+    variants = [str(v) for v in config.constant_etas] + ["dcl_eta_lm"]
+    rows = [{"variant": v, "head_accuracy": 0.5, "tail_avg_recall": 0.1 * i}
+            for i, v in enumerate(variants)]
+    summary = pl.tradeoff_summary(rows, config)
+    assert math.isnan(summary["head_spearman"]) and summary["tail_spearman"] == 1.0
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    path = write_json(tmp_path / "tradeoff_summary.json", summary, RunManifest(config={}, seed=0))
+    written = json.loads(path.read_text(), parse_constant=reject)
+    assert written["head_spearman"] is None and written["tail_spearman"] == 1.0
+    assert written["head_accuracy"] == summary["head_accuracy"]
 
 
 @pytest.mark.parametrize("variant", ["0.05", "dcl_eta_lm"])

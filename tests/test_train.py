@@ -1,7 +1,10 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from helpers import AdamPerArray, build_lm_assets_loop
 
 from sdcl import encoder as enc
 from sdcl import mixture as mix
@@ -145,7 +148,9 @@ def test_training_batch_cross_modal_token_layout():
         spec, config, stream(13, 0)
     )
     assert anchors is None
-    assert [t[0] for t in anchor_tokens] == [int(c) for c in classes]  # class-c template
+    ids, mask = anchor_tokens
+    assert ids[:, 0].tolist() == [int(c) for c in classes]  # class-c template
+    assert mask.all() and ids.shape == (config.batch_size, 3)
     assert positives.shape == (config.batch_size, spec.dim)
 
 
@@ -163,7 +168,7 @@ def test_cross_modal_draws_are_pinned():
     spec = pl.tradeoff_spec(config)
     train_config = pl.tradeoff_train_config("dcl_eta_lm", config, 0)
     classes, _, tokens, positives = tr.sample_training_batch(spec, train_config, stream(0, 1, 0, 0))
-    assert _digest(classes.astype(np.int64), *mix.pad_tokens(tokens), positives) == (
+    assert _digest(classes.astype(np.int64), *tokens, positives) == (
         "ca680459dde9a33378324a44f4c0ec3243a820694a310b724efabedbe0ea411a")
     lm = tr.build_lm_assets(spec, train_config)
     assert _digest(lm.bigram_counts) == (
@@ -171,8 +176,41 @@ def test_cross_modal_draws_are_pinned():
     # the calibration reports of pipelines.run_tradeoff_cell
     rng = stream(0, 11)
     reports = mix.sample_reports(spec, mix.sample_class_array(spec.class_dist, 1000, rng), rng)
-    assert _digest(*mix.pad_tokens(reports)) == (
+    assert _digest(*reports) == (
         "b906368f6b6ea9ff8050c083b514908d9bfb2119aeb78e9cf3ceb151e712d08a")
+
+
+@pytest.mark.parametrize("perturb", [0.0, 0.05, 1.0])
+def test_build_lm_assets_matches_the_interleaved_loop(perturb):
+    # one pass over (class, report) rows counts what a sample_class call and a
+    # one-report sampler call per sentence drew
+    spec = replace(pl.tradeoff_spec(pl.TradeoffConfig()), report_perturb_prob=perturb)
+    config = small_config(seed=7, lm_corpus_size=2000)
+    got, want = tr.build_lm_assets(spec, config), build_lm_assets_loop(spec, config)
+    assert got.bigram_counts.tobytes() == want.bigram_counts.tobytes()
+    assert got.unigram_counts.tobytes() == want.unigram_counts.tobytes()
+
+
+@pytest.mark.parametrize("gamma_trainable", [True, False])
+def test_flat_adam_matches_the_per_array_update(gamma_trainable):
+    # 50 steps on views of one flat vector equal 50 per-array updates bit for bit
+    rng = stream(14, 0)
+    params = enc.init_params(5, 7, 4, rng, gamma=2.0, gamma_trainable=gamma_trainable,
+                             vocab_size=6)
+    ref_params = params.copy()
+    flat, ref = tr._Adam(params), AdamPerArray()
+    for name in params.array_fields():
+        assert np.shares_memory(getattr(params, name), flat.flat)
+    for _ in range(50):
+        grads = enc.EncoderGrads(**{
+            name: rng.standard_normal(getattr(params, name).shape)
+            for name in params.array_fields()
+        })
+        flat.update(grads, 1e-2)
+        ref.update(ref_params, grads, 1e-2)
+    for name in params.array_fields():
+        assert getattr(params, name).tobytes() == getattr(ref_params, name).tobytes(), name
+    assert (float(params.gamma) != 2.0) == gamma_trainable
 
 
 def test_config_validation():
