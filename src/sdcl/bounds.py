@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -64,20 +64,7 @@ class BoundReport:
     trials: int
 
     def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "lhs_stderr": self.lhs_stderr,
-            "lhs_unclamped": self.lhs_unclamped,
-            "term_n": self.term_n,
-            "term_m": self.term_m,
-            "term_eta": self.term_eta,
-            "rhs_total": self.rhs_total,
-            "holds": self.holds,
-            "constants": self.constants,
-            "n": self.n,
-            "m": self.m,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 @dataclass

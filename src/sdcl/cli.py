@@ -19,15 +19,13 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import encoder as enc
 from . import evaluate as ev
 from . import mixture as mix
 from . import pipelines as pl
 from . import textsim as ts
 from . import train as tr
-from .eta import EtaConfig
+from .eta import EtaConfig, eta_for_batch, make_provider
 from .manifest import RunManifest, to_json, write_csv, write_json
 from .objectives import NegativeHandling
 from .rngstream import stream
@@ -115,43 +113,39 @@ def cmd_simulate(args) -> int:
     spec = _resolve_spec(config)
     out = _out_dir(config, args)
     manifest = RunManifest(config=config, seed=seed)
-    n = int(config.get("simulate", {}).get("samples", 1000))
-    with_tokens = bool(config.get("simulate", {}).get("with_tokens", True))
+    section = config.get("simulate", {})
+    n = int(section.get("samples", 1000))
+    if n < 0:
+        raise ConfigError(f"simulate.samples must be >= 0, got {n}")
     rng = stream(seed, 0)
-    rows = []
-    sentences = []
-    for i in range(n):
-        point = mix.sample_marginal(spec, rng, with_tokens=with_tokens)
-        tokens = " ".join(str(t) for t in point.tokens) if point.tokens else ""
-        rows.append([i, point.latent_class, tokens] + list(point.features))
-        if point.tokens:
-            sentences.append(point.tokens)
-    header = ["index", "latent_class", "tokens"] + [
-        f"x{j}" for j in range(spec.dim)
-    ]
+    classes = mix.sample_class_array(spec.class_dist, n, rng)
+    features, points = mix.sample_features_for_classes(spec, classes, rng)
+    tokens, sentences = None, []
+    if n and section.get("with_tokens", True):
+        if spec.point_tokens is not None:
+            tokens = mix.pad_tokens([spec.point_tokens[i] for i in points])
+        else:
+            tokens = mix.sample_reports(spec, classes, rng)
+        sentences = [ids[valid].tolist() for ids, valid in zip(*tokens)]
+    texts = [" ".join(map(str, seq)) for seq in sentences] or [""] * n
+    rows = [[i, int(classes[i]), texts[i]] + list(features[i]) for i in range(n)]
+    header = ["index", "latent_class", "tokens"] + [f"x{j}" for j in range(spec.dim)]
     write_csv(out / "dataset.csv", header, rows, manifest)
     mix.save_spec(spec, out / "spec.json")
     manifest.record(out / "spec.json")
     lm = None
-    if sentences:
-        lm = ts.fit_ngram(*mix.pad_tokens(sentences), alpha=1.0, vocab_size=spec.vocab_size)
-        table = ts.pll_table(lm, sentences)
+    if tokens is not None:
+        lm = ts.fit_ngram(*tokens, alpha=1.0, vocab_size=spec.vocab_size)
         ts.write_pll_csv(
-            out / "pll.csv", table,
+            out / "pll.csv", ts.pll_table(lm, sentences),
             header_comment=f"config_hash={manifest.hash} seed={seed}",
         )
         manifest.record(out / "pll.csv")
-    if config.get("simulate", {}).get("dump_etas"):
-        from .eta import eta_for_batch, make_provider
-
+    if section.get("dump_etas"):
         eta_cfg = _dataclass_from(EtaConfig, config.get("eta", {}), "eta")
         if eta_cfg.kind == "lm_log_linear" and lm is None:
             raise ConfigError("eta dump with lm_log_linear needs token templates in the spec")
         provider = make_provider(eta_cfg, spec=spec, lm=lm)
-        classes = np.array([int(row[1]) for row in rows])
-        tokens = None
-        if eta_cfg.kind == "lm_log_linear":
-            tokens = mix.pad_tokens([[int(t) for t in row[2].split()] for row in rows])
         etas = eta_for_batch(provider, classes=classes, tokens=tokens)
         eta_rows = [[i, int(classes[i]), etas[i]] for i in range(n)]
         write_csv(out / "etas.csv", ["index", "latent_class", "eta"], eta_rows, manifest)

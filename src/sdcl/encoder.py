@@ -31,6 +31,9 @@ class _Arrays:
     def array_fields(self) -> list[str]:
         return [name for name in ARRAY_FIELDS if getattr(self, name) is not None]
 
+    def array_shapes(self) -> dict[str, tuple[int, ...]]:
+        return {name: getattr(self, name).shape for name in self.array_fields()}
+
 
 @dataclass
 class EncoderParams(_Arrays):
@@ -191,14 +194,18 @@ def params_to_flat(params: EncoderParams) -> np.ndarray:
     return np.concatenate([getattr(params, name).ravel() for name in params.array_fields()])
 
 
+def split_flat(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
+    """The arrays of a flat vector as views, keyed by name; ``shapes`` maps
+    the name of each array it holds to that array's shape."""
+    names = [name for name in ARRAY_FIELDS if name in shapes]
+    ends = np.cumsum([math.prod(shapes[name]) for name in names])
+    return {name: part.reshape(shapes[name])
+            for name, part in zip(names, np.split(flat, ends[:-1]))}
+
+
 def params_from_flat(template: EncoderParams, flat: np.ndarray) -> EncoderParams:
-    out = template.copy()
-    offset = 0
-    for name in template.array_fields():
-        arr = getattr(template, name)
-        setattr(out, name, flat[offset : offset + arr.size].reshape(arr.shape).copy())
-        offset += arr.size
-    return out
+    arrays = split_flat(flat, template.array_shapes())
+    return replace(template, **{name: a.copy() for name, a in arrays.items()})
 
 
 def save_checkpoint(params: EncoderParams, path, meta: dict | None = None) -> None:
@@ -208,7 +215,7 @@ def save_checkpoint(params: EncoderParams, path, meta: dict | None = None) -> No
     with open(str(path), "wb") as f:
         f.write(data)
     sidecar = {
-        "shapes": {name: list(getattr(params, name).shape) for name in params.array_fields()},
+        "shapes": {name: list(shape) for name, shape in params.array_shapes().items()},
         "gamma_trainable": params.gamma_trainable,
         "dtype": "<f8",
         "sha256": hashlib.sha256(data).hexdigest(),
@@ -237,17 +244,13 @@ def load_checkpoint(path) -> EncoderParams:
         if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
             raise ValueError(f"checkpoint sidecar shape of {name} is not a list of sizes: "
                              f"{shape!r}")
-    names = [name for name in ARRAY_FIELDS if name in shapes]
-    sizes = [math.prod(shapes[name]) for name in names]
+    size = 8 * sum(math.prod(shape) for shape in shapes.values())
     with open(str(path), "rb") as f:
         data = f.read()
-    if len(data) != 8 * sum(sizes):
-        raise ValueError(f"checkpoint holds {len(data)} bytes; its sidecar shapes need "
-                         f"{8 * sum(sizes)}")
+    if len(data) != size:
+        raise ValueError(f"checkpoint holds {len(data)} bytes; its sidecar shapes need {size}")
     if hashlib.sha256(data).hexdigest() != sidecar.get("sha256"):
         raise ValueError("checkpoint bytes do not match the sidecar sha256")
-    flat = np.frombuffer(data, dtype="<f8").copy()
-    arrays = {"token_embed": None}
-    for name, part in zip(names, np.split(flat, np.cumsum(sizes)[:-1])):
-        arrays[name] = part.reshape(shapes[name])
-    return EncoderParams(**arrays, gamma_trainable=sidecar["gamma_trainable"])
+    arrays = split_flat(np.frombuffer(data, dtype="<f8").copy(), shapes)
+    return EncoderParams(**{"token_embed": None, **arrays},
+                         gamma_trainable=sidecar["gamma_trainable"])

@@ -14,11 +14,11 @@ the debiased estimator blow up as eta -> 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .mixture import DataPoint, MixtureSpec, pad_tokens
+from .mixture import MixtureSpec, pad_tokens
 from .textsim import NGramLM, pseudo_log_likelihood
 
 DEFAULT_ETA_MIN = 1e-4
@@ -96,10 +96,11 @@ def make_provider(
     )
 
 
-def eta_of(provider: EtaProvider, x: DataPoint) -> float:
-    """eta(x) for one point: ``eta_for_batch`` on a batch of one."""
-    tokens = None if x.tokens is None else pad_tokens([x.tokens])
-    return float(eta_for_batch(provider, [x.latent_class], tokens)[0])
+def eta_of(provider: EtaProvider, latent_class: int,
+           tokens: Optional[Sequence[int]] = None) -> float:
+    """eta(x) for one sample: ``eta_for_batch`` on a batch of one."""
+    batch = None if tokens is None else pad_tokens([tokens])
+    return float(eta_for_batch(provider, [latent_class], batch)[0])
 
 
 def calibrate_log_linear(

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 
 @dataclass
@@ -141,6 +140,10 @@ def fit_softmax(
             seen.popitem()
         seen[theta.tobytes()] = out
         return out
+
+    # imported here: scipy.optimize takes most of a second to load, and only
+    # a fit needs it
+    from scipy.optimize import minimize
 
     result = minimize(
         loss_grad,

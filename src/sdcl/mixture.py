@@ -221,20 +221,6 @@ class MixtureSpec:
         return self.conditionals.dim
 
 
-@dataclass(frozen=True)
-class DataPoint:
-    """One sample: features, optional tokens, and its simulator-side class.
-
-    ``latent_class`` is visible to the simulator and oracle baselines only;
-    objectives never consume it.  ``point_index`` is set in discrete mode.
-    """
-
-    features: np.ndarray
-    tokens: Optional[TokenSeq]
-    latent_class: int
-    point_index: Optional[int] = None
-
-
 # ---------------------------------------------------------------------------
 # Sampling operations
 # ---------------------------------------------------------------------------
@@ -248,9 +234,13 @@ def choice_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def sample_class(dist: ClassDistribution, rng: np.random.Generator) -> int:
-    """One class draw; the same draw and result as ``rng.choice(K, p=dist.probs)``."""
-    return int(choice_cdf(dist.probs).searchsorted(rng.random(), side="right"))
+def _class_ids(spec: MixtureSpec, classes) -> np.ndarray:
+    """``classes`` as an int64 array; ValueError on an id outside [0, K)."""
+    classes = np.asarray(classes, dtype=np.int64)
+    bad = classes[(classes < 0) | (classes >= spec.num_classes)]
+    if bad.size:
+        raise ValueError(f"invalid class id {bad[0]}")
+    return classes
 
 
 def sample_class_array(dist: ClassDistribution, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -266,7 +256,8 @@ def _draw_reports(spec: MixtureSpec, size: int, classes: Optional[np.ndarray],
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """``size`` reports as a padded ``(ids, mask)`` batch, exactly
     ``pad_tokens`` of the reports; report i has class ``classes[i]`` or,
-    when ``classes`` is None, one drawn just before it as ``sample_class`` would.
+    when ``classes`` is None, one drawn just before it as a one-draw
+    ``rng.choice(K, p=prior)`` would.
 
     Report by report, the draws are a class uniform (drawn classes only), a
     template uniform, the perturbation coin (only when the probability is
@@ -322,46 +313,16 @@ def sample_reports(spec: MixtureSpec, classes, rng: np.random.Generator
     different token.  The draws are exactly those of one
     ``rng.choice(p=weights)``, ``rng.random()`` coin and, when perturbed, two
     ``rng.integers`` calls per report, in report order."""
-    classes = np.asarray(classes, dtype=np.int64)
-    bad = classes[(classes < 0) | (classes >= spec.num_classes)]
-    if bad.size:
-        raise ValueError(f"invalid class id {bad[0]}")
+    classes = _class_ids(spec, classes)
     return _draw_reports(spec, classes.size, classes, rng)
 
 
 def sample_marginal_reports(spec: MixtureSpec, size: int, rng: np.random.Generator
                             ) -> tuple[np.ndarray, np.ndarray]:
     """``size`` reports of classes drawn from the prior: the draws of ``size``
-    alternating ``sample_class`` and one-report ``sample_reports`` calls."""
+    alternating one-draw ``rng.choice(K, p=prior)`` and one-report
+    ``sample_reports`` calls."""
     return _draw_reports(spec, size, None, rng)
-
-
-def sample_conditional(
-    spec: MixtureSpec, c: int, rng: np.random.Generator, with_tokens: bool = True
-) -> DataPoint:
-    """Draw one point from class c's conditional (tokens included by default)."""
-    if not 0 <= c < spec.num_classes:
-        raise ValueError(f"invalid class id {c}")
-    point_index = None
-    if spec.mode == "continuous":
-        cond = spec.conditionals
-        features = cond.means[c] + cond.stddevs[c] * rng.standard_normal(cond.dim)
-    else:
-        cond = spec.conditionals
-        point_index = int(rng.choice(cond.num_points, p=cond.pmfs[c]))
-        features = cond.points[point_index].copy()
-    tokens = None
-    if with_tokens:
-        if spec.point_tokens is not None:
-            tokens = spec.point_tokens[point_index]
-        else:
-            # a one-report batch is exactly as wide as its report
-            tokens = tuple(sample_reports(spec, [c], rng)[0][0].tolist())
-    return DataPoint(features=features, tokens=tokens, latent_class=c, point_index=point_index)
-
-
-def sample_marginal(spec: MixtureSpec, rng: np.random.Generator, with_tokens: bool = True) -> DataPoint:
-    return sample_conditional(spec, sample_class(spec.class_dist, rng), rng, with_tokens)
 
 
 def true_negative_prior(dist: ClassDistribution, c_x: int) -> np.ndarray:
@@ -380,17 +341,20 @@ def true_negative_prior(dist: ClassDistribution, c_x: int) -> np.ndarray:
 def sample_features_for_classes(
     spec: MixtureSpec, classes: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Vectorized conditional feature draws; returns (features, point_indices)."""
-    classes = np.asarray(classes)
+    """Vectorized conditional feature draws; returns (features, point_indices).
+
+    A discrete draw makes exactly the draw of one ``rng.choice(P, p=pmfs[c])``
+    per point, in point order."""
+    classes = _class_ids(spec, classes)
     if spec.mode == "continuous":
         cond = spec.conditionals
         noise = rng.standard_normal((classes.size, cond.dim))
         feats = cond.means[classes] + cond.stddevs[classes, None] * noise
         return feats, None
     cond = spec.conditionals
-    cum = np.cumsum(cond.pmfs, axis=1)
-    u = rng.random(classes.size)
-    idx = np.minimum((cum[classes] < u[:, None]).sum(axis=1), cond.num_points - 1)
+    cdfs = np.array([choice_cdf(pmf) for pmf in cond.pmfs])
+    # counting the cdf entries <= u is choice's searchsorted(side="right")
+    idx = (cdfs[classes] <= rng.random(classes.size)[:, None]).sum(axis=1)
     return cond.points[idx], idx
 
 

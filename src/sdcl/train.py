@@ -102,11 +102,9 @@ class _Adam:
     the vector.  Gamma is last, so it moves only when it is trainable."""
 
     def __init__(self, params: enc.EncoderParams):
-        names = params.array_fields()
         self.flat = enc.params_to_flat(params)
-        sizes = np.cumsum([getattr(params, name).size for name in names])
-        for name, part in zip(names, np.split(self.flat, sizes[:-1])):
-            setattr(params, name, part.reshape(getattr(params, name).shape))
+        for name, view in enc.split_flat(self.flat, params.array_shapes()).items():
+            setattr(params, name, view)
         self.size = self.flat.size - (0 if params.gamma_trainable else 1)
         self.m = np.zeros(self.size)
         self.v = np.zeros(self.size)

@@ -432,11 +432,11 @@ def sample_reports_loop(spec, classes, rng):
 
 
 def lm_corpus_loop(spec, size, rng):
-    """The LM corpus as ``train.build_lm_assets`` drew it before: one
-    ``sample_class`` then one one-report sampler call per sentence."""
+    """The LM corpus as ``train.build_lm_assets`` drew it before: one class
+    draw then one one-report sampler call per sentence."""
     corpus = []
     for _ in range(size):
-        c = mix.sample_class(spec.class_dist, rng)
+        c = int(rng.choice(spec.class_dist.num_classes, p=spec.class_dist.probs))
         corpus.extend(sample_reports_loop(spec, [c], rng))
     return corpus
 

@@ -1,9 +1,20 @@
+import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sdcl.cli import main
+import sdcl
+from sdcl import mixture as mix
+from sdcl import textsim as ts
+from sdcl.cli import _resolve_spec, main
+from sdcl.eta import EtaConfig, eta_for_batch, make_provider
+from sdcl.rngstream import stream
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -137,6 +148,73 @@ def test_json_lists_become_tuples():
     config = _dataclass_from(pl.BoundSweepConfig, {"n_grid": [4, 16]}, "bounds")
     assert config.n_grid == (4, 16)
     assert config == pl.BoundSweepConfig(n_grid=(4, 16))
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # scipy.optimize takes most of a second to import; only a probe fit loads it
+    src = str(Path(sdcl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, sdcl.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
+def point_token_spec():
+    rng = stream(4, 0)
+    pmfs = rng.random((3, 5)) * np.array([1, 0, 1, 1, 0])
+    return mix.MixtureSpec(
+        class_dist=mix.ClassDistribution(np.array([0.5, 0.3, 0.2])),
+        conditionals=mix.DiscreteConditionals(points=rng.standard_normal((5, 2)),
+                                              pmfs=pmfs / pmfs.sum(axis=1, keepdims=True)),
+        templates=tuple(((c,),) for c in range(3)),
+        template_weights=tuple((1.0,) for _ in range(3)),
+        vocab_size=6,
+        point_tokens=((0, 1), (2,), (3, 4, 5), (1, 1, 2), (5, 0)),
+    )
+
+
+def data_rows(path):
+    return list(csv.reader(path.read_text().splitlines()[2:]))  # past the hash and header
+
+
+@pytest.mark.parametrize("spec_section", [
+    {"preset": "eta-tradeoff"}, {"inline": mix.spec_to_dict(point_token_spec())},
+], ids=["continuous", "point_tokens"])
+def test_simulate_rows_are_the_batch_samplers(tmp_path, spec_section):
+    eta = {"kind": "lm_log_linear", "a": 0.2, "k": 0.35}
+    config = {"seed": 5, "spec": spec_section, "eta": eta,
+              "simulate": {"samples": 300, "dump_etas": True}}
+    assert main(["simulate", "--config", write_config(tmp_path, config),
+                 "--out", str(tmp_path / "s")]) == 0
+
+    spec = _resolve_spec(config)
+    rng = stream(5, 0)
+    classes = mix.sample_class_array(spec.class_dist, 300, rng)
+    feats, points = mix.sample_features_for_classes(spec, classes, rng)
+    if spec.point_tokens is None:
+        seqs = mix.sample_reports(spec, classes, rng)
+        seqs = [ids[valid].tolist() for ids, valid in zip(*seqs)]
+    else:
+        seqs = [spec.point_tokens[i] for i in points]
+    tokens = mix.pad_tokens(seqs)
+    lm = ts.fit_ngram(*tokens, alpha=1.0, vocab_size=spec.vocab_size)
+    etas = eta_for_batch(make_provider(EtaConfig(**eta), spec=spec, lm=lm), classes, tokens)
+    assert data_rows(tmp_path / "s" / "dataset.csv") == [
+        [str(i), str(c), " ".join(map(str, seq))] + [repr(float(x)) for x in row]
+        for i, (c, seq, row) in enumerate(zip(classes, seqs, feats))
+    ]
+    assert data_rows(tmp_path / "s" / "etas.csv") == [
+        [str(i), str(c), repr(float(e))] for i, (c, e) in enumerate(zip(classes, etas))
+    ]
+
+
+def test_negative_simulate_samples_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"spec": {"preset": "cifar-analog"}, "simulate": {"samples": -1}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    assert "simulate.samples" in capsys.readouterr().err
+
 
 def test_simulate_train_eval_round_trip(tmp_path, base_config):
     sim_dir = tmp_path / "sim"

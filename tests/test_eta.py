@@ -5,7 +5,6 @@ from helpers import fit_ngram_seqs, pll_seqs
 
 from sdcl import eta as eta_mod
 from sdcl import mixture as mix
-from sdcl.mixture import DataPoint
 from sdcl.rngstream import stream
 
 
@@ -21,32 +20,28 @@ def simple_spec(n_classes=10):
     )
 
 
-def point(cls=0, tokens=None):
-    return DataPoint(features=np.zeros(2), tokens=tokens, latent_class=cls)
-
-
 def test_constant_eta():
     provider = eta_mod.make_provider(eta_mod.EtaConfig(kind="constant", value=0.05))
     for cls in range(5):
-        assert eta_mod.eta_of(provider, point(cls)) == 0.05
+        assert eta_mod.eta_of(provider, cls) == 0.05
 
 
 def test_constant_eta_clamped():
     provider = eta_mod.make_provider(
         eta_mod.EtaConfig(kind="constant", value=0.95, eta_max=0.9)
     )
-    assert eta_mod.eta_of(provider, point()) == 0.9
+    assert eta_mod.eta_of(provider, 0) == 0.9
 
 
 def test_true_oracle_reads_prior():
     spec = simple_spec()
     sub = mix.subsample_classes(spec, [0, 1, 2, 3, 4], 0.5)
     provider = eta_mod.make_provider(eta_mod.EtaConfig(kind="true_oracle"), spec=sub)
-    assert abs(eta_mod.eta_of(provider, point(0)) - 0.2 * 0.5 / 1.5) < 1e-12
-    assert abs(eta_mod.eta_of(provider, point(7)) - 0.2 / 1.5) < 1e-12
+    assert abs(eta_mod.eta_of(provider, 0) - 0.2 * 0.5 / 1.5) < 1e-12
+    assert abs(eta_mod.eta_of(provider, 7) - 0.2 / 1.5) < 1e-12
     # exact prior match across all classes
     for c in range(10):
-        assert eta_mod.eta_of(provider, point(c)) == sub.class_dist.probs[c]
+        assert eta_mod.eta_of(provider, c) == sub.class_dist.probs[c]
 
 
 def lm_provider(lm, **config):
@@ -60,7 +55,7 @@ def test_lm_log_linear_at_pll_zero():
     provider = lm_provider(lm, a=0.2, k=0.35)
     (pll,) = pll_seqs(lm, [(0, 1, 2)])
     assert abs(pll) < 1e-6
-    eta = eta_mod.eta_of(provider, point(tokens=(0, 1, 2)))
+    eta = eta_mod.eta_of(provider, 0, (0, 1, 2))
     assert eta == np.clip(0.2 * np.exp(0.35 * pll), 1e-4, 0.9)
     assert abs(eta - 0.2) < 1e-6
 
@@ -85,7 +80,7 @@ def test_lm_log_linear_requires_tokens():
     lm = fit_ngram_seqs([(0, 1)], alpha=1.0, vocab_size=2)
     provider = eta_mod.make_provider(eta_mod.EtaConfig(kind="lm_log_linear"), lm=lm)
     with pytest.raises(ValueError):
-        eta_mod.eta_of(provider, point(tokens=None))
+        eta_mod.eta_of(provider, 0)
 
 
 def test_lm_log_linear_length_normalize():
@@ -96,7 +91,7 @@ def test_lm_log_linear_length_normalize():
     lengths = np.array([len(s) for s in seqs])
     expected = np.clip(0.2 * np.exp(0.35 * (plls / lengths)), 1e-4, 0.9)
     assert np.array_equal(eta_mod.eta_for_batch(provider, tokens=mix.pad_tokens(seqs)), expected)
-    assert eta_mod.eta_of(provider, point(tokens=seqs[0])) == expected[0]
+    assert eta_mod.eta_of(provider, 0, seqs[0]) == expected[0]
 
 
 def test_eta_for_batch_matches_scalar():
@@ -114,8 +109,7 @@ def test_eta_for_batch_matches_scalar():
         batch = eta_mod.eta_for_batch(provider, classes=classes,
                                       tokens=mix.pad_tokens(token_seqs))
         for i in range(20):
-            p = DataPoint(features=np.zeros(2), tokens=token_seqs[i], latent_class=int(classes[i]))
-            assert abs(batch[i] - eta_mod.eta_of(provider, p)) < 1e-15
+            assert abs(batch[i] - eta_mod.eta_of(provider, int(classes[i]), token_seqs[i])) < 1e-15
         assert np.all(batch >= config.eta_min) and np.all(batch <= config.eta_max)
 
 

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from helpers import loss_grad_reference
 
@@ -98,7 +99,7 @@ def test_fit_reports_the_evaluation_at_its_weights(monkeypatch, fit_intercept):
     x, y = x[:500], y[:500]
     weights = np.random.default_rng(1).random(500)
     calls, results = [], []
-    kernel_fn, minimize_fn = lh._loss_grad, lh.minimize
+    kernel_fn, minimize_fn = lh._loss_grad, scipy.optimize.minimize
 
     def counting_kernel(*args):
         calls.append(args[0].copy())
@@ -109,7 +110,7 @@ def test_fit_reports_the_evaluation_at_its_weights(monkeypatch, fit_intercept):
         return results[-1]
 
     monkeypatch.setattr(lh, "_loss_grad", counting_kernel)
-    monkeypatch.setattr(lh, "minimize", recording_minimize)
+    monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
     fit = lh.fit_softmax(x, y, num_classes=10, sample_weight=weights,
                          fit_intercept=fit_intercept, l2=1e-4)
     (result,) = results

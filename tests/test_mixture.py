@@ -181,16 +181,17 @@ def test_class_distribution_validation():
 
 def test_sample_class_degenerate_prior():
     dist = mix.ClassDistribution(np.array([1.0]))
-    rng = stream(0, 1)
-    assert all(mix.sample_class(dist, rng) == 0 for _ in range(50))
+    assert np.array_equal(mix.sample_class_array(dist, 50, stream(0, 1)), np.zeros(50))
 
 
 @pytest.mark.parametrize("probs", [[0.1, 0.25, 0.05, 0.6], [0.1] * 10])
 def test_sample_class_matches_generator_choice(probs):
+    # a batch of class draws is one rng.choice(K, p=prior) per draw, in order
     dist = mix.ClassDistribution(np.array(probs))
     ours, theirs = stream(71, 0), stream(71, 0)
-    draws = [mix.sample_class(dist, ours) for _ in range(1000)]
-    assert draws == [int(theirs.choice(dist.num_classes, p=dist.probs)) for _ in range(1000)]
+    draws = mix.sample_class_array(dist, 1000, ours)
+    assert draws.tolist() == [int(theirs.choice(dist.num_classes, p=dist.probs))
+                              for _ in range(1000)]
     assert ours.random() == theirs.random()
 
 
@@ -203,10 +204,9 @@ def test_sample_class_law_of_large_numbers(p0):
 
 def test_sample_conditional_zero_variance_hits_mean():
     spec = uniform_gaussian_spec(sigma=0.0)
-    rng = stream(2, 0)
-    point = mix.sample_conditional(spec, 1, rng)
-    assert np.array_equal(point.features, spec.conditionals.means[1])
-    assert point.latent_class == 1
+    feats, points = mix.sample_features_for_classes(spec, [1, 0, 1], stream(2, 0))
+    assert np.array_equal(feats, spec.conditionals.means[[1, 0, 1]])
+    assert points is None
 
 
 def test_sample_conditional_concentrated_pmf():
@@ -220,11 +220,9 @@ def test_sample_conditional_concentrated_pmf():
         template_weights=spec.template_weights,
         vocab_size=spec.vocab_size,
     )
-    rng = stream(3, 0)
-    for _ in range(20):
-        point = mix.sample_conditional(spec, 0, rng)
-        assert point.point_index == 1
-        assert np.array_equal(point.features, spec.conditionals.points[1])
+    feats, points = mix.sample_features_for_classes(spec, np.zeros(20, dtype=int), stream(3, 0))
+    assert np.array_equal(points, np.ones(20))
+    assert np.array_equal(feats, np.tile(spec.conditionals.points[1], (20, 1)))
 
 
 def test_sample_conditional_clt_mean():
@@ -241,17 +239,55 @@ def test_sample_conditional_clt_mean():
 
 
 def test_sample_conditional_invalid_class():
-    spec = uniform_gaussian_spec()
-    with pytest.raises(ValueError):
-        mix.sample_conditional(spec, 7, stream(0, 0))
+    # an id below 0 must not wrap around to the last class
+    specs = (uniform_gaussian_spec(), small_discrete_spec(), pl.tradeoff_spec(pl.TradeoffConfig()))
+    for spec in specs:
+        k = spec.num_classes
+        feats, _ = mix.sample_features_for_classes(spec, [], stream(0, 0))
+        assert feats.shape == (0, spec.dim)
+        for bad in ([-1], [0, k], np.array([k - 1, 7 + k, 0])):
+            with pytest.raises(ValueError, match="invalid class id"):
+                mix.sample_features_for_classes(spec, bad, stream(0, 0))
 
 
 def test_sample_marginal_degenerate_prior_equals_conditional():
     spec = small_discrete_spec(probs=(1.0 - 1e-15, 1e-15))
     # effectively class 0 always; exact version with probs=[1,0] is invalid (entries > 0)
-    rng = stream(5, 0)
-    draws = [mix.sample_marginal(spec, rng) for _ in range(200)]
-    assert all(p.latent_class == 0 for p in draws)
+    rng, ref = stream(5, 0), stream(5, 0)
+    classes = mix.sample_class_array(spec.class_dist, 200, rng)
+    assert np.all(classes == 0)
+    ref.random(200)  # the class draws
+    feats, points = mix.sample_features_for_classes(spec, classes, rng)
+    ref_feats, ref_points = mix.sample_features_for_classes(spec, np.zeros(200, dtype=int), ref)
+    assert np.array_equal(points, ref_points) and np.array_equal(feats, ref_feats)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_discrete_features_match_per_point_choice(seed):
+    # one rng.choice(P, p=pmfs[c]) per point, bit for bit, zero-probability
+    # points (trailing ones included) never drawn
+    rng = stream(seed, 97)
+    k, n_points = int(rng.integers(1, 5)), int(rng.integers(2, 9))
+    pmfs = rng.random((k, n_points)) * (rng.random((k, n_points)) < 0.6)
+    pmfs[:, 0] += 1e-3  # every class keeps some mass
+    pmfs[:, -1] = 0.0
+    pmfs /= pmfs.sum(axis=1, keepdims=True)
+    spec = mix.MixtureSpec(
+        class_dist=mix.ClassDistribution(np.full(k, 1.0 / k)),
+        conditionals=mix.DiscreteConditionals(points=rng.standard_normal((n_points, 3)),
+                                              pmfs=pmfs),
+        templates=tuple(((0,),) for _ in range(k)),
+        template_weights=tuple((1.0,) for _ in range(k)),
+        vocab_size=1,
+    )
+    classes = rng.integers(0, k, size=500)
+    ours, theirs = stream(seed, 96), stream(seed, 96)
+    feats, points = mix.sample_features_for_classes(spec, classes, ours)
+    expected = [int(theirs.choice(n_points, p=pmfs[c])) for c in classes]
+    assert points.tolist() == expected
+    assert np.all(pmfs[classes, points] > 0)
+    assert feats.tobytes() == spec.conditionals.points[expected].tobytes()
+    assert ours.random() == theirs.random()
 
 
 def test_sample_marginal_matches_enumerated_pmf():
