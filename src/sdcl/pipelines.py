@@ -21,6 +21,7 @@ prompt classification and tail-class retrieval.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -411,6 +412,25 @@ class BoundSweepConfig:
     m_grid: tuple = (1, 4, 16)
     max_classes: int = 8
     max_points: int = 32
+
+    def __post_init__(self):
+        def whole(*values):
+            return all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values)
+
+        if not (whole(self.n_configs) and self.n_configs >= 1):
+            raise ValueError("n_configs must be an integer >= 1")
+        if not (whole(self.trials, self.max_trials) and 2 <= self.trials <= self.max_trials):
+            raise ValueError("trials and max_trials must be integers, 2 <= trials <= max_trials")
+        for name in ("n_grid", "m_grid"):
+            grid = getattr(self, name)
+            if not (isinstance(grid, tuple) and grid and whole(*grid) and min(grid) >= 1):
+                raise ValueError(f"{name} must be a non-empty list of integers >= 1")
+        if not (whole(self.max_classes, self.max_points)
+                and 2 <= self.max_classes <= self.max_points and self.max_points >= 4):
+            raise ValueError("max_classes and max_points must be integers, "
+                             "2 <= max_classes <= max_points and max_points >= 4")
+        if self.constants not in ("proof", "statement"):
+            raise ValueError("constants must be 'proof' or 'statement'")
 
 
 def _random_discrete_spec(rng: np.random.Generator, config: BoundSweepConfig) -> mix.MixtureSpec:

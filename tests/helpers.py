@@ -478,8 +478,11 @@ class AdamPerArray:
 # ---------------------------------------------------------------------------
 
 
-def empirical_gap_reference(spec, params, provider, n, m, trials, rng):
-    """``empirical_gap`` one trial at a time, with ``1 + k`` ``rng.choice`` calls each."""
+def empirical_gap_reference(spec, params, provider, n, m, trials, rng, clamp_log=None):
+    """``empirical_gap`` one trial at a time, with ``1 + k`` ``rng.choice`` calls each.
+
+    A list passed as ``clamp_log`` receives one (k,) bool array per trial: whether
+    some anchor row of that class's estimate clamps."""
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
     cond = bounds._require_discrete(spec)
@@ -507,6 +510,8 @@ def empirical_gap_reference(spec, params, provider, n, m, trials, rng):
             mean_v = exp_scores[:, v_idx].mean(axis=1)
             g0[c] = (mean_u - etas[c] * mean_v) / (1.0 - etas[c])
         g = np.maximum(g0, floor)
+        if clamp_log is not None:
+            clamp_log.append((g0 < floor).any(axis=1))
         total = 0.0
         total_unclamped = 0.0
         valid = True

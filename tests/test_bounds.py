@@ -195,6 +195,31 @@ def test_empirical_gap_matches_reference_on_invalid_trials():
     assert math.isnan(_assert_gap_matches_reference(spec, params, provider, 4, 1, 2, 0)[2])
 
 
+@pytest.mark.parametrize("eta, n, m, expect", [
+    (0.3, 16, 4, "mixed"), (0.0, 16, 4, "unclamped"), (0.5, 4, 1, "invalid"),
+])
+def test_empirical_gap_matches_reference_on_clamped_and_unclamped_slices(eta, n, m, expect):
+    # the unclamped term is the clamped one on a (trial, class) slice that does
+    # not clamp, and is evaluated again on one that does
+    spec = discrete_spec(1)
+    params = encoder_for(spec, seed=1)
+    provider = make_provider(EtaConfig(kind="constant", value=eta))
+    clamps = []  # per trial, whether each class's slice clamps
+    empirical_gap_reference(spec, params, provider, n, m, 40, stream(1, 9), clamps)
+    shares = np.mean(clamps, axis=0)
+    gap, _, gap_unclamped = _assert_gap_matches_reference(spec, params, provider, n, m, 40, 1)
+    if expect == "unclamped":  # g0 >= e^{-1} everywhere at eta = 0
+        assert shares.max() == 0.0
+        assert _bits(gap_unclamped) == _bits(gap)
+        return
+    assert 0.0 < shares.mean() < 1.0
+    if expect == "mixed":  # clamped and unclamped trials in every class, all valid
+        assert np.all((shares > 0.0) & (shares < 1.0))
+        assert math.isfinite(gap_unclamped) and gap_unclamped != gap
+    else:  # a clamped slice's nonpositive denominator invalidates its trial
+        assert math.isnan(gap_unclamped)
+
+
 def test_verify_prop1_doubling_matches_reference():
     # a tiny stderr fraction doubles the trials 16 -> 32 -> 64, drawing each
     # call's trials after the previous call's from the same generator
@@ -207,6 +232,21 @@ def test_verify_prop1_doubling_matches_reference():
     for trials in (16, 32, 64):
         expected = empirical_gap_reference(spec, params, provider, 16, 4, trials, rng_ref)
     assert report.trials == 64
+    assert _bits((report.lhs, report.lhs_stderr, report.lhs_unclamped)) == _bits(expected)
+    assert rng.random() == rng_ref.random()
+
+
+def test_verify_prop1_doubling_stops_at_max_trials():
+    # 16 -> 24, not 32: the last doubling is capped at max_trials
+    spec = discrete_spec(7)
+    params = encoder_for(spec, seed=7)
+    provider = make_provider(EtaConfig(kind="constant", value=0.2))
+    rng, rng_ref = stream(7, 9), stream(7, 9)
+    report = bounds.verify_prop1(spec, params, provider, n=16, m=4, rng=rng, trials=16,
+                                 max_trials=24, stderr_fraction=1e-9)
+    for trials in (16, 24):
+        expected = empirical_gap_reference(spec, params, provider, 16, 4, trials, rng_ref)
+    assert report.trials == 24
     assert _bits((report.lhs, report.lhs_stderr, report.lhs_unclamped)) == _bits(expected)
     assert rng.random() == rng_ref.random()
 

@@ -282,6 +282,18 @@ def test_verify_bounds_ok(tmp_path, base_config):
     assert all(line.split(",")[-2] == "True" for line in rows[2:])
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", 1), ("n_grid", [0]), ("m_grid", []), ("max_classes", 1), ("max_points", 2),
+     ("constants", "foo"), ("trials", "200"), ("trials", 2.5), ("n_configs", 0),
+     ("n_configs", -1), ("max_trials", 100), ("n_grid", [4.5])],
+)
+def test_bad_bounds_fields_exit_2(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, {"bounds": {"n_configs": 1, field: value}})
+    assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "invalid bounds config" in capsys.readouterr().err
+
+
 def test_sweep_cells(tmp_path):
     cfg = write_config(
         tmp_path,
