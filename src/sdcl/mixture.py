@@ -247,8 +247,9 @@ def sample_class_array(dist: ClassDistribution, size: int, rng: np.random.Genera
     return rng.choice(dist.num_classes, size=size, p=dist.probs)
 
 
-# rows of uniforms drawn at once; a perturbed report rewinds and redraws its
-# block, so this bounds the extra draws per perturbed report
+# rows of uniforms drawn at once at a perturbation probability up to 1/2; a
+# perturbed report before a block's last row rewinds and redraws the block up
+# to it, so this bounds the extra draws per perturbed report
 REPORT_BLOCK = 64
 
 
@@ -262,10 +263,11 @@ def _draw_reports(spec: MixtureSpec, size: int, classes: Optional[np.ndarray],
     Report by report, the draws are a class uniform (drawn classes only), a
     template uniform, the perturbation coin (only when the probability is
     positive), then ``rng.integers`` for the position and the offset of a
-    perturbed report.  Uniforms come a block of rows at a time; a perturbed
-    report rewinds the generator, redraws the rows up to its own and makes
-    its two integer draws, so the generator ends where one call per report
-    would leave it.
+    perturbed report.  Uniforms come a block of rows at a time:
+    ``REPORT_BLOCK`` rows, or one row when the probability p exceeds 1/2.  A
+    perturbed report rewinds the generator and redraws the rows up to its own
+    unless it is the block's last row, then makes its two integer draws, so
+    the generator ends where one call per report would leave it.
     """
     table = spec.report_table
     perturb = spec.report_perturb_prob
@@ -274,19 +276,22 @@ def _draw_reports(spec: MixtureSpec, size: int, classes: Optional[np.ndarray],
     class_cdf = choice_cdf(spec.class_dist.probs)
     u = np.empty((size, width))
     hits = []  # (report, position, offset) of each perturbed report
+    # a rewind costs about one more block draw, so blocks of one row, which
+    # never rewind, are cheaper once most reports are perturbed
+    rows = size if perturb == 0.0 else 1 if perturb > 0.5 else REPORT_BLOCK
     start = 0
     while start < size:
-        state = rng.bit_generator.state
-        block = rng.random((size - start if perturb == 0.0 else min(size - start, REPORT_BLOCK),
-                            width))
+        state = rng.bit_generator.state if rows > 1 else None
+        block = rng.random((min(size - start, rows), width))
         coins = block[:, -1] < perturb
         first = int(coins.argmax())
         stop = first + 1 if coins[first] else len(block)
         u[start : start + stop] = block[:stop]
         start += stop
         if coins[first]:
-            rng.bit_generator.state = state
-            rng.random((stop, width))
+            if stop < len(block):
+                rng.bit_generator.state = state
+                rng.random((stop, width))
             i = start - 1
             c = int(classes[i]) if classes is not None else bisect.bisect_right(class_cdf, u[i, 0])
             row = table.offsets[c] + bisect.bisect_right(table.cdfs[c], u[i, lead])

@@ -22,10 +22,15 @@ negatives (every other positive in the batch) as one B x B computation:
 every negative-handling rule becomes a weight matrix from
 ``negative_weights``.  It returns exact gradients with respect to all
 embeddings, including through similarity-derived reweighting factors.
+
+The B x B intermediates live in reused per-batch-size buffers
+(``_workspace``), which assume one thread per process.
 """
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -77,10 +82,15 @@ class NegativeHandling:
         if self.kind == "remove_by_sim" and not np.isfinite(self.threshold):
             if self.threshold != np.inf:
                 raise ValueError("threshold must be finite or +inf (identity)")
-        if self.kind == "reweight_by_sim" and self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.keep_count < 1:
-            raise ValueError("keep_count must be >= 1")
+        temperature, keep_count = self.temperature, self.keep_count
+        if isinstance(temperature, bool) or not (
+            isinstance(temperature, numbers.Real) and temperature > 0  # NaN fails too
+        ):
+            raise ValueError(f"temperature must be a positive number, got {temperature!r}")
+        if isinstance(keep_count, bool) or not (
+            isinstance(keep_count, numbers.Integral) and keep_count >= 1
+        ):
+            raise ValueError(f"keep_count must be an integer >= 1, got {keep_count!r}")
 
 
 def contrastive_loss(pos_score: float, neg_scores: np.ndarray) -> float:
@@ -171,11 +181,34 @@ def asymptotic_loss_from_scores(
     return total
 
 
+@functools.lru_cache(maxsize=8)
+def _pool_masks(b: int, max_negatives: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row i's candidate pool, every j != i or with ``max_negatives`` = k the
+    first k of them (j < k + (j > i)), and its complement; read-only."""
+    col = np.arange(b)
+    pool = col[None, :] != col[:, None]
+    if max_negatives is not None:
+        pool &= col[None, :] < max_negatives + (col[None, :] > col[:, None])
+    outside = ~pool
+    pool.flags.writeable = outside.flags.writeable = False
+    return pool, outside
+
+
+@functools.lru_cache(maxsize=4)
+def _workspace(b: int) -> np.ndarray:
+    """Three reused (b, b) buffers.  ``negative_weights`` keeps P P^T in slot
+    0 and a rule's scratch in slot 1; ``in_batch_loss`` then reuses slot 0 for
+    the scores and E, slot 1 for W * E, and passes slot 2 as W."""
+    return np.empty((3, b, b))
+
+
 def negative_weights(
     handling: NegativeHandling,
     pos_embs: np.ndarray,
     classes: Optional[np.ndarray] = None,
     max_negatives: Optional[int] = None,
+    *,
+    out: Optional[np.ndarray] = None,
 ) -> tuple[Optional[np.ndarray], int]:
     """Weight matrix W over every anchor's in-batch candidates, and the number
     of rows that fell back to a single negative.
@@ -185,26 +218,33 @@ def negative_weights(
     P_j with the positive P_i.  A removal rule that empties a row keeps only
     the row's least similar pool entry.  The diagonal (the positive) carries
     weight 1.  ``None`` stands for unit weights on the full pool.
+
+    W is written into ``out``, a (B, B) float64 array, when given (only
+    ``in_batch_loss`` passes one, a reused buffer) and is a fresh array
+    otherwise.  ``remove_by_label`` and a plain cap compute P P^T only when a
+    row falls back.
     """
     if handling.kind == "none" and max_negatives is None:
         return None, 0
     b = pos_embs.shape[0]
-    col = np.arange(b)
-    pool = col[None, :] != col[:, None]
-    if max_negatives is not None:
-        pool &= col[None, :] < max_negatives + (col[None, :] > col[:, None])
+    pool, outside = _pool_masks(b, max_negatives)
     n_pool = b - 1 if max_negatives is None else max_negatives
-    sims = pos_embs @ pos_embs.T
+    weights = np.empty((b, b)) if out is None else out
+    sims_buffer, scratch = _workspace(b)[:2]
     if handling.kind == "reweight_by_sim":
-        # n_pool * softmax(-sims / T) over each row's pool
-        weights = np.where(pool, -sims / handling.temperature, -np.inf)
+        # n_pool * softmax(-sims / T) over each row's pool; sims / -T is -sims / T exactly
+        np.matmul(pos_embs, pos_embs.T, out=weights)
+        np.divide(weights, -handling.temperature, out=weights)
+        np.copyto(weights, -np.inf, where=outside)
         weights -= weights.max(axis=1, keepdims=True)
         np.exp(weights, out=weights)
         weights /= weights.sum(axis=1, keepdims=True)
         weights *= n_pool
         np.fill_diagonal(weights, 1.0)
         return weights, 0
-    pool_sims = np.where(pool, sims, np.inf)
+    sims = None
+    if handling.kind in ("remove_by_sim", "resample_by_sim"):
+        sims = np.matmul(pos_embs, pos_embs.T, out=sims_buffer)
     if handling.kind == "remove_by_sim":
         keep = pool & (sims <= handling.threshold)
     elif handling.kind == "remove_by_label":
@@ -215,18 +255,28 @@ def negative_weights(
     elif handling.kind == "resample_by_sim":
         if not 1 <= handling.keep_count <= n_pool:
             raise ValueError("keep_count must lie in [1, N]")
-        # each row's keep_count lowest, ties at the k-th value taken in index
-        # order: the first keep_count of a stable row argsort
+        # each row's keep_count lowest pool entries, ties at the k-th value
+        # taken in index order: the first keep_count of a stable row argsort
         k = handling.keep_count
-        kth = np.partition(pool_sims, k - 1, axis=1)[:, k - 1 : k]
-        keep = pool_sims < kth
-        at_kth = pool_sims == kth
-        keep |= at_kth & (np.cumsum(at_kth, axis=1) <= k - keep.sum(axis=1, keepdims=True))
+        np.copyto(sims, np.inf, where=outside)
+        np.copyto(scratch, sims)
+        scratch.partition(k - 1, axis=1)
+        kth = scratch[:, k - 1 : k].copy()
+        keep = sims < kth
+        at_kth = sims == kth
+        need = k - keep.sum(axis=1)
+        ties = np.flatnonzero(at_kth.sum(axis=1) > need)  # rows with more k-th values than places
+        ranks = np.cumsum(at_kth[ties], axis=1, dtype=np.float64, out=scratch[: ties.size])
+        at_kth[ties] &= ranks <= need[ties, None]
+        keep |= at_kth
     else:  # "none" under a negative cap
         keep = pool
+    np.copyto(weights, keep)
     empty = np.flatnonzero(~keep.any(axis=1))
-    keep[empty, np.argmin(pool_sims[empty], axis=1)] = True
-    weights = keep.astype(np.float64)
+    if empty.size:
+        if sims is None:  # the same full product, so argmin sees the same bits
+            sims = np.matmul(pos_embs, pos_embs.T, out=sims_buffer)
+        weights[empty, np.argmin(np.where(pool[empty], sims[empty], np.inf), axis=1)] = 1.0
     np.fill_diagonal(weights, 1.0)
     return weights, int(empty.size)
 
@@ -285,13 +335,15 @@ def in_batch_loss(
         if np.any(etas < 0.0) or np.any(etas >= 1.0):
             raise ValueError("eta values must lie in [0, 1)")
     handling = handling or NegativeHandling()
-    weights, fallbacks = negative_weights(handling, p, classes, max_negatives)
+    work = _workspace(b)
+    weights, fallbacks = negative_weights(handling, p, classes, max_negatives, out=work[2])
     reweight = handling.kind == "reweight_by_sim"
     floor = np.exp(-(gamma**2))
 
-    scores = a @ p.T
-    exp_scores = np.exp(scores)
+    exp_scores = np.matmul(a, p.T, out=work[0])  # the scores, then E in place
     diag = np.arange(b)
+    pos_scores = exp_scores[diag, diag]
+    np.exp(exp_scores, out=exp_scores)
     exp_pos = exp_scores[diag, diag]
     if weights is None:
         n = b - 1
@@ -299,7 +351,7 @@ def in_batch_loss(
     else:
         n = weights.sum(axis=1) - 1.0
         # the reweighting gradient rereads E; the other rules weight it in place
-        w_exp = weights * exp_scores if reweight else np.multiply(exp_scores, weights, out=exp_scores)
+        w_exp = np.multiply(exp_scores, weights, out=work[1] if reweight else exp_scores)
     z_sum = w_exp.sum(axis=1) - exp_pos
 
     dl_dscores = w_exp  # computed in place: W * E is not read again
@@ -323,7 +375,7 @@ def in_batch_loss(
         dl_dscores[diag, diag] = (exp_pos + dz_da) / denom - 1.0
         d_gamma = float(np.sum(np.where(clamped, -2.0 * gamma * floor * n / denom, 0.0))) / b
         clamp_fraction = float(np.mean(clamped))
-    loss = float(np.mean(np.log(denom) - scores[diag, diag]))
+    loss = float(np.mean(np.log(denom) - pos_scores))
 
     d_a = dl_dscores @ p / b
     d_p = dl_dscores.T @ a
@@ -338,7 +390,8 @@ def in_batch_loss(
             dsims[clamped] = floor
         dsims /= denom[:, None]
         np.fill_diagonal(weights, 0.0)
-        dsims -= ((weights * dsims).sum(axis=1) / n)[:, None]
+        # W * E's buffer is free once d_a and d_p are formed
+        dsims -= (np.multiply(weights, dsims, out=w_exp).sum(axis=1) / n)[:, None]
         dsims *= weights
         dsims /= -handling.temperature
         d_p += dsims @ p

@@ -419,6 +419,8 @@ class BoundSweepConfig:
 
         if not (whole(self.n_configs) and self.n_configs >= 1):
             raise ValueError("n_configs must be an integer >= 1")
+        if not (whole(self.seed) and self.seed >= 0):
+            raise ValueError("seed must be an integer >= 0")
         if not (whole(self.trials, self.max_trials) and 2 <= self.trials <= self.max_trials):
             raise ValueError("trials and max_trials must be integers, 2 <= trials <= max_trials")
         for name in ("n_grid", "m_grid"):

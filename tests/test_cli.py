@@ -81,6 +81,28 @@ def test_bad_keep_count_exits_2(tmp_path, capsys, keep_count):
     assert "keep_count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "handling",
+    [{"kind": "resample_by_sim", "keep_count": 2.5},
+     {"kind": "resample_by_sim", "keep_count": True},
+     {"kind": "reweight_by_sim", "temperature": float("nan")},
+     {"kind": "reweight_by_sim", "temperature": True},
+     {"kind": "remove_by_sim", "temperature": 0}],
+)
+def test_bad_handling_values_exit_2(tmp_path, capsys, handling):
+    # a fractional keep_count used to reach the partition (exit 1), a NaN
+    # temperature a non-finite loss (exit 3); a bool is not a count or a scale
+    cfg = write_config(
+        tmp_path,
+        {"spec": {"preset": "cifar-analog"},
+         "train": {"batch_size": 32, "epochs": 1, "samples_per_epoch": 64,
+                   "handling": handling}},
+    )
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    field = "keep_count" if "keep_count" in handling else "temperature"
+    assert field in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("r", [2.0, 0.0])
 def test_bad_r_exits_2(tmp_path, capsys, r):
     cfg = write_config(tmp_path, {"spec": {"preset": "cifar-analog", "r": r}})
@@ -286,7 +308,8 @@ def test_verify_bounds_ok(tmp_path, base_config):
     "field, value",
     [("trials", 1), ("n_grid", [0]), ("m_grid", []), ("max_classes", 1), ("max_points", 2),
      ("constants", "foo"), ("trials", "200"), ("trials", 2.5), ("n_configs", 0),
-     ("n_configs", -1), ("max_trials", 100), ("n_grid", [4.5])],
+     ("n_configs", -1), ("max_trials", 100), ("n_grid", [4.5]), ("seed", -1), ("seed", "x"),
+     ("seed", 2.5), ("seed", True)],
 )
 def test_bad_bounds_fields_exit_2(tmp_path, capsys, field, value):
     cfg = write_config(tmp_path, {"bounds": {"n_configs": 1, field: value}})

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -593,3 +594,97 @@ def test_in_batch_loss_rejects_bad_inputs():
         obj.in_batch_loss(emb, emb, objective="dcl", gamma=1.0)  # missing etas
     with pytest.raises(ValueError):
         obj.in_batch_loss(emb, emb, objective="dcl", gamma=1.0, etas=np.array([0.1, 1.0, 0.2]))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("keep_count", 2.5), ("keep_count", True), ("keep_count", 0), ("keep_count", "3"),
+     ("temperature", float("nan")), ("temperature", 0.0), ("temperature", -1.0),
+     ("temperature", True), ("temperature", "1")],
+)
+def test_negative_handling_rejects_bad_values(field, value):
+    for kind in ("resample_by_sim", "reweight_by_sim", "none"):
+        with pytest.raises(ValueError, match=field):
+            obj.NegativeHandling(kind=kind, **{field: value})
+
+
+ALLOCATION_CASES = {
+    "plain": (obj.NegativeHandling(), None),
+    "remove_by_sim": (obj.NegativeHandling(kind="remove_by_sim", threshold=0.3), None),
+    "reweight_by_sim": (obj.NegativeHandling(kind="reweight_by_sim", temperature=0.7), None),
+    "resample_by_sim": (obj.NegativeHandling(kind="resample_by_sim", keep_count=32), None),
+    "remove_by_label": (obj.NegativeHandling(kind="remove_by_label"), None),
+    "max_negatives": (obj.NegativeHandling(), 64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALLOCATION_CASES))
+@pytest.mark.parametrize("objective", ["cl", "dcl"])
+def test_in_batch_loss_allocates_no_batch_square(objective, case):
+    # one (128, 128) float64 array is 128 KiB; after a warm-up call the B x B
+    # intermediates live in reused buffers and only (B, D) results are new
+    rng = stream(68, 0)
+    b = 128
+    a, p = unit_rows(rng, b, 32, 1.2), unit_rows(rng, b, 32, 1.2)
+    handling, cap = ALLOCATION_CASES[case]
+    kwargs = dict(objective=objective, gamma=1.2, handling=handling, max_negatives=cap,
+                  etas=rng.uniform(0.0, 0.9, size=b) if objective == "dcl" else None,
+                  classes=rng.integers(0, 10, size=b))
+    obj.in_batch_loss(a, p, **kwargs)
+    tracemalloc.start()
+    try:
+        obj.in_batch_loss(a, p, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 1024
+
+
+def _loss_fields(result):
+    return (result.loss, result.d_anchor.tobytes(), result.d_positive.tobytes(), result.d_gamma,
+            result.clamp_fraction, result.fallback_count, result.mean_eta)
+
+
+def test_reused_buffers_leave_results_alone():
+    # calls at several (batch size, cap) shapes share the per-size buffers;
+    # every result must equal the same call made on fresh buffers, and no
+    # later call may write into an earlier result or weight matrix
+    rng = stream(69, 0)
+    calls = []
+    for b, cap in [(128, None), (128, 64), (32, None), (128, None)]:
+        a, p = unit_rows(rng, b, 5, 1.2), unit_rows(rng, b, 5, 1.2)
+        etas = rng.uniform(0.0, 0.9, size=b)
+        # one single-class batch: remove_by_label falls back on every row
+        classes = np.zeros(b, dtype=int) if b == 32 else rng.integers(0, 3, size=b)
+        handlings = [obj.NegativeHandling()] + [
+            make(b // 4) for kind, make in sorted(REFERENCE_HANDLINGS.items()) if kind != "none"
+        ]
+        for objective in ("cl", "dcl"):
+            for handling in handlings:
+                calls.append(dict(anchor_embs=a, pos_embs=p, objective=objective, gamma=1.2,
+                                  etas=etas if objective == "dcl" else None, handling=handling,
+                                  classes=classes, max_negatives=cap))
+
+    def weights_of(call):
+        return obj.negative_weights(call["handling"], call["pos_embs"], call["classes"],
+                                    call["max_negatives"])
+
+    results, weights, snapshots = [], [], []
+    for call in calls:
+        results.append(obj.in_batch_loss(**call))
+        weights.append(weights_of(call))
+        w, fallbacks = weights[-1]
+        snapshots.append((_loss_fields(results[-1]), None if w is None else w.copy(), fallbacks))
+    assert sum(r.fallback_count for r in results) > 0
+    for result, (w, fallbacks), (fields, w_then, fallbacks_then) in zip(results, weights, snapshots):
+        assert _loss_fields(result) == fields
+        assert fallbacks == fallbacks_then
+        assert (w is None and w_then is None) or w.tobytes() == w_then.tobytes()
+    for i in reversed(range(len(calls))):
+        obj._workspace.cache_clear()
+        obj._pool_masks.cache_clear()
+        obj._workspace(calls[i]["pos_embs"].shape[0]).fill(np.nan)  # nothing stale to lean on
+        assert _loss_fields(obj.in_batch_loss(**calls[i])) == snapshots[i][0]
+        w, fallbacks = weights_of(calls[i])
+        assert fallbacks == snapshots[i][2]
+        assert (w is None and snapshots[i][1] is None) or w.tobytes() == snapshots[i][1].tobytes()

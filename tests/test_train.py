@@ -180,6 +180,35 @@ def test_cross_modal_draws_are_pinned():
         "b906368f6b6ea9ff8050c083b514908d9bfb2119aeb78e9cf3ceb151e712d08a")
 
 
+HANDLING_PINS = {
+    "remove_by_sim": (NegativeHandling(kind="remove_by_sim", threshold=-0.9), None,
+                      "2882793ec1d38994f060736b4d407ed8da596fb95bf9f840528dea7d7b00b75b"),
+    "reweight_by_sim": (NegativeHandling(kind="reweight_by_sim"), None,
+                        "5832f1b37e7456f9fe10acdf9b8eee9fe6a7d3a80f5e655cb9fe4d3f18fba29d"),
+    "resample_by_sim": (NegativeHandling(kind="resample_by_sim", keep_count=32), None,
+                        "2ddf1ffb4923d8fcbf973e7f33460f42e5b07c5615ec42953bf3a99f18089e46"),
+    "remove_by_label": (NegativeHandling(kind="remove_by_label"), None,
+                        "958a90cff99250b051b5a4bb8ce6678716516b42928823b589beddb56fd8fad5"),
+    "max_negatives": (NegativeHandling(), 64,
+                      "89274fa9356505efe78b379c77e4c182b8835ad1b47c2de643e5541c097790a2"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(HANDLING_PINS))
+def test_handling_training_is_pinned(mode):
+    # two epochs of the weighted in-batch path at B=128 on the analog r=0.1
+    # spec, one run per negative-handling mode as the benchmark cycles them;
+    # the digest covers every trace record and the trained flat parameters
+    handling, cap, digest = HANDLING_PINS[mode]
+    config = pl.AnalogConfig()
+    spec = mix.subsample_classes(pl.analog_spec(config), config.subsampled, 0.1)
+    base = pl.analog_train_config("dcl_eta_true", spec, config, 5)
+    result = tr.train(spec, replace(base, epochs=2, handling=handling, n_negatives=cap))
+    if mode == "remove_by_sim":
+        assert result.trace.fallback_count.sum() > 0
+    assert _digest(result.trace, enc.params_to_flat(result.params)) == digest
+
+
 @pytest.mark.parametrize("perturb", [0.0, 0.05, 1.0])
 def test_build_lm_assets_matches_the_interleaved_loop(perturb):
     # one pass over (class, report) rows counts what a sample_class call and a
