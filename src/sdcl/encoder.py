@@ -203,11 +203,6 @@ def split_flat(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
             for name, part in zip(names, np.split(flat, ends[:-1]))}
 
 
-def params_from_flat(template: EncoderParams, flat: np.ndarray) -> EncoderParams:
-    arrays = split_flat(flat, template.array_shapes())
-    return replace(template, **{name: a.copy() for name, a in arrays.items()})
-
-
 def save_checkpoint(params: EncoderParams, path, meta: dict | None = None) -> None:
     import json
 

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .fields import check_fields
 from .mixture import MixtureSpec, pad_tokens
 from .textsim import NGramLM, pseudo_log_likelihood
 
@@ -38,6 +39,7 @@ class EtaConfig:
     eta_max: float = DEFAULT_ETA_MAX
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in ("constant", "true_oracle", "lm_log_linear"):
             raise ValueError(f"unknown eta kind {self.kind!r}")
         if not 0.0 < self.eta_min <= self.eta_max < 1.0:

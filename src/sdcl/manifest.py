@@ -1,9 +1,10 @@
 """Run manifests and output writers.
 
-Every run is fully described by a canonical JSON config; its SHA-256 hash and
-the seed are embedded in every output file (comment line for CSV, fields for
-JSON) so artifacts are traceable to the exact configuration that produced
-them.
+Every run is fully described by its resolved config (every default filled
+in, every command-line override applied); the SHA-256 hash of its canonical
+JSON and the seed are embedded in every output file (comment line for CSV,
+fields for JSON) so artifacts are traceable to the exact configuration that
+produced them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +30,16 @@ def config_hash(config: dict) -> str:
 
 @dataclass
 class RunManifest:
-    config: dict
+    config: dict  # a config dataclass is recorded as its asdict
     seed: int
     version: str = "0.1.0"
     outputs: list = field(default_factory=list)
     started: float = field(default_factory=time.time)
     finished: float | None = None
+
+    def __post_init__(self):
+        if is_dataclass(self.config):
+            self.config = asdict(self.config)
 
     @property
     def hash(self) -> str:
@@ -49,20 +54,16 @@ class RunManifest:
         self.finished = time.time()
         path = Path(out_dir) / "manifest.json"
         with open(path, "w") as f:
-            json.dump(
-                {
-                    "config_hash": self.hash,
-                    "seed": self.seed,
-                    "version": self.version,
-                    "config": self.config,
-                    "outputs": self.outputs,
-                    "started": self.started,
-                    "finished": self.finished,
-                    "elapsed_seconds": self.finished - self.started,
-                },
-                f,
-                indent=2,
-            )
+            f.write(to_json({
+                "config_hash": self.hash,
+                "seed": self.seed,
+                "version": self.version,
+                "config": self.config,
+                "outputs": self.outputs,
+                "started": self.started,
+                "finished": self.finished,
+                "elapsed_seconds": self.finished - self.started,
+            }))
         return path
 
 

@@ -28,6 +28,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .fields import convert
+
 TOL = 1e-12
 
 TokenSeq = tuple[int, ...]
@@ -459,33 +461,38 @@ def spec_to_dict(spec: MixtureSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> MixtureSpec:
-    dist = ClassDistribution(np.array(d["class_probs"], dtype=np.float64))
+    """The spec ``spec_to_dict`` wrote; each value is checked by the config
+    field rule, so a fractional token id or a string number is refused."""
+    row, rows = tuple[float, ...], tuple[tuple[float, ...], ...]
+    seqs = tuple[tuple[int, ...], ...]
+
+    def read(hint, section, key):
+        return convert(hint, section[key], key)
+
+    dist = ClassDistribution(np.array(read(row, d, "class_probs"), dtype=np.float64))
     if d["mode"] == "continuous":
         cond = GaussianConditionals(
-            means=np.array(d["gaussian"]["means"], dtype=np.float64),
-            stddevs=np.array(d["gaussian"]["stddevs"], dtype=np.float64),
+            means=np.array(read(rows, d["gaussian"], "means"), dtype=np.float64),
+            stddevs=np.array(read(row, d["gaussian"], "stddevs"), dtype=np.float64),
         )
         point_tokens = None
     elif d["mode"] == "discrete":
         cond = DiscreteConditionals(
-            points=np.array(d["discrete"]["points"], dtype=np.float64),
-            pmfs=np.array(d["discrete"]["pmfs"], dtype=np.float64),
+            points=np.array(read(rows, d["discrete"], "points"), dtype=np.float64),
+            pmfs=np.array(read(rows, d["discrete"], "pmfs"), dtype=np.float64),
         )
-        point_tokens = (
-            tuple(tuple(int(t) for t in seq) for seq in d["point_tokens"])
-            if "point_tokens" in d
-            else None
-        )
+        point_tokens = convert(Optional[seqs], d.get("point_tokens"), "point_tokens")
     else:
         raise ValueError(f"unknown mode {d['mode']!r}")
     return MixtureSpec(
         class_dist=dist,
         conditionals=cond,
-        templates=tuple(tuple(tuple(int(t) for t in seq) for seq in ts) for ts in d["templates"]),
-        template_weights=tuple(tuple(float(w) for w in ws) for ws in d["template_weights"]),
-        vocab_size=int(d["vocab_size"]),
+        templates=read(tuple[seqs, ...], d, "templates"),
+        template_weights=read(rows, d, "template_weights"),
+        vocab_size=read(int, d, "vocab_size"),
         point_tokens=point_tokens,
-        report_perturb_prob=float(d.get("report_perturb_prob", 0.0)),
+        report_perturb_prob=convert(float, d.get("report_perturb_prob", 0.0),
+                                    "report_perturb_prob"),
     )
 
 

@@ -30,13 +30,13 @@ The B x B intermediates live in reused per-batch-size buffers
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import encoder as enc
+from .fields import check_fields
 
 SCORE_SLACK = 1e-9
 
@@ -76,21 +76,20 @@ class NegativeHandling:
     keep_count: int = 1
 
     def __post_init__(self):
+        check_fields(self)
         kinds = {"none", "remove_by_sim", "reweight_by_sim", "resample_by_sim", "remove_by_label"}
         if self.kind not in kinds:
             raise ValueError(f"unknown negative handling kind {self.kind!r}")
         if self.kind == "remove_by_sim" and not np.isfinite(self.threshold):
             if self.threshold != np.inf:
                 raise ValueError("threshold must be finite or +inf (identity)")
-        temperature, keep_count = self.temperature, self.keep_count
-        if isinstance(temperature, bool) or not (
-            isinstance(temperature, numbers.Real) and temperature > 0  # NaN fails too
-        ):
-            raise ValueError(f"temperature must be a positive number, got {temperature!r}")
-        if isinstance(keep_count, bool) or not (
-            isinstance(keep_count, numbers.Integral) and keep_count >= 1
-        ):
-            raise ValueError(f"keep_count must be an integer >= 1, got {keep_count!r}")
+        if not self.temperature > 0:  # NaN fails too
+            raise ValueError(f"temperature must be a positive number, got {self.temperature!r}")
+        if self.keep_count < 1:
+            raise ValueError(f"keep_count must be an integer >= 1, got {self.keep_count!r}")
+
+
+NO_HANDLING = NegativeHandling()
 
 
 def contrastive_loss(pos_score: float, neg_scores: np.ndarray) -> float:
@@ -334,7 +333,7 @@ def in_batch_loss(
         etas = np.asarray(etas, dtype=np.float64)
         if np.any(etas < 0.0) or np.any(etas >= 1.0):
             raise ValueError("eta values must lie in [0, 1)")
-    handling = handling or NegativeHandling()
+    handling = handling or NO_HANDLING
     work = _workspace(b)
     weights, fallbacks = negative_weights(handling, p, classes, max_negatives, out=work[2])
     reweight = handling.kind == "reweight_by_sim"

@@ -21,7 +21,6 @@ prompt classification and tail-class retrieval.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -34,6 +33,7 @@ from . import textsim as ts
 from . import train as tr
 from .bounds import BoundReport, verify_prop1
 from .eta import EtaConfig, calibrate_log_linear, make_provider
+from .fields import check_fields
 from .rngstream import stream
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,7 @@ class AnalogConfig:
     separation: float = 3.0
     sigma: float = 0.8
     spec_seed: int = 123
-    subsampled: tuple = (0, 1, 2, 3, 4)
+    subsampled: tuple[int, ...] = (0, 1, 2, 3, 4)
     view_noise: float = 0.05
     batch_size: int = 128
     epochs: int = 40
@@ -59,9 +59,38 @@ class AnalogConfig:
     gamma: float = math.sqrt(2.0)
     n_probe: int = 40000
     n_test_per_class: int = 300
-    label_fractions: tuple = (0.01, 0.1, 1.0)
-    r_values: tuple = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9)
-    seeds: tuple = (0, 1, 2, 3, 4)
+    label_fractions: tuple[float, ...] = (0.01, 0.1, 1.0)
+    r_values: tuple[float, ...] = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9)
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+
+    def __post_init__(self):
+        check_fields(self)
+        for name in ("label_fractions", "r_values"):
+            if not all(0.0 < v <= 1.0 for v in getattr(self, name)):
+                raise ValueError(f"{name} must lie in (0, 1]")
+        _check_study(self)
+
+    def train_fields(self) -> dict:
+        """The TrainConfig fields every cell shares; a cell adds its
+        objective, eta and seed."""
+        return dict(
+            mode="unimodal",
+            positive_mode="view",
+            view_noise=self.view_noise,
+            batch_size=self.batch_size,
+            epochs=self.epochs,
+            samples_per_epoch=self.samples_per_epoch,
+            learning_rate=self.learning_rate,
+            gamma=self.gamma,
+        )
+
+
+def _check_study(config) -> None:
+    """Range checks a study config shares, run before any cell trains: the
+    seeds, and the cells' TrainConfig fields through TrainConfig's checks."""
+    if any(seed < 0 for seed in config.seeds):
+        raise ValueError("seeds must be >= 0")
+    tr.TrainConfig(**config.train_fields())
 
 
 def analog_spec(config: AnalogConfig = AnalogConfig()) -> mix.MixtureSpec:
@@ -86,17 +115,7 @@ def analog_train_config(
     rare_eta = float(sub.class_dist.probs[config.subsampled[0]])
     common = next(c for c in range(sub.num_classes) if c not in config.subsampled)
     common_eta = float(sub.class_dist.probs[common])
-    base = dict(
-        mode="unimodal",
-        positive_mode="view",
-        view_noise=config.view_noise,
-        batch_size=config.batch_size,
-        epochs=config.epochs,
-        samples_per_epoch=config.samples_per_epoch,
-        learning_rate=config.learning_rate,
-        gamma=config.gamma,
-        seed=seed,
-    )
+    base = dict(config.train_fields(), seed=seed)
     if variant == "cl":
         return tr.TrainConfig(objective="cl", **base)
     if variant == "dcl_eta_true":
@@ -214,13 +233,36 @@ class TradeoffConfig:
     learning_rate: float = 5e-4
     gamma: float = 4.0
     lm_corpus_size: int = 2000
-    calibration_range: tuple = (0.01, 0.2)
-    calibration_quantiles: tuple = (0.25, 0.75)
-    constant_etas: tuple = (0.01, 0.05, 0.1, 0.2)
+    calibration_range: tuple[float, ...] = (0.01, 0.2)
+    calibration_quantiles: tuple[float, ...] = (0.25, 0.75)
+    constant_etas: tuple[float, ...] = (0.01, 0.05, 0.1, 0.2)
     retrieval_per_class: int = 20
-    retrieval_ks: tuple = (10, 50, 100)
+    retrieval_ks: tuple[int, ...] = (10, 50, 100)
     prompt_images_per_side: int = 100
-    seeds: tuple = (0, 1, 2, 3, 4)
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+
+    def __post_init__(self):
+        check_fields(self)
+        etas, quantiles = self.calibration_range, self.calibration_quantiles
+        if not (len(etas) == 2 and 0.0 < etas[0] < etas[1] < 1.0):
+            raise ValueError("calibration_range must be two increasing values in (0, 1)")
+        if not (len(quantiles) == 2 and 0.0 <= quantiles[0] < quantiles[1] <= 1.0):
+            raise ValueError("calibration_quantiles must be two increasing values in [0, 1]")
+        _check_study(self)
+
+    def train_fields(self) -> dict:
+        """The TrainConfig fields every cell shares; a cell adds its
+        objective, eta and seed."""
+        return dict(
+            mode="cross_modal",
+            batch_size=self.batch_size,
+            epochs=self.epochs,
+            samples_per_epoch=self.samples_per_epoch,
+            learning_rate=self.learning_rate,
+            gamma=self.gamma,
+            gamma_trainable=True,
+            lm_corpus_size=self.lm_corpus_size,
+        )
 
     @property
     def head_classes(self) -> tuple:
@@ -267,17 +309,7 @@ def class_prompts(spec: mix.MixtureSpec, c: int, sibling: int) -> tuple:
 
 
 def tradeoff_train_config(variant: str, config: TradeoffConfig, seed: int) -> tr.TrainConfig:
-    base = dict(
-        mode="cross_modal",
-        batch_size=config.batch_size,
-        epochs=config.epochs,
-        samples_per_epoch=config.samples_per_epoch,
-        learning_rate=config.learning_rate,
-        gamma=config.gamma,
-        gamma_trainable=True,
-        lm_corpus_size=config.lm_corpus_size,
-        seed=seed,
-    )
+    base = dict(config.train_fields(), seed=seed)
     if variant == "cl":
         return tr.TrainConfig(objective="cl", **base)
     if variant == "dcl_eta_lm":
@@ -408,29 +440,25 @@ class BoundSweepConfig:
     trials: int = 200
     max_trials: int = 6400
     constants: str = "proof"
-    n_grid: tuple = (4, 16, 64, 256)
-    m_grid: tuple = (1, 4, 16)
+    n_grid: tuple[int, ...] = (4, 16, 64, 256)
+    m_grid: tuple[int, ...] = (1, 4, 16)
     max_classes: int = 8
     max_points: int = 32
 
     def __post_init__(self):
-        def whole(*values):
-            return all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values)
-
-        if not (whole(self.n_configs) and self.n_configs >= 1):
-            raise ValueError("n_configs must be an integer >= 1")
-        if not (whole(self.seed) and self.seed >= 0):
-            raise ValueError("seed must be an integer >= 0")
-        if not (whole(self.trials, self.max_trials) and 2 <= self.trials <= self.max_trials):
-            raise ValueError("trials and max_trials must be integers, 2 <= trials <= max_trials")
+        check_fields(self)
+        if self.n_configs < 1:
+            raise ValueError("n_configs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not 2 <= self.trials <= self.max_trials:
+            raise ValueError("need 2 <= trials <= max_trials")
         for name in ("n_grid", "m_grid"):
             grid = getattr(self, name)
-            if not (isinstance(grid, tuple) and grid and whole(*grid) and min(grid) >= 1):
-                raise ValueError(f"{name} must be a non-empty list of integers >= 1")
-        if not (whole(self.max_classes, self.max_points)
-                and 2 <= self.max_classes <= self.max_points and self.max_points >= 4):
-            raise ValueError("max_classes and max_points must be integers, "
-                             "2 <= max_classes <= max_points and max_points >= 4")
+            if not (grid and min(grid) >= 1):
+                raise ValueError(f"{name} must be a non-empty list of values >= 1")
+        if not 2 <= self.max_classes <= self.max_points or self.max_points < 4:
+            raise ValueError("need 2 <= max_classes <= max_points and max_points >= 4")
         if self.constants not in ("proof", "statement"):
             raise ValueError("constants must be 'proof' or 'statement'")
 

@@ -19,6 +19,7 @@ from . import encoder as enc
 from . import mixture as mix
 from . import textsim
 from .eta import EtaConfig, eta_for_batch, make_provider
+from .fields import check_fields
 from .objectives import NegativeHandling, in_batch_loss
 from .rngstream import stream
 
@@ -49,6 +50,7 @@ class TrainConfig:
     lm_corpus_size: int = 2000
 
     def __post_init__(self):
+        check_fields(self)
         if self.objective not in ("cl", "dcl"):
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.mode not in ("unimodal", "cross_modal"):
@@ -69,6 +71,8 @@ class TrainConfig:
         for name in ("epochs", "hidden_dim", "embed_dim", "lm_corpus_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError("gamma must be finite and positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):

@@ -6,6 +6,7 @@ counting and the linear probe's softmax loss."""
 
 import bisect
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -71,6 +72,12 @@ def pipeline_loss_and_grads(
     return result.loss, flat, result
 
 
+def params_at(params, flat):
+    """``params`` with every array read from the flat vector ``flat``."""
+    arrays = enc.split_flat(flat, params.array_shapes())
+    return replace(params, **{name: a.copy() for name, a in arrays.items()})
+
+
 def finite_difference_grad(params, loss_fn, step=1e-5):
     """Central differences of a scalar ``loss_fn(params)`` over flat params."""
     theta = enc.params_to_flat(params)
@@ -80,8 +87,8 @@ def finite_difference_grad(params, loss_fn, step=1e-5):
         plus[i] += step
         minus = theta.copy()
         minus[i] -= step
-        fd[i] = (loss_fn(enc.params_from_flat(params, plus)) -
-                 loss_fn(enc.params_from_flat(params, minus))) / (2 * step)
+        fd[i] = (loss_fn(params_at(params, plus)) -
+                 loss_fn(params_at(params, minus))) / (2 * step)
     return fd
 
 

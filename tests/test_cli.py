@@ -489,3 +489,185 @@ def test_eval_unusable_input_exits_2(tmp_path, capsys, damage, needle):
     assert main(["eval", "--config", eval_cfg, "--out", str(tmp_path / "ev"),
                  "--checkpoint", str(run_dir / "checkpoint.bin")]) == 2
     assert needle in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# One type rule for every config field
+# ---------------------------------------------------------------------------
+
+TRADEOFF = {"preset": "eta-tradeoff"}
+BAD_VALUES = [
+    ("simulate", "samples", {"spec": TRADEOFF, "simulate": {"samples": "ten"}}),
+    ("simulate", "samples", {"spec": TRADEOFF, "simulate": {"samples": 2.5}}),
+    ("simulate", "seed", {"seed": 2.7, "spec": TRADEOFF}),
+    ("simulate", "seed", {"seed": "3", "spec": TRADEOFF}),
+    ("simulate", "r", {"spec": {"preset": "cifar-analog", "r": "0.5"}}),
+    ("sweep", "etas", {"spec": TRADEOFF, "sweep": {"etas": ["x"]}}),
+    ("sweep", "remove_thresholds", {"spec": TRADEOFF, "sweep": {"remove_thresholds": ["a"]}}),
+    ("train", "batch_size", {"spec": TRADEOFF, "train": {"batch_size": 12.5}}),
+    ("train", "epochs", {"spec": TRADEOFF, "train": {"epochs": 1.5}}),
+    ("train", "gamma_trainable", {"spec": TRADEOFF, "train": {"gamma_trainable": "false"}}),
+    ("train", "value", {"spec": TRADEOFF, "train": {"eta": {"value": "0.1"}}}),
+    ("train", "warp", {"spec": TRADEOFF, "warp": {}}),
+    ("repro cifar-analog", "seeds", {"analog": {"seeds": 3}}),
+    ("repro cifar-analog", "epochs", {"analog": {"epochs": "2"}}),
+    ("repro cifar-analog", "label_fractions", {"analog": {"label_fractions": [0]}}),
+    ("repro eta-tradeoff", "epochs", {"tradeoff": {"epochs": 0}}),
+    ("repro eta-tradeoff", "calibration_range", {"tradeoff": {"calibration_range": [0.01]}}),
+]
+
+
+@pytest.mark.parametrize("command, field, config", BAD_VALUES,
+                         ids=[json.dumps(config) for _, _, config in BAD_VALUES])
+def test_bad_config_values_exit_2_before_any_work(tmp_path, capsys, monkeypatch, command, field,
+                                                  config):
+    from sdcl import train as tr
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a bad config reached training")
+
+    monkeypatch.setattr(tr, "train", no_training)
+    out = tmp_path / "o"
+    assert main([*command.split(), "--config", write_config(tmp_path, config),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not [p for p in out.rglob("*") if p.suffix in (".csv", ".bin")]
+
+
+def test_eval_n_train_must_be_an_integer(tmp_path, capsys, base_config):
+    checkpoint = _trained_checkpoint(tmp_path, base_config)
+    config = json.loads(Path(base_config).read_text())
+    config["eval"]["n_train"] = "x"
+    cfg = write_config(tmp_path, config, name="eval.json")
+    out = tmp_path / "ev"
+    assert main(["eval", "--config", cfg, "--out", str(out), "--checkpoint", str(checkpoint)]) == 2
+    assert "n_train" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("inline_change", [
+    {"vocab_size": 24.9}, {"report_perturb_prob": "0.05"}, {"templates": 5},
+    {"template_weights": [["1"]] * 10},
+], ids=["vocab_size", "report_perturb_prob", "templates", "template_weights"])
+def test_inline_spec_values_are_not_coerced(tmp_path, capsys, inline_change):
+    from sdcl import pipelines as pl
+
+    inline = dict(mix.spec_to_dict(pl.tradeoff_spec(pl.TradeoffConfig())), **inline_change)
+    cfg = write_config(tmp_path, {"spec": {"inline": inline}, "simulate": {"samples": 5}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and next(iter(inline_change)) in err
+
+
+def test_trained_gamma_checkpoint_evaluates(tmp_path, base_config):
+    config = json.loads(Path(base_config).read_text())
+    config["train"]["gamma_trainable"] = True
+    cfg = write_config(tmp_path, config, name="gamma.json")
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(run_dir)]) == 0
+    assert json.loads((run_dir / "checkpoint.bin.json").read_text())["gamma_trainable"] is True
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "ev"),
+                 "--checkpoint", str(run_dir / "checkpoint.bin")]) == 0
+
+
+def _bounds_manifest(tmp_path, config, name):
+    cfg = write_config(tmp_path, config, name=f"{name}.json")
+    assert main(["verify-bounds", "--config", cfg, "--configs", "1",
+                 "--out", str(tmp_path / name)]) == 0
+    return json.loads((tmp_path / name / "manifest.json").read_text())
+
+
+def test_config_hash_covers_the_resolved_config(tmp_path):
+    from dataclasses import asdict
+
+    from sdcl.cli import Config
+
+    empty = _bounds_manifest(tmp_path, {}, "empty")
+    spelled = _bounds_manifest(tmp_path, asdict(Config()), "spelled")  # inf as Infinity
+    assert empty["config_hash"] == spelled["config_hash"]
+    assert empty["config"]["bounds"]["n_configs"] == 1  # the flag is part of what is hashed
+    assert empty["config"]["train"]["handling"]["threshold"] is None  # strict JSON
+    as_int = _bounds_manifest(tmp_path, {"train": {"gamma": 4}}, "int")
+    as_float = _bounds_manifest(tmp_path, {"train": {"gamma": 4.0}}, "float")
+    other = _bounds_manifest(tmp_path, {"train": {"gamma": 4.5}}, "other")
+    assert as_int["config_hash"] == as_float["config_hash"] != other["config_hash"]
+    assert as_int["config_hash"] != empty["config_hash"]
+
+
+def test_manifest_json_is_strict(tmp_path):
+    manifest = _bounds_manifest(
+        tmp_path, {"train": {"handling": {"threshold": float("inf")}}}, "m"
+    )
+
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    json.loads((tmp_path / "m" / "manifest.json").read_text(), parse_constant=refuse)
+    assert manifest["config_hash"]
+
+
+def test_sweep_cell_manifest_records_its_own_train_section(tmp_path):
+    cfg = write_config(tmp_path, {
+        "seed": 1, "spec": {"preset": "cifar-analog", "r": 0.5},
+        "train": {"epochs": 1, "samples_per_epoch": 32, "batch_size": 16},
+        "sweep": {"objectives": ["cl", "dcl"], "etas": [0.05]},
+    })
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    top = json.loads((out / "manifest.json").read_text())["config"]
+    cells = [json.loads((out / f"cell_00{i}" / "manifest.json").read_text())["config"]
+             for i in range(2)]
+    assert [cell["train"]["objective"] for cell in cells] == ["cl", "dcl"]
+    assert cells[1]["train"]["eta"]["value"] == 0.05
+    for cell in cells:
+        assert {k: v for k, v in cell.items() if k != "train"} == \
+            {k: v for k, v in top.items() if k != "train"}
+
+
+def test_repro_has_no_seed_flag(tmp_path):
+    # a study takes its seeds from its own section, so a --seed it ignored
+    # would only have changed the config hash
+    cfg = write_config(tmp_path, {"analog": {
+        "r_values": [0.5], "seeds": [0], "epochs": 1, "samples_per_epoch": 32, "batch_size": 16,
+        "n_probe": 200, "n_test_per_class": 10, "label_fractions": [1.0],
+    }})
+    with pytest.raises(SystemExit) as exc:
+        main(["repro", "cifar-analog", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "a")])
+    assert exc.value.code == 2
+
+
+def test_every_config_field_is_checked_by_the_rule():
+    import dataclasses
+    import typing
+
+    from sdcl import fields
+    from sdcl import pipelines as pl
+    from sdcl import train as tr
+    from sdcl.cli import Config
+    from sdcl.objectives import NegativeHandling
+
+    classes, todo = set(), [Config]  # every section reachable from a config file
+    while todo:
+        cls = todo.pop()
+        classes.add(cls)
+        for hint in fields.hints(cls).values():
+            todo += [h for h in (hint, *typing.get_args(hint))
+                     if dataclasses.is_dataclass(h) and h not in classes]
+    assert {tr.TrainConfig, EtaConfig, NegativeHandling, pl.AnalogConfig, pl.TradeoffConfig,
+            pl.BoundSweepConfig} <= classes
+    for cls in classes:
+        for name, hint in fields.hints(cls).items():
+            assert hint is not tuple, f"{cls.__name__}.{name}"
+            with pytest.raises(ValueError, match=name):
+                cls(**{name: object()})  # so __post_init__ runs the rule on this field
+
+    @dataclasses.dataclass(frozen=True)
+    class Bare:
+        grid: tuple = ()
+
+        def __post_init__(self):
+            fields.check_fields(self)
+
+    with pytest.raises(TypeError, match="grid"):
+        Bare()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import backward_add_at, backward_reference, forward_tokens_reference, token_batch
+from helpers import (
+    backward_add_at, backward_reference, forward_tokens_reference, params_at, token_batch,
+)
 
 from sdcl import encoder as enc
 from sdcl import mixture as mix
@@ -77,8 +79,8 @@ def _fd_check(params, loss_fn, step=1e-5, rtol=1e-4):
         plus[i] += step
         minus = theta.copy()
         minus[i] -= step
-        lp, _ = loss_fn(enc.params_from_flat(params, plus))
-        lm, _ = loss_fn(enc.params_from_flat(params, minus))
+        lp, _ = loss_fn(params_at(params, plus))
+        lm, _ = loss_fn(params_at(params, minus))
         fd[i] = (lp - lm) / (2 * step)
     err = np.abs(flat_grads - fd)
     tol = rtol * np.maximum(np.abs(flat_grads), np.abs(fd)) + 1e-8
