@@ -133,7 +133,7 @@ def _load_config(args) -> Config:
     train = raw.get("train", {})
     if isinstance(train, dict) and "seed" not in train:
         raw = dict(raw, train=dict(train, seed=raw.get("seed", 0)))
-    config = _dataclass_from(Config, raw, "top-level")
+    config = _dataclass_from(Config, raw, "")
     try:
         if getattr(args, "seed", None) is not None:
             config = replace(config, seed=args.seed, train=replace(config.train, seed=args.seed),
@@ -156,7 +156,7 @@ def _out_dir(config: Config, args) -> Path:
 def _resolve_spec(config) -> mix.MixtureSpec:
     """The mixture of the spec section of ``config``, a Config or its JSON."""
     if isinstance(config, dict):
-        config = _dataclass_from(Config, config, "top-level")
+        config = _dataclass_from(Config, config, "")
     section = config.spec
     try:
         if section.inline is not None:

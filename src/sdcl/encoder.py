@@ -110,23 +110,28 @@ def init_params(
 class ForwardCache:
     x: np.ndarray          # (B, input)
     a1: np.ndarray         # (B, hidden) post-tanh
-    u: np.ndarray          # (B, out) pre-projection
-    norms: np.ndarray      # (B,)
+    norms: np.ndarray      # (B,) pre-projection norms
     uhat: np.ndarray       # (B, out)
     token_seqs: Optional[tuple[np.ndarray, np.ndarray]] = None  # padded (ids, mask)
 
 
 def forward_features(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Batch forward pass; returns embeddings (B, D) with rows of norm gamma."""
+    """Batch forward pass; returns embeddings (B, D) with rows of norm gamma.
+
+    Each layer is computed in place in its matmul's output, so the
+    pre-projection output u becomes uhat without a second (B, D) array."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    a1 = np.tanh(x @ params.w1.T + params.b1)
-    u = a1 @ params.w2.T + params.b2
-    norms = np.linalg.norm(u, axis=1)
+    a1 = x @ params.w1.T
+    a1 += params.b1
+    np.tanh(a1, out=a1)
+    uhat = a1 @ params.w2.T
+    uhat += params.b2
+    norms = np.linalg.norm(uhat, axis=1)
     if np.any(norms < NORM_FLOOR):
         raise ValueError("pre-projection norm below 1e-12; degenerate embedding")
-    uhat = u / norms[:, None]
+    uhat /= norms[:, None]
     emb = params.gamma * uhat
-    return emb, ForwardCache(x=x, a1=a1, u=u, norms=norms, uhat=uhat)
+    return emb, ForwardCache(x=x, a1=a1, norms=norms, uhat=uhat)
 
 
 def forward_tokens(params: EncoderParams, ids: np.ndarray,
@@ -227,9 +232,14 @@ def load_checkpoint(path) -> EncoderParams:
 
     with open(str(path) + ".json") as f:
         sidecar = json.load(f)
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"checkpoint sidecar must be a JSON object, got {type(sidecar).__name__}")
     if sidecar.get("dtype") != "<f8" or not isinstance(sidecar.get("gamma_trainable"), bool):
         raise ValueError("checkpoint sidecar needs dtype '<f8' and a boolean gamma_trainable")
     shapes = sidecar.get("shapes", {})
+    if not isinstance(shapes, dict):
+        raise ValueError("checkpoint sidecar shapes must be a JSON object mapping arrays to "
+                         f"shapes, got {type(shapes).__name__}")
     unknown = set(shapes) - set(ARRAY_FIELDS)
     missing = set(ARRAY_FIELDS) - {"token_embed"} - set(shapes)
     if unknown or missing:

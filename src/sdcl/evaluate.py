@@ -82,7 +82,10 @@ def linear_probe(
     n_labeled = max(1, int(round(label_fraction * n)))
     subset = None
     if n_labeled >= n:
-        subset = np.arange(n)
+        # the whole pool, uncopied when it is already the C-contiguous
+        # float64 array that indexing would make
+        subset = slice(None)
+        train_embs = np.ascontiguousarray(train_embs, dtype=np.float64)
     else:
         for _ in range(10):
             candidate = rng.choice(n, size=n_labeled, replace=False)

@@ -91,17 +91,27 @@ def check_fields(obj) -> None:
 
 
 class SectionError(ValueError):
-    """A bad config section, named in the message."""
+    """A bad config section: the message is ``before``, the section's dotted
+    path ("top-level" for the whole file), then ``after``."""
+
+    def __init__(self, path: str, before: str, after: str):
+        self.path, self.before, self.after = path, before, after
+        super().__init__(f"{before} {path or 'top-level'} {after}")
 
 
 def build(cls, payload: dict, section: str):
-    """``cls`` from a JSON object; SectionError on an unknown field or a bad value."""
+    """``cls`` from a JSON object; SectionError on an unknown field or a bad value.
+
+    ``section`` is the dotted path of ``payload`` in the config file, "" for
+    the whole file; an error in a nested section names that section's path.
+    """
     unknown = set(payload) - set(hints(cls))
     if unknown:
-        raise SectionError(f"unknown {section} fields: {sorted(unknown)}")
+        raise SectionError(section, "unknown", f"fields: {sorted(unknown)}")
     try:
         return cls(**payload)
-    except SectionError:
-        raise
+    except SectionError as exc:
+        path = f"{section}.{exc.path}" if section else exc.path
+        raise SectionError(path, exc.before, exc.after) from exc
     except (TypeError, ValueError) as exc:
-        raise SectionError(f"invalid {section} config: {exc}") from exc
+        raise SectionError(section, "invalid", f"config: {exc}") from exc

@@ -355,8 +355,10 @@ def sample_features_for_classes(
     classes = _class_ids(spec, classes)
     if spec.mode == "continuous":
         cond = spec.conditionals
-        noise = rng.standard_normal((classes.size, cond.dim))
-        feats = cond.means[classes] + cond.stddevs[classes, None] * noise
+        # means[c] + stddevs[c] * noise, scaled and shifted in place
+        feats = rng.standard_normal((classes.size, cond.dim))
+        feats *= cond.stddevs[classes, None]
+        feats += cond.means[classes]
         return feats, None
     cond = spec.conditionals
     cdfs = np.array([choice_cdf(pmf) for pmf in cond.pmfs])

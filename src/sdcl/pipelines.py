@@ -142,14 +142,19 @@ def run_analog_cell(
     """
     sub = mix.subsample_classes(base_spec, config.subsampled, r)
     result = tr.train(sub, analog_train_config(variant, sub, config, seed))
+    # built before the pool: a long-lived array allocated while the pool's
+    # arrays are live can land above them and keep the heap from shrinking
+    trace = result.trace_array()
 
     pool_rng = stream(seed, 2, 0)
     pool_classes = mix.sample_class_array(sub.class_dist, config.n_probe, pool_rng)
     pool_x, _ = mix.sample_features_for_classes(sub, pool_classes, pool_rng)
     test_classes = np.repeat(np.arange(base_spec.num_classes), config.n_test_per_class)
     test_x, _ = mix.sample_features_for_classes(base_spec, test_classes, stream(seed, 2, 1))
-    pool_emb, _ = enc.forward_features(result.params, pool_x)
-    test_emb, _ = enc.forward_features(result.params, test_x)
+    # the caches are dropped at once; the pool's, 30 MB at 40k rows, would
+    # otherwise stay live through the test forward
+    pool_emb = enc.forward_features(result.params, pool_x)[0]
+    test_emb = enc.forward_features(result.params, test_x)[0]
 
     accuracies = {}
     for fraction in config.label_fractions:
@@ -162,7 +167,7 @@ def run_analog_cell(
         "seed": seed,
         "accuracies": accuracies,
         "params": result.params,
-        "trace": result.trace_array(),
+        "trace": trace,
     }
 
 

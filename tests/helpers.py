@@ -1,8 +1,9 @@
 """Shared test utilities: full-pipeline losses, finite-difference checks, and
-per-anchor / per-sentence / per-report / per-trial / per-array / row-major
-references for the batched in-batch loss, token pooling, token backward, PLL,
-report sampling, the LM corpus, Adam, the bound's Monte Carlo gap, bigram
-counting and the linear probe's softmax loss."""
+per-anchor / per-sentence / per-report / per-trial / per-array / row-major /
+out-of-place references for the batched in-batch loss, the feature forward,
+token pooling, token backward, PLL, report sampling, the LM corpus, Adam, the
+bound's Monte Carlo gap, bigram counting and the linear probe's softmax
+loss."""
 
 import bisect
 import math
@@ -280,13 +281,24 @@ def in_batch_loss_reference(anchor_embs, pos_embs, *, objective, gamma, etas=Non
     )
 
 
+def forward_features_reference(params, x):
+    """``forward_features`` out of place, keeping the pre-projection u: the
+    embeddings and the arrays ``(x, a1, u, norms, uhat)``."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    a1 = np.tanh(x @ params.w1.T + params.b1)
+    u = a1 @ params.w2.T + params.b2
+    norms = np.linalg.norm(u, axis=1)
+    uhat = u / norms[:, None]
+    return params.gamma * uhat, (x, a1, u, norms, uhat)
+
+
 # ---------------------------------------------------------------------------
 # Per-sentence references for the padded token batch: pooling, the token
 # gradient and PLL computed one sequence (and one token) at a time
 # ---------------------------------------------------------------------------
 
 
-def _pool_tokens_reference(params, token_seqs):
+def pool_tokens_reference(params, token_seqs):
     if params.token_embed is None:
         raise ValueError("encoder has no token embedding table")
     pooled = np.empty((len(token_seqs), params.token_embed.shape[1]), dtype=np.float64)
@@ -300,7 +312,7 @@ def _pool_tokens_reference(params, token_seqs):
 
 def forward_tokens_reference(params, token_seqs):
     """``forward_tokens`` pooling row by row; the cache keeps the sequences."""
-    pooled = _pool_tokens_reference(params, token_seqs)
+    pooled = pool_tokens_reference(params, token_seqs)
     emb, cache = enc.forward_features(params, pooled)
     cache.token_seqs = [tuple(int(t) for t in s) for s in token_seqs]
     return emb, cache

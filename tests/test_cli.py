@@ -438,6 +438,7 @@ def test_eval_flipped_byte_checkpoint_exits_2(tmp_path, capsys, base_config):
     ("string_shape", "b1"),
     ("no_trainable_flag", "gamma_trainable"),
     ("big_endian", "dtype"),
+    ("shapes_list", "shapes must be a JSON object"),
 ])
 def test_eval_bad_sidecar_exits_2(tmp_path, capsys, base_config, damage, needle):
     checkpoint = _trained_checkpoint(tmp_path, base_config)
@@ -452,6 +453,8 @@ def test_eval_bad_sidecar_exits_2(tmp_path, capsys, base_config, damage, needle)
         sidecar["shapes"]["b1"] = "64"
     elif damage == "no_trainable_flag":
         del sidecar["gamma_trainable"]
+    elif damage == "shapes_list":
+        sidecar["shapes"] = list(sidecar["shapes"])
     else:
         sidecar["dtype"] = ">f8"
     sidecar_path.write_text(json.dumps(sidecar))
@@ -533,6 +536,20 @@ def test_bad_config_values_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "config error" in err and field in err
     assert not [p for p in out.rglob("*") if p.suffix in (".csv", ".bin")]
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"train": {"eta": {"value": "0.1"}}},
+     "invalid train.eta config: value must be float, got '0.1'"),
+    ({"eta": {"value": "0.1"}}, "invalid eta config: value must be float, got '0.1'"),
+    ({"train": {"eta": {"bogus": 1}}}, "unknown train.eta fields: ['bogus']"),
+    ({"eta": {"bogus": 1}}, "unknown eta fields: ['bogus']"),
+    ({"seed": "x"}, "invalid top-level config: seed must be int, got 'x'"),
+], ids=["train.eta", "eta", "train.eta-unknown", "eta-unknown", "top-level"])
+def test_config_errors_name_the_section_path(tmp_path, capsys, config, message):
+    cfg = write_config(tmp_path, config)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_eval_n_train_must_be_an_integer(tmp_path, capsys, base_config):

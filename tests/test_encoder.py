@@ -1,8 +1,12 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import (
-    backward_add_at, backward_reference, forward_tokens_reference, params_at, token_batch,
+    backward_add_at, backward_reference, forward_features_reference, forward_tokens_reference,
+    params_at, pool_tokens_reference, token_batch,
 )
 
 from sdcl import encoder as enc
@@ -156,7 +160,7 @@ def test_backward_finite_check_names_the_array_and_allows_overflowing_sums():
     params.w2[1] = 1.0
     uhat = np.eye(6)[:1]
     x = np.full((1, 5), 1e307)
-    cache = enc.ForwardCache(x=x, a1=np.zeros((1, 7)), u=uhat, norms=np.ones(1), uhat=uhat)
+    cache = enc.ForwardCache(x=x, a1=np.zeros((1, 7)), norms=np.ones(1), uhat=uhat)
     d_emb = np.eye(6)[1:2]
     grads = enc.backward(params, cache, d_emb)
     # every entry is finite, only their sum overflows
@@ -165,6 +169,48 @@ def test_backward_finite_check_names_the_array_and_allows_overflowing_sums():
     x[0, 2] = np.inf
     with pytest.raises(FloatingPointError, match="non-finite gradient in w1$"):
         enc.backward(params, cache, d_emb)
+
+
+def _assert_forward_matches_reference(params, x, emb, cache):
+    ref_emb, (ref_x, a1, _, norms, uhat) = forward_features_reference(params, x)
+    assert emb.tobytes() == ref_emb.tobytes()
+    for name, ref in [("x", ref_x), ("a1", a1), ("norms", norms), ("uhat", uhat)]:
+        got = getattr(cache, name)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("rows", [1, 128, 4000])
+def test_forward_features_matches_the_out_of_place_formula(rows):
+    # the in-place layers repeat the out-of-place ufuncs operand for
+    # operand, so every array is bit for bit the same; at the study shapes
+    params = random_params(seed=35, input_dim=16, hidden=64, out=32)
+    x = stream(35, rows).standard_normal((rows, 16))
+    emb, cache = enc.forward_features(params, x)
+    _assert_forward_matches_reference(params, x, emb, cache)
+    assert not hasattr(cache, "u")
+
+
+def test_forward_tokens_matches_the_out_of_place_formula():
+    params = random_params(seed=36, input_dim=16, hidden=64, out=32, vocab=24)
+    seqs = token_batch("ragged", stream(36, 1), vocab=24)
+    emb, cache = enc.forward_tokens(params, *mix.pad_tokens(seqs))
+    _assert_forward_matches_reference(params, pool_tokens_reference(params, seqs), emb, cache)
+
+
+def test_forward_features_allocates_only_what_it_returns():
+    # a 4,000-row forward holds a1, uhat, the embeddings and the norms and
+    # nothing else at its peak: one more (B, D) temporary is 1 MB over
+    params = random_params(seed=37, input_dim=16, hidden=64, out=32)
+    x = stream(37, 1).standard_normal((4000, 16))
+    enc.forward_features(params, x)
+    tracemalloc.start()
+    try:
+        emb, cache = enc.forward_features(params, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = cache.a1.nbytes + cache.uhat.nbytes + emb.nbytes + cache.norms.nbytes
+    assert peak < kept + 128 * 1024
 
 
 def test_token_batch_rejects_empty_sequence():
@@ -216,6 +262,24 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.gamma == params.gamma
     assert loaded.gamma_trainable
     assert loaded.gamma.shape == ()
+
+
+@pytest.mark.parametrize("damage,needle", [
+    ("sidecar_list", "sidecar must be a JSON object, got list"),
+    ("shapes_list", "shapes must be a JSON object"),
+])
+def test_checkpoint_sidecar_of_the_wrong_json_type_is_refused(tmp_path, damage, needle):
+    path = tmp_path / "ckpt.bin"
+    enc.save_checkpoint(random_params(seed=31), path)
+    sidecar_path = tmp_path / "ckpt.bin.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    if damage == "sidecar_list":
+        sidecar = list(sidecar.items())
+    else:
+        sidecar["shapes"] = list(sidecar["shapes"])
+    sidecar_path.write_text(json.dumps(sidecar))
+    with pytest.raises(ValueError, match=needle):
+        enc.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("name,value", [

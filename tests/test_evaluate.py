@@ -50,6 +50,33 @@ def test_probe_full_labels_beat_fraction_on_average():
     assert np.mean(deltas) >= 0.0
 
 
+def test_full_label_probe_fits_the_pool_uncopied(monkeypatch):
+    # every row labelled: fit_softmax gets the pool itself, C-contiguous
+    # float64, and fits what the indexed copy of the pool fits
+    from sdcl.linear_head import fit_softmax, predict_classes
+
+    k, per = 3, 200
+    rng = stream(84, 0)
+    labels = np.repeat(np.arange(k), per)
+    pool = np.eye(k)[labels] + 0.8 * rng.standard_normal((k * per, k))
+    test_labels = np.repeat(np.arange(k), 100)
+    test_embs = np.eye(k)[test_labels] + 0.8 * rng.standard_normal((k * 100, k))
+    seen = []
+
+    def recording_fit(x, y, **kwargs):
+        seen.append(x)
+        return fit_softmax(x, y, **kwargs)
+
+    monkeypatch.setattr(ev, "fit_softmax", recording_fit)
+    acc = ev.linear_probe(pool, labels, test_embs, test_labels, 1.0, stream(84, 1))
+    (x,) = seen
+    assert np.shares_memory(x, pool)
+    assert x.flags.c_contiguous and x.dtype == np.float64
+    copied = fit_softmax(pool[np.arange(pool.shape[0])], labels, num_classes=k,
+                         fit_intercept=True, gtol=1e-6, max_iter=1000, l2=1e-4)
+    assert acc == float(np.mean(predict_classes(copied, test_embs) == test_labels))
+
+
 def test_probe_single_item_subset_errors():
     labels = np.array([0, 0, 1, 1])
     embs = np.eye(2)[labels]

@@ -209,6 +209,28 @@ def test_sample_conditional_zero_variance_hits_mean():
     assert points is None
 
 
+def test_continuous_features_are_means_plus_scaled_noise():
+    # the in-place scale and shift equal means[c] + stddevs[c] * noise bit
+    # for bit, a zero stddev included, and draw nothing beyond the noise
+    rng = stream(2, 1)
+    spec = mix.MixtureSpec(
+        class_dist=mix.ClassDistribution(np.full(4, 0.25)),
+        conditionals=mix.GaussianConditionals(means=rng.standard_normal((4, 16)),
+                                              stddevs=np.array([0.3, 1.7, 0.0, 1.0])),
+        templates=tuple(((c,),) for c in range(4)),
+        template_weights=tuple((1.0,) for _ in range(4)),
+        vocab_size=4,
+    )
+    classes = rng.integers(0, 4, size=1000)
+    ours, theirs = stream(2, 2), stream(2, 2)
+    feats, _ = mix.sample_features_for_classes(spec, classes, ours)
+    cond = spec.conditionals
+    expected = cond.means[classes] + cond.stddevs[classes, None] * theirs.standard_normal(
+        (classes.size, cond.dim))
+    assert feats.tobytes() == expected.tobytes()
+    assert ours.random() == theirs.random()
+
+
 def test_sample_conditional_concentrated_pmf():
     spec = small_discrete_spec()
     pmfs = np.zeros_like(spec.conditionals.pmfs)
