@@ -266,7 +266,7 @@ def cmd_eval(config: Config, args) -> int:
     report.linear_probe_acc = ev.linear_probe(
         train_emb, train_classes, test_emb, test_classes, section.label_fraction,
         stream(seed, 2, 1),
-    )
+    ).accuracy
     report.mean_classifier_acc = ev.mean_classifier_accuracy(
         train_emb, train_classes, test_emb, test_classes
     )
@@ -355,6 +355,10 @@ def cmd_repro(config: Config, args) -> int:
         write_csv(out / "analog_summary.csv", ["r", "label_fraction", *pl.ANALOG_VARIANTS],
                   [[r, fraction, *pl.analog_means(rows, r, fraction).values()]
                    for r in analog.r_values for fraction in analog.label_fractions], manifest)
+        write_csv(out / "analog_probe.csv",
+                  ["r", "variant", "seed", "label_fraction", "converged", "evaluations"],
+                  [[row["r"], row["variant"], row["seed"], fraction, *row["probe"][fraction]]
+                   for row in rows for fraction in analog.label_fractions], manifest)
         manifest.save(out)
         print(f"analog study complete: {len(rows)} cells -> {out}")
         return 0

@@ -9,12 +9,12 @@ projection for plotting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import encoder as enc
-from .linear_head import fit_softmax, predict_classes
+from .linear_head import check_labels, fit_softmax, predict_classes
 from .mixture import TokenSeq, pad_tokens
 
 
@@ -30,6 +30,12 @@ class RetrievalReport:
 class PromptReport:
     accuracy: float
     per_class: dict  # class id -> accuracy over images for that binary task
+
+
+class ProbeResult(NamedTuple):
+    accuracy: float
+    converged: bool  # the fit reached its gradient tolerance
+    evaluations: int  # loss-and-gradient evaluations of the fit
 
 
 @dataclass
@@ -63,19 +69,27 @@ def linear_probe(
     test_labels: np.ndarray,
     label_fraction: float,
     rng: np.random.Generator,
-) -> float:
+) -> ProbeResult:
     """Accuracy of a softmax head trained on a labeled fraction of the
-    (frozen) training embeddings and evaluated on the test embeddings.
+    (frozen) training embeddings and evaluated on the test embeddings, with
+    the fit's convergence flag and evaluation count.
 
     The labeled subset is resampled up to 10 times until it covers every
     class present in the training labels; persistent failure raises.  A weak
-    ridge term keeps the optimum finite on separable embeddings.
+    ridge term keeps the optimum finite on separable embeddings.  Raises
+    ValueError for labels that are not integers, one per row, and for test
+    embeddings that are not finite rows as wide as the training embeddings.
     """
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    test_labels = np.asarray(test_labels, dtype=np.int64)
     if not 0.0 < label_fraction <= 1.0:
         raise ValueError("label_fraction must be in (0, 1]")
-    n = train_embs.shape[0]
+    n, width = train_embs.shape
+    train_labels = check_labels(train_labels, n)
+    test_embs = np.asarray(test_embs, dtype=np.float64)
+    if test_embs.ndim != 2 or test_embs.shape[1] != width:
+        raise ValueError(f"test embeddings must have shape (m, {width}), got {test_embs.shape}")
+    if not np.all(np.isfinite(test_embs)):
+        raise ValueError("test embeddings must be finite")
+    test_labels = check_labels(test_labels, test_embs.shape[0])
     classes = np.unique(train_labels)
     if classes.size < 2:
         raise ValueError("need at least 2 classes in the training labels")
@@ -106,7 +120,7 @@ def linear_probe(
         l2=1e-4,
     )
     preds = predict_classes(fit, test_embs)
-    return float(np.mean(preds == test_labels))
+    return ProbeResult(float(np.mean(preds == test_labels)), fit.converged, fit.evaluations)
 
 
 def mean_classifier_accuracy(

@@ -6,11 +6,10 @@ the objective is convex, so a deterministic full-batch quasi-Newton descent
 requested gradient-norm tolerance or reports that the budget ran out.
 
 The loss is evaluated class-major: logits, probabilities and their gradient
-are ``(K, n)`` arrays, so each per-row step is a K-step loop of contiguous
-length-n vector operations.  Every step repeats the rounding of the row-major
-``(n, K)`` formulation, so a fit is bit for bit the one that formulation
-gives (for K <= 128 and D >= 2, where OpenBLAS also blocks both matrix
-products alike).
+are ``(K, n)`` arrays in a buffer reused across evaluations, with one ``exp``
+per evaluation, the weight gradient as ``probs @ x`` and the intercept
+gradient as a row sum.  The transposed features are made contiguous once per
+fit, so the logits are one ``(K, D) @ (D, n)`` product.
 """
 
 from __future__ import annotations
@@ -28,63 +27,46 @@ class SoftmaxFit:
     loss: float
     grad_norm: float
     converged: bool
+    evaluations: int  # loss-and-gradient evaluations the optimizer made
 
 
-def _sum_classes(e: np.ndarray) -> np.ndarray:
-    """Sum a (K, n) array over its K rows in place; returns the view ``e[0]``.
-
-    The additions repeat numpy's pairwise order for a contiguous row of
-    K <= 128 entries (``e.T.sum(axis=1)``): sequential below 8, else eight
-    interleaved accumulators combined as a tree, then the rest in order.
-    """
-    k = e.shape[0]
-    stop = 1 if k < 8 else k - k % 8
-    if k >= 8:
-        for i in range(8, stop, 8):
-            e[:8] += e[i : i + 8]
-        e[0:8:2] += e[1:8:2]
-        e[0:8:4] += e[2:8:4]
-        e[0] += e[4]
-    for row in e[stop:]:
-        e[0] += row
-    return e[0]
+def check_labels(y, n: int) -> np.ndarray:
+    """``y`` as an int64 array of shape (n,); raises ValueError for any other
+    shape and for labels that are not integers (which would be truncated)."""
+    y = np.asarray(y)
+    if y.shape != (n,):
+        raise ValueError(f"labels must have shape ({n},), got {y.shape}")
+    if not np.issubdtype(y.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got {y.dtype}")
+    return y.astype(np.int64, copy=False)
 
 
-def _loss_grad(theta, x, label_pos, sample_weight, k, d, fit_intercept, l2, work):
+def _loss_grad(theta, x, xt, label_pos, sample_weight, k, d, fit_intercept, l2, work):
     """Loss and flat gradient at ``theta`` for ``x`` of shape (n, D).
 
-    ``label_pos`` holds the flat positions ``y * n + arange(n)`` of the labels in
-    a (K, n) array, and ``work`` is a (2, K, n) scratch buffer.
+    ``xt`` is ``x.T`` made C-contiguous, ``label_pos`` holds the flat
+    positions ``y * n + arange(n)`` of the labels in a (K, n) array, and
+    ``work`` is a (2, K, n) scratch buffer.
     """
     logits, probs = work
     w = theta[: k * d].reshape(k, d)
-    np.matmul(w, x.T, out=logits)
-    logits += theta[k * d :, None] if fit_intercept else np.zeros((k, 1))
+    np.matmul(w, xt, out=logits)
+    if fit_intercept:
+        logits += theta[k * d :, None]
     logits -= logits.max(axis=0)
     np.exp(logits, out=probs)
-    log_z = _sum_classes(probs)
-    logits -= np.log(log_z, out=log_z)  # now the log-probabilities
-    picked = logits.ravel()[label_pos]
-    if np.isneginf(logits.min()):
-        # the one-hot product 0 * -inf makes a row nan wherever an
-        # off-label log-probability overflowed
-        off_label = np.isneginf(logits)
-        off_label.ravel()[label_pos] = False
-        picked[off_label.any(axis=0)] = np.nan
-    loss = -float(np.sum(sample_weight * picked))
-    np.exp(logits, out=probs)
+    z = probs.sum(axis=0)
+    loss = -float(sample_weight @ (logits.ravel()[label_pos] - np.log(z)))
+    probs /= z
     probs.ravel()[label_pos] -= 1.0
     probs *= sample_weight
-    grad_w = (x.T @ probs.T).T
+    grad_w = probs @ x
     if l2 > 0:
         loss += 0.5 * l2 * float(np.sum(w * w))
         grad_w += l2 * w
     if fit_intercept:
-        # row-sequential, as a sum over the rows of an (n, K) array
-        grad = np.concatenate([grad_w.ravel(), np.cumsum(probs, axis=1, out=logits)[:, -1]])
-    else:
-        grad = grad_w.ravel()
-    return loss, grad
+        return loss, np.concatenate([grad_w.ravel(), probs.sum(axis=1)])
+    return loss, grad_w.ravel()
 
 
 def fit_softmax(
@@ -101,16 +83,18 @@ def fit_softmax(
 ) -> SoftmaxFit:
     """Minimize weighted cross-entropy; sample weights are normalized to sum 1.
 
-    Raises ValueError for non-finite ``x``, labels outside ``[0, K)`` and
-    sample weights that are not shape (n,), negative, non-finite or all zero.
+    Raises ValueError for non-finite ``x``, labels that are not integers in
+    ``[0, K)``, sample weights that are not shape (n,), negative, non-finite
+    or all zero, ``init_weights`` that are not finite of shape (K, D), and an
+    ``l2`` that is not finite and nonnegative.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     n, d = x.shape
-    if y.shape != (n,):
-        raise ValueError(f"labels must have shape ({n},), got {y.shape}")
+    y = check_labels(y, n)
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
+    if not (np.isfinite(l2) and l2 >= 0):
+        raise ValueError(f"l2 must be finite and nonnegative, got {l2}")
     k = int(num_classes if num_classes is not None else y.max() + 1)
     if y.min() < 0 or y.max() >= k:
         raise ValueError(f"labels must lie in [0, {k})")
@@ -124,10 +108,15 @@ def fit_softmax(
         if not (np.all(sample_weight >= 0) and np.isfinite(total) and total > 0):
             raise ValueError("sample weights must be finite, nonnegative and not all zero")
         sample_weight = sample_weight / total
+    if init_weights is None:
+        w0 = np.zeros((k, d))
+    else:
+        w0 = np.asarray(init_weights, dtype=np.float64)
+        if w0.shape != (k, d) or not np.all(np.isfinite(w0)):
+            raise ValueError(f"init_weights must be finite with shape ({k}, {d}), got {w0.shape}")
+    xt = np.ascontiguousarray(x.T)
     label_pos = y * n + np.arange(n)
     work = np.empty((2, k, n))
-
-    w0 = np.zeros((k, d)) if init_weights is None else np.asarray(init_weights, dtype=np.float64)
     theta0 = np.concatenate([w0.ravel(), np.zeros(k)]) if fit_intercept else w0.ravel()
 
     # the first evaluation (at theta0) and the latest one, so that the result
@@ -135,7 +124,7 @@ def fit_softmax(
     seen = {}
 
     def loss_grad(theta):
-        out = _loss_grad(theta, x, label_pos, sample_weight, k, d, fit_intercept, l2, work)
+        out = _loss_grad(theta, x, xt, label_pos, sample_weight, k, d, fit_intercept, l2, work)
         if len(seen) > 1:
             seen.popitem()
         seen[theta.tobytes()] = out
@@ -165,6 +154,7 @@ def fit_softmax(
         loss=float(loss),
         grad_norm=grad_norm,
         converged=grad_norm <= gtol,
+        evaluations=int(result.nfev),
     )
 
 

@@ -156,16 +156,19 @@ def run_analog_cell(
     pool_emb = enc.forward_features(result.params, pool_x)[0]
     test_emb = enc.forward_features(result.params, test_x)[0]
 
-    accuracies = {}
+    accuracies, probe = {}, {}
     for fraction in config.label_fractions:
-        accuracies[fraction] = ev.linear_probe(
+        accuracy, converged, evaluations = ev.linear_probe(
             pool_emb, pool_classes, test_emb, test_classes, fraction, stream(seed, 2, 2)
         )
+        accuracies[fraction] = accuracy
+        probe[fraction] = (converged, evaluations)
     return {
         "r": r,
         "variant": variant,
         "seed": seed,
         "accuracies": accuracies,
+        "probe": probe,  # fraction -> (converged, evaluations) of its fit
         "params": result.params,
         "trace": trace,
     }

@@ -354,9 +354,14 @@ def test_repro_analog_bitwise_determinism(tmp_path):
     out1, out2 = tmp_path / "a1", tmp_path / "a2"
     assert main(["repro", "cifar-analog", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["repro", "cifar-analog", "--config", cfg, "--out", str(out2)]) == 0
-    for name in ("analog_accuracy.csv", "analog_summary.csv"):
+    for name in ("analog_accuracy.csv", "analog_summary.csv", "analog_probe.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
+    header, *rows = (out1 / "analog_probe.csv").read_text().splitlines()[1:]
+    assert header == "r,variant,seed,label_fraction,converged,evaluations"
+    assert len(rows) == 4  # one per variant at the one label fraction
+    for row in rows:
+        *_, converged, evaluations = row.split(",")
+        assert converged == "True" and int(evaluations) > 0
 
 
 def test_repro_analog_csv_bodies_are_pinned(tmp_path):

@@ -16,7 +16,7 @@ def test_probe_separable_embeddings_perfect():
     k, per = 4, 30
     labels = np.repeat(np.arange(k), per)
     embs = np.eye(k)[labels] + 0.01 * stream(80, 0).standard_normal((k * per, k))
-    acc = ev.linear_probe(embs, labels, embs, labels, 1.0, stream(80, 1))
+    acc = ev.linear_probe(embs, labels, embs, labels, 1.0, stream(80, 1)).accuracy
     assert acc == 1.0
 
 
@@ -29,7 +29,7 @@ def test_probe_random_labels_chance_level():
     embs = rng.standard_normal((k * per, 6))
     test_labels = rng.permutation(np.repeat(np.arange(k), 500))
     test_embs = rng.standard_normal((k * 500, 6))
-    acc = ev.linear_probe(embs, labels, test_embs, test_labels, 1.0, stream(81, 1))
+    acc = ev.linear_probe(embs, labels, test_embs, test_labels, 1.0, stream(81, 1)).accuracy
     assert abs(acc - 1.0 / k) < 0.05
 
 
@@ -44,8 +44,10 @@ def test_probe_full_labels_beat_fraction_on_average():
         embs = np.eye(k)[labels] + 0.8 * rng.standard_normal((k * per, k))
         test_labels = np.repeat(np.arange(k), 80)
         test_embs = np.eye(k)[test_labels] + 0.8 * rng.standard_normal((k * 80, k))
-        acc_small = ev.linear_probe(embs, labels, test_embs, test_labels, 0.1, stream(82, seed, 1))
-        acc_full = ev.linear_probe(embs, labels, test_embs, test_labels, 1.0, stream(82, seed, 2))
+        acc_small = ev.linear_probe(embs, labels, test_embs, test_labels, 0.1,
+                                    stream(82, seed, 1)).accuracy
+        acc_full = ev.linear_probe(embs, labels, test_embs, test_labels, 1.0,
+                                   stream(82, seed, 2)).accuracy
         deltas.append(acc_full - acc_small)
     assert np.mean(deltas) >= 0.0
 
@@ -68,7 +70,7 @@ def test_full_label_probe_fits_the_pool_uncopied(monkeypatch):
         return fit_softmax(x, y, **kwargs)
 
     monkeypatch.setattr(ev, "fit_softmax", recording_fit)
-    acc = ev.linear_probe(pool, labels, test_embs, test_labels, 1.0, stream(84, 1))
+    acc = ev.linear_probe(pool, labels, test_embs, test_labels, 1.0, stream(84, 1)).accuracy
     (x,) = seen
     assert np.shares_memory(x, pool)
     assert x.flags.c_contiguous and x.dtype == np.float64
@@ -85,6 +87,60 @@ def test_probe_single_item_subset_errors():
         ev.linear_probe(embs, labels, embs, labels, 0.25, stream(83, 0))
     with pytest.raises(ValueError):
         ev.linear_probe(embs, np.zeros(4, dtype=int), embs, labels, 1.0, stream(83, 1))
+
+
+def probe_problem():
+    k, per = 3, 40
+    rng = stream(85, 0)
+    labels = np.repeat(np.arange(k), per)
+    embs = np.eye(k)[labels] + 0.3 * rng.standard_normal((k * per, k))
+    return embs, labels
+
+
+def test_probe_reports_convergence_and_evaluations():
+    embs, labels = probe_problem()
+    accuracy, converged, evaluations = ev.linear_probe(embs, labels, embs, labels, 1.0,
+                                                       stream(85, 1))
+    assert accuracy > 0.9
+    assert converged is True
+    assert isinstance(evaluations, int) and evaluations > 1
+
+
+def test_probe_rejects_non_finite_test_embeddings():
+    embs, labels = probe_problem()
+    for bad in (np.nan, np.inf):
+        test_embs = embs.copy()
+        test_embs[5, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ev.linear_probe(embs, labels, test_embs, labels, 1.0, stream(85, 1))
+
+
+def test_probe_rejects_test_embeddings_that_are_not_2d():
+    embs, labels = probe_problem()
+    with pytest.raises(ValueError, match="test embeddings"):
+        ev.linear_probe(embs, labels, embs.ravel(), labels, 1.0, stream(85, 1))
+    with pytest.raises(ValueError, match="test embeddings"):
+        ev.linear_probe(embs, labels, embs[None], labels, 1.0, stream(85, 1))
+
+
+def test_probe_rejects_test_embeddings_of_another_width():
+    embs, labels = probe_problem()
+    with pytest.raises(ValueError, match="test embeddings"):
+        ev.linear_probe(embs, labels, embs[:, :2], labels, 1.0, stream(85, 1))
+
+
+def test_probe_rejects_a_test_label_count_mismatch():
+    embs, labels = probe_problem()
+    with pytest.raises(ValueError, match="labels"):
+        ev.linear_probe(embs, labels, embs, labels[:-1], 1.0, stream(85, 1))
+
+
+def test_probe_rejects_non_integer_labels():
+    embs, labels = probe_problem()
+    with pytest.raises(ValueError, match="integers"):
+        ev.linear_probe(embs, labels + 0.5, embs, labels, 1.0, stream(85, 1))
+    with pytest.raises(ValueError, match="integers"):
+        ev.linear_probe(embs, labels, embs, labels.astype(np.float64), 1.0, stream(85, 1))
 
 
 def test_mean_classifier_accuracy():

@@ -21,8 +21,17 @@ def assert_bitwise(a, b):
 
 def kernel(theta, x, y, sample_weight, k, d, fit_intercept, l2):
     n = x.shape[0]
-    return lh._loss_grad(theta, x, y * n + np.arange(n), sample_weight, k, d, fit_intercept, l2,
-                         np.empty((2, k, n)))
+    return lh._loss_grad(theta, x, np.ascontiguousarray(x.T), y * n + np.arange(n), sample_weight,
+                         k, d, fit_intercept, l2, np.empty((2, k, n)))
+
+
+def assert_close_to_reference(got, want):
+    """The kernel's rounding differs from the row-major reference's; both
+    agree to a few ulps of the loss and of the gradient's largest entry."""
+    (loss, grad), (want_loss, want_grad) = got, want
+    assert abs(loss - want_loss) <= 1e-13 * max(1.0, abs(want_loss))
+    assert grad.shape == want_grad.shape
+    assert np.max(np.abs(grad - want_grad)) <= 1e-11 * max(1.0, np.max(np.abs(want_grad)))
 
 
 # theta = 0 is the first evaluation of every fit without init weights;
@@ -48,31 +57,66 @@ def test_loss_grad_matches_row_major_reference(k, d):
                         with np.errstate(all="ignore"):
                             want = loss_grad_reference(theta, x, y, weights, k, d, fit_intercept, l2)
                             got = kernel(theta, x, y, weights, k, d, fit_intercept, l2)
-                        assert_bitwise(got[0], want[0])
-                        assert_bitwise(got[1], want[1])
+                        if scale < 1e306:
+                            assert_close_to_reference(got, want)
+                        else:
+                            assert np.isnan(got[0]) == np.isnan(want[0])
+                            assert np.array_equal(np.isnan(got[1]), np.isnan(want[1]))
 
 
-def test_off_label_overflow_keeps_the_reference_nan():
-    # row 0's off-label logit is -2e308 below its max: log-probability -inf,
-    # and the one-hot product 0 * -inf makes the reference loss nan
+@pytest.mark.parametrize("k", list(range(1, 41)) + [64, 127, 128])
+def test_sum_classes_matches_numpy_row_sum(k):
+    # the kernel's class-axis sums (the normalizer, the intercept gradient),
+    # against the reference's numpy row sums, at every class count where
+    # numpy's reduction order changes
+    rng = np.random.default_rng(k)
+    for n in (1, 3, 1000):
+        x = rng.normal(size=(n, 4))
+        y = rng.integers(0, k, size=n)
+        weights = rng.random(n)
+        weights /= weights.sum()
+        theta = rng.normal(size=5 * k) * 4.0
+        want = loss_grad_reference(theta, x, y, weights, k, 4, True, 1e-4)
+        work = np.empty((2, k, n))
+        got = lh._loss_grad(theta, x, np.ascontiguousarray(x.T), y * n + np.arange(n), weights,
+                            k, 4, True, 1e-4, work)
+        assert_close_to_reference(got, want)
+        # the normalized probabilities sum to 1 over the classes: the
+        # weighted (probs - one-hot) left in the buffer sums to ~0 per row
+        residual = work[1].sum(axis=0)
+        assert np.all(np.abs(residual) <= 8 * (k + 2) * np.finfo(float).eps * weights)
+
+
+@pytest.mark.parametrize("fit_intercept", [True, False])
+def test_loss_grad_matches_central_differences(fit_intercept):
+    rng = np.random.default_rng(7)
+    k, d, n = 4, 3, 50
+    x = rng.normal(size=(n, d))
+    y = rng.integers(0, k, size=n)
+    weights = rng.random(n)
+    weights /= weights.sum()
+    theta = rng.normal(size=k * d + (k if fit_intercept else 0))
+    _, grad = kernel(theta, x, y, weights, k, d, fit_intercept, 1e-2)
+    h = 1e-6
+    for i in range(theta.size):
+        step = np.zeros_like(theta)
+        step[i] = h
+        up = kernel(theta + step, x, y, weights, k, d, fit_intercept, 1e-2)[0]
+        down = kernel(theta - step, x, y, weights, k, d, fit_intercept, 1e-2)[0]
+        assert abs((up - down) / (2 * h) - grad[i]) < 1e-8
+
+
+def test_off_label_overflow_gives_the_exact_loss():
+    # row 0's off-label logit is -2e308 below its max: probability exactly 0.
+    # (the row-major reference's one-hot product 0 * -inf makes its loss nan)
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     theta = np.array([1e308, 0.0, -1e308, 0.0, 0.0, 0.0])
     y = np.array([0, 1])
     weights = np.full(2, 0.5)
     with np.errstate(all="ignore"):
-        want = loss_grad_reference(theta, x, y, weights, 2, 2, True, 0.0)
-        got = kernel(theta, x, y, weights, 2, 2, True, 0.0)
-    assert np.isnan(want[0])
-    assert_bitwise(got[0], want[0])
-    assert_bitwise(got[1], want[1])
-
-
-@pytest.mark.parametrize("k", list(range(1, 41)) + [64, 127, 128])
-def test_sum_classes_matches_numpy_row_sum(k):
-    rng = np.random.default_rng(k)
-    for n in (1, 3, 1000):
-        e = np.exp(rng.normal(size=(n, k)) * 4.0)
-        assert lh._sum_classes(e.T.copy()).tobytes() == e.sum(axis=1).tobytes()
+        loss, grad = kernel(theta, x, y, weights, 2, 2, True, 0.0)
+    assert loss == 0.5 * np.log(2.0)
+    assert grad.tolist() == [0.0, 0.25, 0.0, -0.25, 0.25, -0.25]
 
 
 def pinned_problem():
@@ -82,15 +126,27 @@ def pinned_problem():
     return x, y
 
 
-def test_fit_softmax_is_pinned():
-    # recorded with the row-major kernel and the two extra evaluations per fit
+def test_fit_softmax_is_pinned(monkeypatch):
+    # recorded with the class-major kernel
     x, y = pinned_problem()
     fit = lh.fit_softmax(x, y, num_classes=10, l2=1e-4)
     digest = hashlib.sha256()
     for part in (fit.weights, fit.intercept, np.float64(fit.loss), np.float64(fit.grad_norm)):
         digest.update(np.ascontiguousarray(part).tobytes())
-    assert digest.hexdigest() == "d25e04d3e10d0a695ed5f21629f6f746aec9dba672a294ad91ecb961dd45f75c"
+    assert digest.hexdigest() == "ad67928389f82fe7dabdaa511526710da5b4a2d3092f3bcb07ab5d8ccea781bc"
     assert fit.converged
+
+    # the row-major reference, driven by the same optimizer, lands at the
+    # same weights up to rounding and predicts the same classes
+    def reference_kernel(theta, x, xt, label_pos, sample_weight, k, d, fit_intercept, l2, work):
+        y = label_pos // x.shape[0]
+        return loss_grad_reference(theta, x, y, sample_weight, k, d, fit_intercept, l2)
+
+    monkeypatch.setattr(lh, "_loss_grad", reference_kernel)
+    reference = lh.fit_softmax(x, y, num_classes=10, l2=1e-4)
+    assert np.max(np.abs(reference.weights - fit.weights)) < 1e-9
+    assert np.max(np.abs(reference.intercept - fit.intercept)) < 1e-9
+    assert np.array_equal(lh.predict_classes(reference, x), lh.predict_classes(fit, x))
 
 
 @pytest.mark.parametrize("fit_intercept", [True, False])
@@ -119,11 +175,14 @@ def test_fit_reports_the_evaluation_at_its_weights(monkeypatch, fit_intercept):
     theta = result.x
     parts = (fit.weights.ravel(), fit.intercept) if fit_intercept else (fit.weights.ravel(),)
     assert theta.tobytes() == np.concatenate(parts).tobytes()
-    loss, grad = loss_grad_reference(theta, x, y, weights / weights.sum(), 10, 16, fit_intercept, 1e-4)
+    loss, grad = kernel(theta, x, y, weights / weights.sum(), 10, 16, fit_intercept, 1e-4)
     assert_bitwise(fit.loss, loss)
     assert_bitwise(fit.grad_norm, np.linalg.norm(grad, ord=np.inf))
     assert_bitwise(result.fun, loss)
     assert_bitwise(result.jac, grad)
+    assert fit.evaluations == result.nfev
+    want = loss_grad_reference(theta, x, y, weights / weights.sum(), 10, 16, fit_intercept, 1e-4)
+    assert_close_to_reference((loss, grad), want)
 
 
 def test_fit_softmax_rejects_bad_input():
@@ -144,3 +203,30 @@ def test_fit_softmax_rejects_bad_input():
         x_bad[3, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             lh.fit_softmax(x_bad, y, num_classes=10)
+
+
+def test_fit_softmax_rejects_non_integer_labels():
+    x, y = pinned_problem()
+    x, y = x[:50], y[:50]
+    for labels in (y + 0.5, y.astype(np.float64), y == 0):
+        with pytest.raises(ValueError, match="integers"):
+            lh.fit_softmax(x, labels, num_classes=10)
+
+
+def test_fit_softmax_rejects_bad_init_weights():
+    x, y = pinned_problem()
+    x, y = x[:50, :4], y[:50] % 3
+    bad_shapes = (np.zeros((3, 5)), np.zeros((3, 3)), np.zeros((2, 4)), np.zeros(12))
+    for init in bad_shapes + (np.full((3, 4), np.nan), np.full((3, 4), np.inf)):
+        for fit_intercept in (True, False):
+            with pytest.raises(ValueError, match="init_weights"):
+                lh.fit_softmax(x, y, num_classes=3, fit_intercept=fit_intercept,
+                               init_weights=init)
+
+
+def test_fit_softmax_rejects_bad_l2():
+    x, y = pinned_problem()
+    x, y = x[:50], y[:50]
+    for l2 in (np.nan, np.inf, -1.0, -1e-12):
+        with pytest.raises(ValueError, match="l2"):
+            lh.fit_softmax(x, y, num_classes=10, l2=l2)
