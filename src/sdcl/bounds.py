@@ -17,16 +17,14 @@ the report.  All checks rescale scores by 1/gamma^2 first, matching the
 proof's gamma = 1 normalization, so the estimator clamp floor is e^{-1}.
 
 Also here: the supervised-loss ordering l_sup <= l_sup_mu <= l_tilde for
-N >= (1 - rho_min)/rho_min, and the closed-form Lipschitz factors of the
-generalization bound (reported for completeness; no complexity estimate
-multiplies them).
+N >= (1 - rho_min)/rho_min.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,11 +32,10 @@ import numpy as np
 from . import encoder as enc
 from .eta import EtaProvider, eta_for_batch
 from .linear_head import fit_softmax
-from .mixture import MixtureSpec, choice_cdf, pad_tokens
+from .mixture import MixtureSpec, choice_cdf, pad_tokens, require_discrete
 from .objectives import asymptotic_loss, asymptotic_loss_from_scores
 
 E2 = math.e**2
-E4 = math.e**4
 PROOF_CONSTANTS = (3.0 * E2 * math.sqrt(math.pi / 2.0),) * 2 + (3.0 * E2,)
 STATEMENT_CONSTANTS = (3.0 * E2 * math.sqrt(math.pi / 2.0), 2.0 * E2, 2.0 * E2)
 # empirical_gap evaluates as many trials at once as keep its largest gathered
@@ -63,9 +60,6 @@ class BoundReport:
     m: int
     trials: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class SupLossReport:
@@ -77,24 +71,9 @@ class SupLossReport:
     converged: bool
 
 
-@dataclass
-class LipschitzFactors:
-    l_psi: float
-    l_omega: float
-    l_ell: float
-    l_phi: float
-    b: float
-
-
-def _require_discrete(spec: MixtureSpec):
-    if spec.mode != "discrete":
-        raise ValueError("bound verification requires a discrete-mode spec")
-    return spec.conditionals
-
-
 def eta_matrix(spec: MixtureSpec, provider: EtaProvider) -> np.ndarray:
     """eta evaluated on every (class, point) cell of a discrete spec."""
-    cond = _require_discrete(spec)
+    cond = require_discrete(spec)
     k, p = cond.num_classes, cond.num_points
     tokens = None if spec.point_tokens is None else pad_tokens(spec.point_tokens * k)
     return eta_for_batch(provider, np.repeat(np.arange(k), p), tokens).reshape(k, p)
@@ -102,7 +81,7 @@ def eta_matrix(spec: MixtureSpec, provider: EtaProvider) -> np.ndarray:
 
 def _joint_weights(spec: MixtureSpec) -> np.ndarray:
     """Joint pmf over (class, point): rho(c) * D_c(x)."""
-    cond = _require_discrete(spec)
+    cond = require_discrete(spec)
     return spec.class_dist.probs[:, None] * cond.pmfs
 
 
@@ -135,7 +114,7 @@ def prop1_rhs(
 
 def _normalized_scores(spec: MixtureSpec, params: enc.EncoderParams) -> np.ndarray:
     """Pairwise point scores rescaled to the gamma = 1 convention."""
-    cond = _require_discrete(spec)
+    cond = require_discrete(spec)
     emb, _ = enc.forward_features(params, cond.points)
     return (emb @ emb.T) / params.gamma**2
 
@@ -170,7 +149,7 @@ def empirical_gap(
         raise ValueError("need at least 2 trials for a standard error")
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    cond = _require_discrete(spec)
+    cond = require_discrete(spec)
     rho = spec.class_dist.probs
     pmfs = cond.pmfs
     k, p = pmfs.shape
@@ -333,7 +312,7 @@ def sup_loss_mean_classifier(
 ) -> float:
     """Average supervised loss of the classifier whose rows are the exact
     class-conditional embedding means, over the K-class task distribution."""
-    cond = _require_discrete(spec)
+    cond = require_discrete(spec)
     emb, _ = enc.forward_features(params, cond.points)
     mus = cond.pmfs @ emb
     tasks, task_probs = _task_list(spec, k)
@@ -356,7 +335,7 @@ def sup_loss_best_linear(
     and whether every task reached the gradient tolerance (separable tasks
     have their infimum at infinity and report False).
     """
-    cond = _require_discrete(spec)
+    cond = require_discrete(spec)
     emb, _ = enc.forward_features(params, cond.points)
     mus = cond.pmfs @ emb
     tasks, task_probs = _task_list(spec, k)
@@ -415,33 +394,4 @@ def lemma_a1_check(
         n_used=n,
         holds=bool(holds),
         converged=converged,
-    )
-
-
-def lipschitz_factors(n: int, m: int, eta_max: float, grad_kappa_norm: float) -> LipschitzFactors:
-    """Closed-form Lipschitz factors of the loss-composition analysis.
-
-    l_psi's radicand collects the squared partial-derivative bounds of the
-    estimator statistics (the same-class term carries the e^4 factor from
-    |d psi / d b_m| <= eta_max e^2 / ((1 - eta_max) M)); l_omega is the
-    log(1 + N z) factor at the clamp floor z = e^{-2}; l_phi covers the
-    statistics map including the class-probability head's gradient norm; b
-    bounds the loss itself, growing as log N.
-    """
-    if not 0.0 < eta_max < 1.0:
-        raise ValueError("eta_max must lie in (0, 1)")
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    one_minus = 1.0 - eta_max
-    l_psi = math.sqrt(
-        E4 / (one_minus**2 * n)
-        + eta_max**2 * E4 / (one_minus**2 * m)
-        + E2 / one_minus**4
-        + 1.0
-    )
-    l_omega = n / (1.0 + n * math.exp(-2.0))
-    l_phi = math.sqrt(6.0 * n + 6.0 * m + 2.0 + grad_kappa_norm**2)
-    b = math.log(1.0 + n * max((E2 - eta_max * math.exp(-2.0)) / one_minus, 1.0))
-    return LipschitzFactors(
-        l_psi=l_psi, l_omega=l_omega, l_ell=l_omega * l_psi, l_phi=l_phi, b=b
     )

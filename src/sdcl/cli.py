@@ -46,6 +46,12 @@ class SpecSection:
 
     def __post_init__(self):
         check_fields(self)
+        if self.preset is not None and self.inline is not None:
+            raise ValueError("give preset or inline, not both")
+        if self.preset not in (None, "cifar-analog", "eta-tradeoff"):
+            raise ValueError(f"unknown preset {self.preset!r}; use cifar-analog or eta-tradeoff")
+        if self.r is not None and (self.preset != "cifar-analog" or not 0.0 < self.r <= 1.0):
+            raise ValueError(f"r must be in (0, 1] with the cifar-analog preset, got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,6 @@ class Config:
     seed: int = 0
     out: str = "runs/latest"
     spec: SpecSection = field(default_factory=SpecSection)
-    eta: EtaConfig = field(default_factory=EtaConfig)
     train: tr.TrainConfig = field(default_factory=tr.TrainConfig)
     simulate: SimulateSection = field(default_factory=SimulateSection)
     eval: EvalSection = field(default_factory=EvalSection)
@@ -153,10 +158,8 @@ def _out_dir(config: Config, args) -> Path:
     return path
 
 
-def _resolve_spec(config) -> mix.MixtureSpec:
-    """The mixture of the spec section of ``config``, a Config or its JSON."""
-    if isinstance(config, dict):
-        config = _dataclass_from(Config, config, "")
+def _resolve_spec(config: Config) -> mix.MixtureSpec:
+    """The mixture of the config's spec section."""
     section = config.spec
     try:
         if section.inline is not None:
@@ -170,8 +173,8 @@ def _resolve_spec(config) -> mix.MixtureSpec:
             return pl.tradeoff_spec(pl.TradeoffConfig())
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid spec: {exc}") from exc
-    raise ConfigError(f"unknown spec preset {section.preset!r}; "
-                      "use cifar-analog, eta-tradeoff, or inline")
+    raise ConfigError("this command needs a spec: a preset (cifar-analog, eta-tradeoff) "
+                      "or an inline mixture")
 
 
 def cmd_simulate(config: Config, args) -> int:
@@ -199,15 +202,14 @@ def cmd_simulate(config: Config, args) -> int:
     lm = None
     if tokens is not None:
         lm = ts.fit_ngram(*tokens, alpha=1.0, vocab_size=spec.vocab_size)
-        ts.write_pll_csv(
-            out / "pll.csv", ts.pll_table(lm, sentences),
-            header_comment=f"config_hash={manifest.hash} seed={seed}",
-        )
-        manifest.record(out / "pll.csv")
+        pll_rows = sorted(ts.pll_table(lm, sentences).items())
+        write_csv(out / "pll.csv", ["sentence_id", "tokens", "pll"],
+                  [[i, " ".join(map(str, seq)), pll] for i, (seq, pll) in enumerate(pll_rows)],
+                  manifest)
     if section.dump_etas:
-        if config.eta.kind == "lm_log_linear" and lm is None:
+        if config.train.eta.kind == "lm_log_linear" and lm is None:
             raise ConfigError("eta dump with lm_log_linear needs token templates in the spec")
-        provider = make_provider(config.eta, spec=spec, lm=lm)
+        provider = make_provider(config.train.eta, spec=spec, lm=lm)
         etas = eta_for_batch(provider, classes=classes, tokens=tokens)
         eta_rows = [[i, int(classes[i]), etas[i]] for i in range(n)]
         write_csv(out / "etas.csv", ["index", "latent_class", "eta"], eta_rows, manifest)

@@ -372,20 +372,20 @@ def sample_features_for_classes(
 # ---------------------------------------------------------------------------
 
 
-def _require_discrete(spec: MixtureSpec) -> DiscreteConditionals:
+def require_discrete(spec: MixtureSpec) -> DiscreteConditionals:
     if spec.mode != "discrete":
         raise ValueError("operation requires a discrete-mode spec")
     return spec.conditionals
 
 
 def exact_marginal_pmf(spec: MixtureSpec) -> np.ndarray:
-    cond = _require_discrete(spec)
+    cond = require_discrete(spec)
     return spec.class_dist.probs @ cond.pmfs
 
 
 def exact_negative_pmf(spec: MixtureSpec, c_x: int) -> np.ndarray:
     """Exact pmf of E_{c_x} over the point alphabet."""
-    cond = _require_discrete(spec)
+    cond = require_discrete(spec)
     return true_negative_prior(spec.class_dist, c_x) @ cond.pmfs
 
 
@@ -399,7 +399,7 @@ def decomposition_residual(spec: MixtureSpec, c: int) -> float:
     Zero (to rounding) for every valid spec; nonzero only if one side is
     deliberately perturbed.
     """
-    cond = _require_discrete(spec)
+    cond = require_discrete(spec)
     rho_c = spec.class_dist.probs[c]
     recon = rho_c * cond.pmfs[c] + (1.0 - rho_c) * exact_negative_pmf(spec, c)
     return tv_distance(exact_marginal_pmf(spec), recon)

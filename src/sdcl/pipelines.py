@@ -21,7 +21,7 @@ prompt classification and tail-class retrieval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,7 @@ from . import evaluate as ev
 from . import mixture as mix
 from . import textsim as ts
 from . import train as tr
-from .bounds import BoundReport, verify_prop1
+from .bounds import verify_prop1
 from .eta import EtaConfig, calibrate_log_linear, make_provider
 from .fields import check_fields
 from .rngstream import stream
@@ -330,18 +330,18 @@ def tradeoff_train_config(variant: str, config: TradeoffConfig, seed: int) -> tr
 def run_tradeoff_cell(spec: mix.MixtureSpec, config: TradeoffConfig, variant: str, seed: int) -> dict:
     """Train one variant and score head prompt accuracy plus tail retrieval."""
     train_config = tradeoff_train_config(variant, config, seed)
-    lm = None
+    lm = eta_a = eta_k = None  # only the LM variant calibrates (a, k)
     if variant == "dcl_eta_lm":
         lm = tr.build_lm_assets(spec, train_config)
         cal_rng = stream(seed, 11)
         cal_classes = mix.sample_class_array(spec.class_dist, 1000, cal_rng)
         cal_reports = mix.sample_reports(spec, cal_classes, cal_rng)
-        a, k = calibrate_log_linear(
+        eta_a, eta_k = calibrate_log_linear(
             ts.pseudo_log_likelihood(lm, *cal_reports),
             eta_range=config.calibration_range, quantiles=config.calibration_quantiles,
         )
         train_config = replace(
-            train_config, eta=EtaConfig(kind="lm_log_linear", a=a, k=k)
+            train_config, eta=EtaConfig(kind="lm_log_linear", a=eta_a, k=eta_k)
         )
     result = tr.train(spec, train_config, lm=lm)
     params = result.params
@@ -381,8 +381,8 @@ def run_tradeoff_cell(spec: mix.MixtureSpec, config: TradeoffConfig, variant: st
         "tail_avg_recall": tail_recall,
         "avg_recall": retrieval.avg_recall,
         "gamma_final": float(params.gamma),
-        "eta_a": getattr(train_config.eta, "a", None),
-        "eta_k": getattr(train_config.eta, "k", None),
+        "eta_a": eta_a,
+        "eta_k": eta_k,
     }
 
 
@@ -511,7 +511,7 @@ def _bound_provider(variant: str, spec: mix.MixtureSpec, rng: np.random.Generato
 
 def bound_sweep(config: BoundSweepConfig = BoundSweepConfig()) -> list[dict]:
     """Randomized configurations cycling the eta variants and (N, M) grid;
-    one ``BoundReport`` per configuration."""
+    one row per configuration: its ``BoundReport`` fields and what it drew."""
     reports = []
     for i in range(config.n_configs):
         rng = stream(config.seed, 5, i)
@@ -534,7 +534,7 @@ def bound_sweep(config: BoundSweepConfig = BoundSweepConfig()) -> list[dict]:
             max_trials=config.max_trials,
             constants=config.constants,
         )
-        row = report.to_dict()
+        row = asdict(report)
         row.update({"config_index": i, "eta_variant": variant,
                     "classes": spec.num_classes, "points": spec.conditionals.num_points})
         reports.append(row)

@@ -15,7 +15,6 @@ log-linear class-probability estimate relies on.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -108,13 +107,3 @@ def pll_table(lm: NGramLM, sentences: Iterable[Sequence[int]]) -> dict[TokenSeq,
     keys = list(dict.fromkeys(tuple(int(t) for t in seq) for seq in sentences))
     return dict(zip(keys, pseudo_log_likelihood(lm, *pad_tokens(keys)).tolist()))
 
-
-def write_pll_csv(path, table: dict[TokenSeq, float], header_comment: str | None = None) -> None:
-    """Export a PLL table as CSV rows (sentence id, tokens, pll)."""
-    with open(path, "w", newline="") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        writer = csv.writer(f)
-        writer.writerow(["sentence_id", "tokens", "pll"])
-        for i, (tokens, pll) in enumerate(sorted(table.items())):
-            writer.writerow([i, " ".join(str(t) for t in tokens), repr(pll)])

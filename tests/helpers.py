@@ -504,7 +504,7 @@ def empirical_gap_reference(spec, params, provider, n, m, trials, rng, clamp_log
     some anchor row of that class's estimate clamps."""
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
-    cond = bounds._require_discrete(spec)
+    cond = mix.require_discrete(spec)
     rho = spec.class_dist.probs
     pmfs = cond.pmfs
     k, p = pmfs.shape

@@ -389,42 +389,3 @@ def test_lemma_ordering_random_encoders():
         params = encoder_for(spec, seed=seed + 30, gamma=math.sqrt(2.0))
         report = bounds.lemma_a1_check(spec, params, n=n)
         assert report.holds, (report.l_sup, report.l_sup_mu, report.l_tilde)
-
-
-# ---------------------------------------------------------------------------
-# Lipschitz factors
-# ---------------------------------------------------------------------------
-
-
-def test_lipschitz_limit_small_eta_large_m():
-    n = 16
-    factors = bounds.lipschitz_factors(n, 10**12, eta_max=1e-12, grad_kappa_norm=0.0)
-    expected = math.sqrt(math.e**4 / n + math.e**2 + 1.0)
-    assert abs(factors.l_psi - expected) < 1e-6
-
-
-def test_lipschitz_n_term_quarters():
-    n, m, eta = 8, 4, 0.3
-    f1 = bounds.lipschitz_factors(n, m, eta, 0.0)
-    f4 = bounds.lipschitz_factors(4 * n, m, eta, 0.0)
-    n_term_1 = f1.l_psi**2 - (eta**2 * math.e**4 / ((1 - eta) ** 2 * m) + math.e**2 / (1 - eta) ** 4 + 1)
-    n_term_4 = f4.l_psi**2 - (eta**2 * math.e**4 / ((1 - eta) ** 2 * m) + math.e**2 / (1 - eta) ** 4 + 1)
-    assert abs(n_term_4 / n_term_1 - 0.25) < 1e-12
-
-
-def test_lipschitz_phi_without_kappa():
-    f = bounds.lipschitz_factors(8, 4, 0.3, 0.0)
-    assert abs(f.l_phi - math.sqrt(6 * 8 + 6 * 4 + 2)) < 1e-12
-    f2 = bounds.lipschitz_factors(8, 4, 0.3, 2.0)
-    assert abs(f2.l_phi - math.sqrt(6 * 8 + 6 * 4 + 2 + 4.0)) < 1e-12
-
-
-def test_lipschitz_b_and_ell_composition():
-    n, m, eta = 32, 2, 0.4
-    f = bounds.lipschitz_factors(n, m, eta, 1.0)
-    assert abs(f.l_ell - f.l_omega * f.l_psi) < 1e-12
-    expected_b = math.log(1 + n * max((math.e**2 - eta * math.exp(-2)) / (1 - eta), 1.0))
-    assert abs(f.b - expected_b) < 1e-12
-    assert f.l_omega <= math.e**2
-    with pytest.raises(ValueError):
-        bounds.lipschitz_factors(8, 4, 1.0, 0.0)

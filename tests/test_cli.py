@@ -12,8 +12,8 @@ import pytest
 import sdcl
 from sdcl import mixture as mix
 from sdcl import textsim as ts
-from sdcl.cli import _resolve_spec, main
-from sdcl.eta import EtaConfig, eta_for_batch, make_provider
+from sdcl.cli import Config, SpecSection, _resolve_spec, main
+from sdcl.eta import DEFAULT_ETA_MAX, DEFAULT_ETA_MIN, EtaConfig, eta_for_batch, make_provider
 from sdcl.rngstream import stream
 
 
@@ -206,12 +206,12 @@ def data_rows(path):
 ], ids=["continuous", "point_tokens"])
 def test_simulate_rows_are_the_batch_samplers(tmp_path, spec_section):
     eta = {"kind": "lm_log_linear", "a": 0.2, "k": 0.35}
-    config = {"seed": 5, "spec": spec_section, "eta": eta,
+    config = {"seed": 5, "spec": spec_section, "train": {"eta": eta},
               "simulate": {"samples": 300, "dump_etas": True}}
     assert main(["simulate", "--config", write_config(tmp_path, config),
                  "--out", str(tmp_path / "s")]) == 0
 
-    spec = _resolve_spec(config)
+    spec = _resolve_spec(Config(spec=SpecSection(**spec_section)))
     rng = stream(5, 0)
     classes = mix.sample_class_array(spec.class_dist, 300, rng)
     feats, points = mix.sample_features_for_classes(spec, classes, rng)
@@ -230,6 +230,49 @@ def test_simulate_rows_are_the_batch_samplers(tmp_path, spec_section):
     assert data_rows(tmp_path / "s" / "etas.csv") == [
         [str(i), str(c), repr(float(e))] for i, (c, e) in enumerate(zip(classes, etas))
     ]
+
+
+def body_digest(path):
+    comment, body = path.read_bytes().split(b"\n", 1)
+    assert comment.startswith(b"# config_hash=")
+    return hashlib.sha256(body).hexdigest()
+
+
+def test_simulate_bodies_are_pinned(tmp_path):
+    # recorded when pll.csv had its own writer and etas.csv read a top-level
+    # eta section; only the config-hash comment line may differ from those runs
+    config = {"seed": 5, "spec": {"preset": "eta-tradeoff"},
+              "train": {"eta": {"kind": "lm_log_linear", "a": 0.2, "k": 0.35}},
+              "simulate": {"samples": 300, "dump_etas": True}}
+    out = tmp_path / "s"
+    assert main(["simulate", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+    assert {name: body_digest(out / name) for name in ("dataset.csv", "pll.csv", "etas.csv")} == {
+        "dataset.csv": "3251fb8b3448d68a5a0da26e9551cd3d60378c22c8829934c3ddd0920afbc625",
+        "pll.csv": "8d345c9c938fc03bdac0398af031e1ed5315dd2203c9f696e48715fd5e2bb7eb",
+        "etas.csv": "6dd16d4ec90a4a5c83df351c1b5d5805d110b6ce772cf58b128dbd21193ce700",
+    }
+
+
+def test_readme_example_config_dumps_the_oracle_eta(tmp_path):
+    # the README's example config, with a dump: etas.csv holds each point's
+    # clipped class prior rho(c), not the default constant 0.1
+    config = {
+        "seed": 0,
+        "spec": {"preset": "cifar-analog", "r": 0.1},
+        "train": {"objective": "dcl", "eta": {"kind": "true_oracle"},
+                  "handling": {"kind": "none"}, "batch_size": 128, "epochs": 40},
+        "eval": {"n_train": 4000, "n_test": 2000, "label_fraction": 0.1},
+        "bounds": {"n_configs": 50, "trials": 200},
+        "simulate": {"samples": 200, "dump_etas": True},
+    }
+    out = tmp_path / "s"
+    assert main(["simulate", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+    rows = data_rows(out / "etas.csv")
+    rho = _resolve_spec(Config(spec=SpecSection(preset="cifar-analog", r=0.1))).class_dist.probs
+    classes = np.array([int(c) for _, c, _ in rows])
+    etas = np.array([float(e) for _, _, e in rows])
+    assert np.array_equal(etas, np.clip(rho[classes], DEFAULT_ETA_MIN, DEFAULT_ETA_MAX))
+    assert len(set(etas.tolist())) > 1
 
 
 def test_negative_simulate_samples_exit_2(tmp_path, capsys):
@@ -510,6 +553,14 @@ BAD_VALUES = [
     ("simulate", "seed", {"seed": 2.7, "spec": TRADEOFF}),
     ("simulate", "seed", {"seed": "3", "spec": TRADEOFF}),
     ("simulate", "r", {"spec": {"preset": "cifar-analog", "r": "0.5"}}),
+    # the spec section takes r only with cifar-analog, and one of preset and inline
+    ("simulate", "spec config: r", {"spec": {"preset": "eta-tradeoff", "r": 5.0}}),
+    ("simulate", "spec config: r", {"spec": {"preset": "eta-tradeoff", "r": 0.5}}),
+    ("train", "spec config: r", {"spec": {"r": 0.5}}),
+    ("train", "preset or inline", {"spec": {"preset": "cifar-analog", "inline": {}}}),
+    ("simulate", "needs a spec", {"simulate": {"samples": 5}}),
+    ("verify-bounds", "unknown preset 'cifar'", {"spec": {"preset": "cifar"}}),
+    ("repro eta-tradeoff", "unknown preset 'tradeoff'", {"spec": {"preset": "tradeoff"}}),
     ("sweep", "etas", {"spec": TRADEOFF, "sweep": {"etas": ["x"]}}),
     ("sweep", "remove_thresholds", {"spec": TRADEOFF, "sweep": {"remove_thresholds": ["a"]}}),
     ("train", "batch_size", {"spec": TRADEOFF, "train": {"batch_size": 12.5}}),
@@ -546,9 +597,9 @@ def test_bad_config_values_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("config, message", [
     ({"train": {"eta": {"value": "0.1"}}},
      "invalid train.eta config: value must be float, got '0.1'"),
-    ({"eta": {"value": "0.1"}}, "invalid eta config: value must be float, got '0.1'"),
+    ({"eta": {"value": "0.1"}}, "unknown top-level fields: ['eta']"),  # η is train.eta
     ({"train": {"eta": {"bogus": 1}}}, "unknown train.eta fields: ['bogus']"),
-    ({"eta": {"bogus": 1}}, "unknown eta fields: ['bogus']"),
+    ({"eta": {"bogus": 1}}, "unknown top-level fields: ['eta']"),
     ({"seed": "x"}, "invalid top-level config: seed must be int, got 'x'"),
 ], ids=["train.eta", "eta", "train.eta-unknown", "eta-unknown", "top-level"])
 def test_config_errors_name_the_section_path(tmp_path, capsys, config, message):

@@ -99,6 +99,10 @@ def test_tradeoff_study_and_summary():
     assert 0.0 <= summary["lm_tail_avg_recall"] <= 1.0
     lm_rows = [r for r in rows if r["variant"] == "dcl_eta_lm"]
     assert lm_rows[0]["eta_a"] > 0 and lm_rows[0]["eta_k"] > 0
+    # the cl and constant-eta cells fit no LM, so they have no calibrated (a, k)
+    others = [r for r in rows if r["variant"] != "dcl_eta_lm"]
+    assert [r["variant"] for r in others] == ["cl", "0.05", "0.1"]
+    assert all(r["eta_a"] is None and r["eta_k"] is None for r in others)
 
 
 def test_tradeoff_summary_with_a_constant_column_is_strict_json(tmp_path):
