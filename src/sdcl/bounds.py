@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -368,25 +367,23 @@ def lemma_a1_check(
     spec: MixtureSpec,
     params: enc.EncoderParams,
     n: int,
-    k: Optional[int] = None,
-    slack: float = 1e-8,
 ) -> SupLossReport:
-    """Check l_sup <= l_sup_mu <= l_tilde at negative count n.
+    """Check l_sup <= l_sup_mu <= l_tilde at negative count n, over tasks of
+    all classes, each inequality with a slack of 1e-8.
 
     Valid only for n >= (1 - rho_min)/rho_min; smaller n raises (the bound
-    does not apply there).  The task size defaults to all classes.
+    does not apply there).
     """
     threshold = lemma_a1_threshold(spec)
     if n < threshold - 1e-12:
         raise ValueError(
             f"n = {n} is below the ordering threshold (1 - rho_min)/rho_min = {threshold:.6g}"
         )
-    if k is None:
-        k = spec.num_classes
+    k = spec.num_classes
     l_tilde = asymptotic_loss(spec, params, n)
     l_sup_mu = sup_loss_mean_classifier(spec, params, k)
     l_sup, converged = sup_loss_best_linear(spec, params, k)
-    holds = (l_sup <= l_sup_mu + slack) and (l_sup_mu <= l_tilde + slack)
+    holds = (l_sup <= l_sup_mu + 1e-8) and (l_sup_mu <= l_tilde + 1e-8)
     return SupLossReport(
         l_sup=l_sup,
         l_sup_mu=l_sup_mu,

@@ -5,7 +5,8 @@ is projected to gamma * u / ||u||.  Token inputs are first pooled to the mean
 of their embedding-table rows and share the same MLP.  All arithmetic is
 float64; gradients are exact, including through the projection (Jacobian
 gamma * (I/||u|| - u u^T / ||u||^3)) and to gamma itself, an ordinary
-parameter array (0-d) that the optimizer updates only when it is trainable.
+parameter array (0-d).  Whether gamma trains is a setting of ``sdcl.train``;
+the parameters and checkpoints do not record it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class EncoderParams(_Arrays):
     b2: np.ndarray  # (out,)
     token_embed: Optional[np.ndarray]  # (vocab, input)
     gamma: np.ndarray  # 0-d radius
-    gamma_trainable: bool = False
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=np.float64)
@@ -88,7 +88,6 @@ def init_params(
     embed_dim: int,
     rng: np.random.Generator,
     gamma: float = np.sqrt(2.0),
-    gamma_trainable: bool = False,
     vocab_size: Optional[int] = None,
 ) -> EncoderParams:
     """Random init: weight scales 1/sqrt(fan_in); small nonzero biases keep
@@ -101,8 +100,7 @@ def init_params(
     if vocab_size is not None:
         token_embed = rng.standard_normal((vocab_size, input_dim)) / np.sqrt(input_dim)
     return EncoderParams(
-        w1=w1, b1=b1, w2=w2, b2=b2, token_embed=token_embed,
-        gamma=gamma, gamma_trainable=gamma_trainable,
+        w1=w1, b1=b1, w2=w2, b2=b2, token_embed=token_embed, gamma=gamma,
     )
 
 
@@ -216,7 +214,6 @@ def save_checkpoint(params: EncoderParams, path, meta: dict | None = None) -> No
         f.write(data)
     sidecar = {
         "shapes": {name: list(shape) for name, shape in params.array_shapes().items()},
-        "gamma_trainable": params.gamma_trainable,
         "dtype": "<f8",
         "sha256": hashlib.sha256(data).hexdigest(),
     }
@@ -227,15 +224,16 @@ def save_checkpoint(params: EncoderParams, path, meta: dict | None = None) -> No
 
 def load_checkpoint(path) -> EncoderParams:
     """Read a checkpoint; ValueError unless the file holds exactly the arrays
-    its sidecar lists and its bytes match the sidecar's sha256."""
+    its sidecar lists and its bytes match the sidecar's sha256.  The loader
+    needs ``shapes``, ``dtype`` and ``sha256`` and ignores any other key."""
     import json
 
     with open(str(path) + ".json") as f:
         sidecar = json.load(f)
     if not isinstance(sidecar, dict):
         raise ValueError(f"checkpoint sidecar must be a JSON object, got {type(sidecar).__name__}")
-    if sidecar.get("dtype") != "<f8" or not isinstance(sidecar.get("gamma_trainable"), bool):
-        raise ValueError("checkpoint sidecar needs dtype '<f8' and a boolean gamma_trainable")
+    if sidecar.get("dtype") != "<f8":
+        raise ValueError("checkpoint sidecar needs dtype '<f8'")
     shapes = sidecar.get("shapes", {})
     if not isinstance(shapes, dict):
         raise ValueError("checkpoint sidecar shapes must be a JSON object mapping arrays to "
@@ -257,5 +255,4 @@ def load_checkpoint(path) -> EncoderParams:
     if hashlib.sha256(data).hexdigest() != sidecar.get("sha256"):
         raise ValueError("checkpoint bytes do not match the sidecar sha256")
     arrays = split_flat(np.frombuffer(data, dtype="<f8").copy(), shapes)
-    return EncoderParams(**{"token_embed": None, **arrays},
-                         gamma_trainable=sidecar["gamma_trainable"])
+    return EncoderParams(**{"token_embed": None, **arrays})

@@ -14,8 +14,7 @@ Two modes:
 
 For an anchor of class c the clean-negative distribution E_c excludes class c
 and renormalizes the prior over the remaining classes.  The marginal then
-decomposes exactly as D = rho(c) * D_c + (1 - rho(c)) * E_c, which
-``decomposition_residual`` verifies by enumeration in discrete mode.
+decomposes exactly as D = rho(c) * D_c + (1 - rho(c)) * E_c.
 """
 
 from __future__ import annotations
@@ -61,8 +60,8 @@ class ReportTable(NamedTuple):
     cdfs: np.ndarray     # (classes, most templates of one class)
 
 
-def _frozen_array(a, dtype=np.float64) -> np.ndarray:
-    arr = np.asarray(a, dtype=dtype).copy()
+def _frozen_array(a) -> np.ndarray:
+    arr = np.asarray(a, dtype=np.float64).copy()
     arr.flags.writeable = False
     return arr
 
@@ -368,7 +367,7 @@ def sample_features_for_classes(
 
 
 # ---------------------------------------------------------------------------
-# Exact pmfs and the marginal decomposition check (discrete mode)
+# Exact pmfs (discrete mode)
 # ---------------------------------------------------------------------------
 
 
@@ -387,22 +386,6 @@ def exact_negative_pmf(spec: MixtureSpec, c_x: int) -> np.ndarray:
     """Exact pmf of E_{c_x} over the point alphabet."""
     cond = require_discrete(spec)
     return true_negative_prior(spec.class_dist, c_x) @ cond.pmfs
-
-
-def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
-
-
-def decomposition_residual(spec: MixtureSpec, c: int) -> float:
-    """TV distance between D and rho(c) * D_c + (1 - rho(c)) * E_c, by enumeration.
-
-    Zero (to rounding) for every valid spec; nonzero only if one side is
-    deliberately perturbed.
-    """
-    cond = require_discrete(spec)
-    rho_c = spec.class_dist.probs[c]
-    recon = rho_c * cond.pmfs[c] + (1.0 - rho_c) * exact_negative_pmf(spec, c)
-    return tv_distance(exact_marginal_pmf(spec), recon)
 
 
 # ---------------------------------------------------------------------------

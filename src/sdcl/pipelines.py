@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -174,14 +173,12 @@ def run_analog_cell(
     }
 
 
-def analog_study(
-    config: AnalogConfig = AnalogConfig(), r_values: Optional[tuple] = None
-) -> list[dict]:
+def analog_study(config: AnalogConfig = AnalogConfig()) -> list[dict]:
     """Full grid of (r, variant, seed) cells without their params and traces;
     rows sorted for reproducibility."""
     base = analog_spec(config)
     rows = []
-    for r in r_values if r_values is not None else config.r_values:
+    for r in config.r_values:
         for variant in ANALOG_VARIANTS:
             for seed in config.seeds:
                 cell = run_analog_cell(base, config, r, variant, seed)

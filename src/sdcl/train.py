@@ -103,13 +103,13 @@ class TrainResult:
 class _Adam:
     """Adam plus decoupled weight decay over one flat vector that holds every
     parameter array: binding to ``params`` makes each of its arrays a view of
-    the vector.  Gamma is last, so it moves only when it is trainable."""
+    the vector.  Gamma is last, so it moves only when ``train_gamma`` is set."""
 
-    def __init__(self, params: enc.EncoderParams):
+    def __init__(self, params: enc.EncoderParams, train_gamma: bool):
         self.flat = enc.params_to_flat(params)
         for name, view in enc.split_flat(self.flat, params.array_shapes()).items():
             setattr(params, name, view)
-        self.size = self.flat.size - (0 if params.gamma_trainable else 1)
+        self.size = self.flat.size - (0 if train_gamma else 1)
         self.m = np.zeros(self.size)
         self.v = np.zeros(self.size)
         self.t = 0
@@ -188,10 +188,9 @@ def train(
         embed_dim=config.embed_dim,
         rng=init_rng,
         gamma=config.gamma,
-        gamma_trainable=config.gamma_trainable,
         vocab_size=spec.vocab_size if config.mode == "cross_modal" else None,
     )
-    optimizer = _Adam(params)
+    optimizer = _Adam(params, config.gamma_trainable)
     batches_per_epoch = max(1, config.samples_per_epoch // config.batch_size)
     total_steps = config.epochs * batches_per_epoch
     trace = np.recarray(total_steps, dtype=TRACE_DTYPE)

@@ -50,7 +50,7 @@ def pipeline_loss_and_grads(
     """Encode a batch, apply the in-batch objective, and backpropagate.
 
     Returns (loss, flat gradient vector) over all encoder parameter arrays,
-    gamma included whether or not it is trainable.
+    gamma included.
     """
     if anchor_tokens is not None:
         a_emb, a_cache = enc.forward_tokens(params, *mix.pad_tokens(anchor_tokens))
@@ -467,9 +467,10 @@ def build_lm_assets_loop(spec, config):
 
 class AdamPerArray:
     """Adam plus decoupled weight decay over every parameter array; gamma
-    moves only when it is trainable."""
+    moves only when ``train_gamma`` is set."""
 
-    def __init__(self):
+    def __init__(self, train_gamma: bool):
+        self.train_gamma = train_gamma
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
@@ -477,7 +478,7 @@ class AdamPerArray:
     def update(self, params: enc.EncoderParams, grads: enc.EncoderGrads, lr: float) -> None:
         self.t += 1
         for name in params.array_fields():
-            if name == "gamma" and not params.gamma_trainable:
+            if name == "gamma" and not self.train_gamma:
                 continue
             g = getattr(grads, name)
             p = getattr(params, name)

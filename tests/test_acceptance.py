@@ -66,9 +66,9 @@ def random_discrete_spec(seed, n_classes=None, max_points=32, with_tokens=False)
 
 @pytest.fixture(scope="module")
 def analog_results():
-    config = replace(pl.AnalogConfig(), label_fractions=(0.01, 1.0))
+    config = replace(pl.AnalogConfig(), label_fractions=(0.01, 1.0), r_values=(0.1, 0.9))
     start = time.monotonic()
-    rows = pl.analog_study(config, r_values=(0.1, 0.9))
+    rows = pl.analog_study(config)
     return {"rows": rows, "elapsed": time.monotonic() - start, "config": config}
 
 
@@ -255,9 +255,7 @@ def test_criterion_6_gradient_checks():
                 attempt += 1
                 rng = stream(500, checked + attempt * 1000)
                 spec = random_discrete_spec(checked + attempt, n_classes=3)
-                params = enc.init_params(
-                    3, 5, 4, rng, gamma=float(rng.uniform(1.0, 1.8)), gamma_trainable=True
-                )
+                params = enc.init_params(3, 5, 4, rng, gamma=float(rng.uniform(1.0, 1.8)))
                 b = 4
                 a_x = rng.standard_normal((b, 3))
                 p_x = rng.standard_normal((b, 3))

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import sdcl
+from sdcl import encoder as enc
 from sdcl import mixture as mix
 from sdcl import textsim as ts
 from sdcl.cli import Config, SpecSection, _resolve_spec, main
@@ -484,7 +486,6 @@ def test_eval_flipped_byte_checkpoint_exits_2(tmp_path, capsys, base_config):
     ("drop_gamma", "gamma"),  # written before gamma was listed
     ("unknown_array", "bias3"),
     ("string_shape", "b1"),
-    ("no_trainable_flag", "gamma_trainable"),
     ("big_endian", "dtype"),
     ("shapes_list", "shapes must be a JSON object"),
 ])
@@ -499,8 +500,6 @@ def test_eval_bad_sidecar_exits_2(tmp_path, capsys, base_config, damage, needle)
         sidecar["shapes"]["bias3"] = [2]
     elif damage == "string_shape":
         sidecar["shapes"]["b1"] = "64"
-    elif damage == "no_trainable_flag":
-        del sidecar["gamma_trainable"]
     elif damage == "shapes_list":
         sidecar["shapes"] = list(sidecar["shapes"])
     else:
@@ -639,7 +638,13 @@ def test_trained_gamma_checkpoint_evaluates(tmp_path, base_config):
     cfg = write_config(tmp_path, config, name="gamma.json")
     run_dir = tmp_path / "run"
     assert main(["train", "--config", cfg, "--out", str(run_dir)]) == 0
-    assert json.loads((run_dir / "checkpoint.bin.json").read_text())["gamma_trainable"] is True
+    checkpoint = run_dir / "checkpoint.bin"
+    params = enc.load_checkpoint(checkpoint)
+    assert float(params.gamma) != math.sqrt(2.0)  # the default radius moved in training
+    # gamma is the file's last float64, and saving the loaded params rewrites the file
+    assert params.gamma.tobytes() == checkpoint.read_bytes()[-8:]
+    enc.save_checkpoint(params, tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == checkpoint.read_bytes()
     assert main(["eval", "--config", cfg, "--out", str(tmp_path / "ev"),
                  "--checkpoint", str(run_dir / "checkpoint.bin")]) == 0
 

@@ -14,12 +14,9 @@ from sdcl import mixture as mix
 from sdcl.rngstream import stream
 
 
-def random_params(seed=0, input_dim=5, hidden=7, out=6, gamma=np.sqrt(2.0), vocab=None,
-                  gamma_trainable=False):
-    return enc.init_params(
-        input_dim, hidden, out, stream(seed, 0), gamma=gamma,
-        gamma_trainable=gamma_trainable, vocab_size=vocab,
-    )
+def random_params(seed=0, input_dim=5, hidden=7, out=6, gamma=np.sqrt(2.0), vocab=None):
+    return enc.init_params(input_dim, hidden, out, stream(seed, 0), gamma=gamma,
+                           vocab_size=vocab)
 
 
 def test_embedding_norm_is_gamma():
@@ -103,7 +100,7 @@ def test_backward_matches_finite_differences_features():
         return loss, enc.backward(params, cache, d_emb)
 
     for seed in range(5):
-        _fd_check(random_params(seed=seed + 10, gamma_trainable=True), loss_fn)
+        _fd_check(random_params(seed=seed + 10), loss_fn)
 
 
 def test_backward_matches_finite_differences_tokens():
@@ -117,7 +114,7 @@ def test_backward_matches_finite_differences_tokens():
         return loss, enc.backward(params, cache, target)
 
     for seed in range(3):
-        _fd_check(random_params(seed=seed + 20, vocab=4, gamma_trainable=True), loss_fn)
+        _fd_check(random_params(seed=seed + 20, vocab=4), loss_fn)
 
 
 @pytest.mark.parametrize("kind", ["ragged", "one_row", "equal_length"])
@@ -126,7 +123,7 @@ def test_token_batch_matches_per_sequence_reference(kind):
     # per-sequence loops, token repeats and length-1 rows included
     r = stream(12, 1)
     for seed in range(5):
-        params = random_params(seed=seed + 40, vocab=6, gamma_trainable=True)
+        params = random_params(seed=seed + 40, vocab=6)
         seqs = token_batch(kind, r, vocab=6)
         emb, cache = enc.forward_tokens(params, *mix.pad_tokens(seqs))
         ref_emb, ref_cache = forward_tokens_reference(params, seqs)
@@ -144,7 +141,7 @@ def test_token_scatter_matches_add_at(kind):
     # vocabulary makes most ids repeat within and across rows
     r = stream(12, 2)
     for seed in range(5):
-        params = random_params(seed=seed + 50, vocab=3, gamma_trainable=True)
+        params = random_params(seed=seed + 50, vocab=3)
         emb, cache = enc.forward_tokens(params, *mix.pad_tokens(token_batch(kind, r, vocab=3)))
         d_emb = r.standard_normal(emb.shape)
         grads = enc.backward(params, cache, d_emb)
@@ -253,15 +250,33 @@ def test_encode_single_point_paths():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    params = random_params(seed=31, vocab=6, gamma_trainable=True)
+    params = random_params(seed=31, vocab=6)
     path = tmp_path / "ckpt.bin"
     enc.save_checkpoint(params, path, meta={"seed": 7, "step": 42})
     loaded = enc.load_checkpoint(path)
     for name in ("w1", "b1", "w2", "b2", "token_embed"):
         assert np.array_equal(getattr(params, name), getattr(loaded, name))
     assert loaded.gamma == params.gamma
-    assert loaded.gamma_trainable
     assert loaded.gamma.shape == ()
+    # the sidecar holds no training setting, such as whether gamma trains
+    sidecar = json.loads((tmp_path / "ckpt.bin.json").read_text())
+    assert sorted(sidecar) == ["dtype", "seed", "sha256", "shapes", "step"]
+
+
+def test_checkpoint_sidecar_with_a_trainable_flag_still_loads(tmp_path):
+    # sidecars written before gamma's trainability left the checkpoint carry
+    # "gamma_trainable"; the loader ignores it like any other extra key
+    params = random_params(seed=31, vocab=6)
+    path = tmp_path / "ckpt.bin"
+    enc.save_checkpoint(params, path, meta={"seed": 7, "step": 42})
+    sidecar_path = tmp_path / "ckpt.bin.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar["gamma_trainable"] = True
+    sidecar_path.write_text(json.dumps(sidecar, indent=2))
+    loaded = enc.load_checkpoint(path)
+    assert loaded.array_fields() == params.array_fields()
+    for name in params.array_fields():
+        assert getattr(loaded, name).tobytes() == getattr(params, name).tobytes(), name
 
 
 @pytest.mark.parametrize("damage,needle", [

@@ -388,8 +388,19 @@ def test_class_frequency_concentration_invariant():
 
 
 # ---------------------------------------------------------------------------
-# Decomposition residual
+# Decomposition residual: D = rho(c) D_c + (1 - rho(c)) E_c, by enumeration
 # ---------------------------------------------------------------------------
+
+
+def tv_distance(p, q):
+    return 0.5 * float(np.abs(p - q).sum())
+
+
+def decomposition_residual(spec, c):
+    """TV distance between D and rho(c) * D_c + (1 - rho(c)) * E_c."""
+    rho_c = spec.class_dist.probs[c]
+    recon = rho_c * spec.conditionals.pmfs[c] + (1.0 - rho_c) * mix.exact_negative_pmf(spec, c)
+    return tv_distance(mix.exact_marginal_pmf(spec), recon)
 
 
 def test_decomposition_residual_zero_for_valid_specs():
@@ -411,12 +422,15 @@ def test_decomposition_residual_zero_for_valid_specs():
             vocab_size=4,
         )
         for c in range(k):
-            assert mix.decomposition_residual(spec, c) <= 1e-12
+            assert decomposition_residual(spec, c) <= 1e-12
 
 
 def test_decomposition_residual_requires_discrete():
-    with pytest.raises(ValueError):
-        mix.decomposition_residual(uniform_gaussian_spec(), 0)
+    # both exact pmfs the residual enumerates refuse a continuous spec
+    with pytest.raises(ValueError, match="discrete-mode"):
+        mix.exact_marginal_pmf(uniform_gaussian_spec())
+    with pytest.raises(ValueError, match="discrete-mode"):
+        mix.exact_negative_pmf(uniform_gaussian_spec(), 0)
 
 
 def test_perturbed_negative_pmf_has_known_tv():
@@ -426,11 +440,11 @@ def test_perturbed_negative_pmf_has_known_tv():
     corrupted = e0.copy()
     corrupted[0] -= 0.1
     corrupted[1] += 0.1
-    assert abs(mix.tv_distance(e0, corrupted) - 0.1) < 1e-12
+    assert abs(tv_distance(e0, corrupted) - 0.1) < 1e-12
     rho0 = spec.class_dist.probs[0]
     recon = rho0 * spec.conditionals.pmfs[0] + (1 - rho0) * corrupted
     expected = (1 - rho0) * 0.1
-    assert abs(mix.tv_distance(mix.exact_marginal_pmf(spec), recon) - expected) < 1e-12
+    assert abs(tv_distance(mix.exact_marginal_pmf(spec), recon) - expected) < 1e-12
 
 
 # ---------------------------------------------------------------------------

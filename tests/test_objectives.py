@@ -406,7 +406,7 @@ def test_pipeline_gradients_match_fd(objective, handling):
     while checked < 3 and attempt < 30:
         attempt += 1
         rng = stream(62, attempt)
-        params = enc.init_params(3, 6, 4, rng, gamma=math.sqrt(2.0), gamma_trainable=True)
+        params = enc.init_params(3, 6, 4, rng, gamma=math.sqrt(2.0))
         a_x = rng.standard_normal((4, 3))
         p_x = rng.standard_normal((4, 3))
         classes = rng.integers(0, 3, size=4)
@@ -437,7 +437,7 @@ def test_pipeline_gradients_match_fd(objective, handling):
 def test_dcl_clamped_gamma_gradient():
     # drive the estimator into its clamp and check the floor's gamma term
     rng = stream(63, 0)
-    params = enc.init_params(3, 6, 4, rng, gamma=1.2, gamma_trainable=True)
+    params = enc.init_params(3, 6, 4, rng, gamma=1.2)
     a_x = rng.standard_normal((3, 3))
     p_x = a_x + 0.01 * rng.standard_normal((3, 3))  # high pos similarity
     etas = np.full(3, 0.85)  # heavy correction forces g0 below the floor

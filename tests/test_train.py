@@ -49,7 +49,7 @@ def test_zero_lr_keeps_params_bitwise():
     result = tr.train(spec, config)
     init = enc.init_params(
         spec.dim, config.hidden_dim, config.embed_dim, stream(config.seed, 0),
-        gamma=config.gamma, gamma_trainable=config.gamma_trainable,
+        gamma=config.gamma,
     )
     for name in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(result.params, name), getattr(init, name))
@@ -220,14 +220,13 @@ def test_build_lm_assets_matches_the_interleaved_loop(perturb):
     assert got.unigram_counts.tobytes() == want.unigram_counts.tobytes()
 
 
-@pytest.mark.parametrize("gamma_trainable", [True, False])
-def test_flat_adam_matches_the_per_array_update(gamma_trainable):
+@pytest.mark.parametrize("train_gamma", [True, False])
+def test_flat_adam_matches_the_per_array_update(train_gamma):
     # 50 steps on views of one flat vector equal 50 per-array updates bit for bit
     rng = stream(14, 0)
-    params = enc.init_params(5, 7, 4, rng, gamma=2.0, gamma_trainable=gamma_trainable,
-                             vocab_size=6)
+    params = enc.init_params(5, 7, 4, rng, gamma=2.0, vocab_size=6)
     ref_params = params.copy()
-    flat, ref = tr._Adam(params), AdamPerArray()
+    flat, ref = tr._Adam(params, train_gamma), AdamPerArray(train_gamma)
     for name in params.array_fields():
         assert np.shares_memory(getattr(params, name), flat.flat)
     for _ in range(50):
@@ -239,7 +238,7 @@ def test_flat_adam_matches_the_per_array_update(gamma_trainable):
         ref.update(ref_params, grads, 1e-2)
     for name in params.array_fields():
         assert getattr(params, name).tobytes() == getattr(ref_params, name).tobytes(), name
-    assert (float(params.gamma) != 2.0) == gamma_trainable
+    assert (float(params.gamma) != 2.0) == train_gamma
 
 
 def test_config_validation():
