@@ -22,7 +22,6 @@ N >= (1 - rho_min)/rho_min.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -264,98 +263,40 @@ def verify_prop1(
 # ---------------------------------------------------------------------------
 
 
-MAX_TASKS = 10_000  # largest K-class task list the supervised losses enumerate
-
-
-def _task_list(spec: MixtureSpec, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """All K-class tasks and their probabilities under p_T ∝ prod_c rho(c)."""
-    n_classes = spec.num_classes
-    if not 1 <= k <= n_classes:
-        raise ValueError(f"task size {k} exceeds the {n_classes} available classes")
-    n_tasks = math.comb(n_classes, k)
-    if n_tasks > MAX_TASKS:
-        raise ValueError(f"{n_tasks} tasks of size {k} exceed the {MAX_TASKS} enumerated")
-    rho = spec.class_dist.probs
-    tasks = [tuple(t) for t in itertools.combinations(range(n_classes), k)]
-    weights = np.array([np.prod(rho[list(t)]) for t in tasks])
-    return tasks, weights / weights.sum()
-
-
-def _task_dataset(spec: MixtureSpec, task: tuple[int, ...]):
-    """Rows (point weight, class index within task) of D_T ∝ rho(c) D_c(x)."""
-    cond = spec.conditionals
-    rho = spec.class_dist.probs
-    task_rho = rho[list(task)]
-    task_rho = task_rho / task_rho.sum()
-    weights = []
-    labels = []
-    for local_c, c in enumerate(task):
-        weights.append(task_rho[local_c] * cond.pmfs[c])
-        labels.append(np.full(cond.num_points, local_c))
-    return np.concatenate(weights), np.concatenate(labels)
-
-
-def _mean_classifier_loss(emb, mus, task, weights, labels) -> float:
-    logits = emb @ mus[list(task)].T  # (P, K)
-    tiled = np.tile(logits, (len(task), 1))
-    logits_max = tiled.max(axis=1, keepdims=True)
-    log_probs = tiled - logits_max - np.log(np.exp(tiled - logits_max).sum(axis=1, keepdims=True))
-    picked = log_probs[np.arange(len(labels)), labels]
-    return -float(weights @ picked)
-
-
-def sup_loss_mean_classifier(
-    spec: MixtureSpec,
-    params: enc.EncoderParams,
-    k: int,
-) -> float:
-    """Average supervised loss of the classifier whose rows are the exact
-    class-conditional embedding means, over the K-class task distribution."""
+def sup_loss_mean_classifier(spec: MixtureSpec, params: enc.EncoderParams) -> float:
+    """Supervised loss, over the task of all classes, of the classifier whose
+    rows are the exact class-conditional embedding means."""
     cond = require_discrete(spec)
     emb, _ = enc.forward_features(params, cond.points)
-    mus = cond.pmfs @ emb
-    tasks, task_probs = _task_list(spec, k)
-    total = 0.0
-    for task, tp in zip(tasks, task_probs):
-        weights, labels = _task_dataset(spec, task)
-        total += tp * _mean_classifier_loss(emb, mus, task, weights, labels)
-    return total
+    logits = emb @ (cond.pmfs @ emb).T  # (P, K)
+    logits -= logits.max(axis=1, keepdims=True)
+    log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    return -float(np.sum(_joint_weights(spec) * log_probs.T))
 
 
-def sup_loss_best_linear(
-    spec: MixtureSpec,
-    params: enc.EncoderParams,
-    k: int,
-) -> tuple[float, bool]:
-    """Average supervised loss minimized over the weight matrix, per task.
+def sup_loss_best_linear(spec: MixtureSpec, params: enc.EncoderParams) -> tuple[float, bool]:
+    """Supervised loss over the task of all classes, minimized over the
+    weight matrix.
 
-    Initialization at the mean classifier plus monotone descent guarantees
-    the result never exceeds ``sup_loss_mean_classifier``.  Returns the loss
-    and whether every task reached the gradient tolerance (separable tasks
-    have their infimum at infinity and report False).
+    Starting at the mean classifier with a monotone descent guarantees the
+    result never exceeds ``sup_loss_mean_classifier``.  Returns the loss and
+    whether the fit reached the gradient tolerance (a separable task has its
+    infimum at infinity and reports False).
     """
     cond = require_discrete(spec)
     emb, _ = enc.forward_features(params, cond.points)
-    mus = cond.pmfs @ emb
-    tasks, task_probs = _task_list(spec, k)
-    total = 0.0
-    all_converged = True
-    for task, tp in zip(tasks, task_probs):
-        weights, labels = _task_dataset(spec, task)
-        x = np.tile(emb, (len(task), 1))
-        fit = fit_softmax(
-            x,
-            labels,
-            num_classes=len(task),
-            sample_weight=weights,
-            fit_intercept=False,
-            init_weights=mus[list(task)],
-            gtol=1e-8,
-            max_iter=5000,
-        )
-        total += tp * fit.loss
-        all_converged = all_converged and fit.converged
-    return total, all_converged
+    k = spec.num_classes
+    fit = fit_softmax(
+        np.tile(emb, (k, 1)),
+        np.repeat(np.arange(k), cond.num_points),
+        num_classes=k,
+        sample_weight=_joint_weights(spec).ravel(),
+        fit_intercept=False,
+        init_weights=cond.pmfs @ emb,
+        gtol=1e-8,
+        max_iter=5000,
+    )
+    return fit.loss, fit.converged
 
 
 def lemma_a1_threshold(spec: MixtureSpec) -> float:
@@ -368,7 +309,7 @@ def lemma_a1_check(
     params: enc.EncoderParams,
     n: int,
 ) -> SupLossReport:
-    """Check l_sup <= l_sup_mu <= l_tilde at negative count n, over tasks of
+    """Check l_sup <= l_sup_mu <= l_tilde at negative count n, over the task of
     all classes, each inequality with a slack of 1e-8.
 
     Valid only for n >= (1 - rho_min)/rho_min; smaller n raises (the bound
@@ -379,10 +320,9 @@ def lemma_a1_check(
         raise ValueError(
             f"n = {n} is below the ordering threshold (1 - rho_min)/rho_min = {threshold:.6g}"
         )
-    k = spec.num_classes
     l_tilde = asymptotic_loss(spec, params, n)
-    l_sup_mu = sup_loss_mean_classifier(spec, params, k)
-    l_sup, converged = sup_loss_best_linear(spec, params, k)
+    l_sup_mu = sup_loss_mean_classifier(spec, params)
+    l_sup, converged = sup_loss_best_linear(spec, params)
     holds = (l_sup <= l_sup_mu + 1e-8) and (l_sup_mu <= l_tilde + 1e-8)
     return SupLossReport(
         l_sup=l_sup,

@@ -2,8 +2,13 @@
 
 One fitter serves both the linear probe and the best-linear supervised loss:
 the objective is convex, so a deterministic full-batch quasi-Newton descent
-(L-BFGS with monotone line search) from a caller-chosen start reaches any
-requested gradient-norm tolerance or reports that the budget ran out.
+from a caller-chosen start reaches any requested gradient-norm tolerance or
+reports that the budget ran out.  The optimizer is a numpy L-BFGS: the
+two-loop recursion of Liu & Nocedal (1989) over the last ``LBFGS_MEMORY``
+steps, with a strong-Wolfe line search that brackets and then zooms by cubic
+interpolation (Nocedal & Wright, Algorithms 3.5 and 3.6).  It stops at
+``max|g| <= gtol``, after ``max_iter`` iterations, or when a line search
+fails; every accepted step lowers the loss.
 
 The loss is evaluated class-major: logits, probabilities and their gradient
 are ``(K, n)`` arrays in a buffer reused across evaluations, with one ``exp``
@@ -14,6 +19,7 @@ fit, so the logits are one ``(K, D) @ (D, n)`` product.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,6 +75,105 @@ def _loss_grad(theta, x, xt, label_pos, sample_weight, k, d, fit_intercept, l2, 
     return loss, grad_w.ravel()
 
 
+# L-BFGS settings: correction pairs kept, the strong-Wolfe constants and a
+# line search's budget, the usual L-BFGS-B defaults (Moré & Thuente's search
+# uses the same constants)
+LBFGS_MEMORY = 10
+WOLFE_C1 = 1e-3
+WOLFE_C2 = 0.9
+LINE_SEARCH_EVALUATIONS = 50
+
+
+def _cubic_step(a, fa, da, b, fb, db):
+    """Minimizer of the cubic matching value and slope at steps ``a`` and
+    ``b`` (Nocedal & Wright, eq. 3.59); nan when it has none."""
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    square = d1 * d1 - da * db
+    if not square >= 0.0:  # also false for nan
+        return np.nan
+    d2 = np.copysign(np.sqrt(square), b - a)
+    return b - (b - a) * (db + d2 - d1) / (db - da + 2.0 * d2)
+
+
+def _line_search(loss_grad, theta, loss, grad, direction, step):
+    """A step along ``direction`` that meets the strong Wolfe conditions,
+    found by bracketing and zooming with cubic interpolation (Nocedal &
+    Wright, Algorithms 3.5 and 3.6).
+
+    Returns ``(step, loss, grad, evaluations, found)``.  When the budget
+    runs out, ``step`` is the lowest point found that meets the
+    sufficient-decrease condition (0 if there is none) and ``found`` is False.
+    """
+    slope0 = grad @ direction
+    lo = (0.0, loss, slope0, grad)  # lowest sufficient-decrease point so far
+    hi = None  # the other end of the bracket, once there is one
+    for evaluations in range(1, LINE_SEARCH_EVALUATIONS + 1):
+        f, g = loss_grad(theta + step * direction)
+        slope = g @ direction
+        if not f <= loss + WOLFE_C1 * step * slope0 or f >= lo[1]:
+            hi = (step, f, slope, g)
+        elif abs(slope) <= -WOLFE_C2 * slope0:
+            return step, f, g, evaluations, True
+        else:
+            # rising toward hi (or, before a bracket, rising at all), the
+            # loss has its minimum between lo and the new point
+            if slope * (step - lo[0] if hi is None else hi[0] - step) >= 0:
+                hi = lo
+            lo = (step, f, slope, g)
+        if hi is None:
+            step *= 2.0
+            continue
+        step = _cubic_step(*lo[:3], *hi[:3])
+        low, high = sorted((lo[0], hi[0]))
+        margin = 0.1 * (high - low)
+        if not low + margin <= step <= high - margin:
+            step = 0.5 * (low + high)
+    return lo[0], lo[1], lo[3], LINE_SEARCH_EVALUATIONS, False
+
+
+def _lbfgs(loss_grad, theta, gtol, max_iter):
+    """Minimize from ``theta`` by L-BFGS: the two-loop recursion over the
+    last ``LBFGS_MEMORY`` steps (Liu & Nocedal 1989), scaled by the latest
+    curvature, with strong-Wolfe line searches.
+
+    Stops when the gradient's largest entry is at most ``gtol``, after
+    ``max_iter`` iterations, or when a line search fails (keeping the lowest
+    point it found).  Every accepted step lowers the loss, so the result is
+    never worse than the start.  Returns ``(theta, loss, grad, evaluations)``.
+    """
+    loss, grad = loss_grad(theta)
+    evaluations = 1
+    pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / (s @ y)), oldest first
+    for _ in range(max_iter):
+        if np.max(np.abs(grad)) <= gtol:
+            break
+        direction = -grad
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ direction))
+            direction -= alphas[-1] * y
+        if pairs:
+            _, y, rho = pairs[-1]
+            direction /= rho * (y @ y)  # the newest pair's curvature
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            direction += (alpha - rho * (y @ direction)) * s
+        if not grad @ direction < 0:  # rounding lost descent: restart
+            pairs.clear()
+            direction = -grad
+        step = 1.0 if pairs else min(1.0, 1.0 / np.linalg.norm(grad))
+        step, new_loss, new_grad, used, found = _line_search(
+            loss_grad, theta, loss, grad, direction, step
+        )
+        evaluations += used
+        if step > 0:
+            s, y = step * direction, new_grad - grad
+            theta, loss, grad = theta + s, new_loss, new_grad
+        if not found:
+            break
+        pairs.append((s, y, 1.0 / (s @ y)))
+    return theta, loss, grad, evaluations
+
+
 def fit_softmax(
     x: np.ndarray,
     y: np.ndarray,
@@ -119,34 +224,10 @@ def fit_softmax(
     work = np.empty((2, k, n))
     theta0 = np.concatenate([w0.ravel(), np.zeros(k)]) if fit_intercept else w0.ravel()
 
-    # the first evaluation (at theta0) and the latest one, so that the result
-    # and the guard below need no evaluation beyond the optimizer's own
-    seen = {}
-
     def loss_grad(theta):
-        out = _loss_grad(theta, x, xt, label_pos, sample_weight, k, d, fit_intercept, l2, work)
-        if len(seen) > 1:
-            seen.popitem()
-        seen[theta.tobytes()] = out
-        return out
+        return _loss_grad(theta, x, xt, label_pos, sample_weight, k, d, fit_intercept, l2, work)
 
-    # imported here: scipy.optimize takes most of a second to load, and only
-    # a fit needs it
-    from scipy.optimize import minimize
-
-    result = minimize(
-        loss_grad,
-        theta0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "gtol": gtol, "ftol": 0.0, "maxls": 50},
-    )
-    theta = result.x
-    loss, grad = seen.get(theta.tobytes()) or loss_grad(theta)
-    # line searches are monotone, but guard against any pathological step
-    loss0, grad0 = seen.get(theta0.tobytes()) or loss_grad(theta0)
-    if loss > loss0:
-        theta, loss, grad = theta0, loss0, grad0
+    theta, loss, grad, evaluations = _lbfgs(loss_grad, theta0, gtol, max_iter)
     grad_norm = float(np.linalg.norm(grad, ord=np.inf))
     return SoftmaxFit(
         weights=theta[: k * d].reshape(k, d).copy(),
@@ -154,7 +235,7 @@ def fit_softmax(
         loss=float(loss),
         grad_norm=grad_norm,
         converged=grad_norm <= gtol,
-        evaluations=int(result.nfev),
+        evaluations=evaluations,
     )
 
 

@@ -398,11 +398,22 @@ def tradeoff_study(
     return rows
 
 
+def _spearman(a, b) -> float:
+    """Spearman's rank correlation: Pearson's correlation of the average
+    ranks (tied values share their mean rank); nan when either column is
+    constant, which has no rank correlation."""
+    centered = []
+    for values in (a, b):
+        v = np.asarray(values, dtype=np.float64)[:, None]
+        ranks = (v > v.T).sum(axis=1) + ((v == v.T).sum(axis=1) + 1) / 2.0
+        centered.append(ranks - ranks.mean())
+    ra, rb = centered
+    denom = np.sqrt((ra @ ra) * (rb @ rb))
+    return float(np.clip(ra @ rb / denom, -1.0, 1.0)) if denom > 0 else float("nan")
+
+
 def tradeoff_summary(rows: list[dict], config: TradeoffConfig = TradeoffConfig()) -> dict:
     """Seed-averaged metrics per variant plus the monotonicity statistics."""
-    import warnings
-
-    from scipy.stats import ConstantInputWarning, spearmanr
 
     def mean_metric(variant, key):
         return float(np.mean([r[key] for r in rows if r["variant"] == variant]))
@@ -411,11 +422,8 @@ def tradeoff_summary(rows: list[dict], config: TradeoffConfig = TradeoffConfig()
     head = [mean_metric(v, "head_accuracy") for v in constants]
     tail = [mean_metric(v, "tail_avg_recall") for v in constants]
     etas = [float(v) for v in constants]
-    with warnings.catch_warnings():
-        # a constant metric column has no defined rank correlation; report nan
-        warnings.simplefilter("ignore", ConstantInputWarning)
-        head_rho = float(spearmanr(etas, head).statistic)
-        tail_rho = float(spearmanr(etas, tail).statistic)
+    head_rho = _spearman(etas, head)
+    tail_rho = _spearman(etas, tail)
     lm_head = mean_metric("dcl_eta_lm", "head_accuracy")
     lm_tail = mean_metric("dcl_eta_lm", "tail_avg_recall")
     return {

@@ -292,18 +292,19 @@ def test_eta_matrix_uses_point_tokens():
 
 
 def test_mean_classifier_single_class_zero():
-    spec = discrete_spec(6)
+    spec = uniform_spec(n_classes=1, seed=6)
     params = encoder_for(spec, seed=6)
-    assert abs(bounds.sup_loss_mean_classifier(spec, params, 1)) < 1e-12
+    assert abs(bounds.sup_loss_mean_classifier(spec, params)) < 1e-12
 
 
 def test_mean_classifier_constant_encoder_log_k():
-    spec = discrete_spec(7)
-    params = encoder_for(spec, seed=7)
-    params.w1[:] = 0.0
-    params.w2[:] = 0.0
+    # a collapsed embedding gives every class the same logit, whatever the prior
     for k in (2, 3):
-        assert abs(bounds.sup_loss_mean_classifier(spec, params, k) - math.log(k)) < 1e-12
+        spec = discrete_spec(7, n_classes=k)
+        params = encoder_for(spec, seed=7)
+        params.w1[:] = 0.0
+        params.w2[:] = 0.0
+        assert abs(bounds.sup_loss_mean_classifier(spec, params) - math.log(k)) < 1e-12
 
 
 def test_mean_classifier_separated_classes_small_loss():
@@ -319,7 +320,7 @@ def test_mean_classifier_separated_classes_small_loss():
         vocab_size=1,
     )
     params = enc.init_params(k, 16, 8, stream(8, 66), gamma=10.0)
-    loss = bounds.sup_loss_mean_classifier(spec, params, k)
+    loss = bounds.sup_loss_mean_classifier(spec, params)
     # embeddings of distinct orthogonal points stay distinct; radius 10
     # separation drives the softmax loss toward 0
     assert loss < 0.25
@@ -329,9 +330,8 @@ def test_best_linear_below_mean_classifier():
     for seed in range(5):
         spec = discrete_spec(seed + 20)
         params = encoder_for(spec, seed=seed + 20)
-        k = spec.num_classes
-        mu_loss = bounds.sup_loss_mean_classifier(spec, params, k)
-        best, _ = bounds.sup_loss_best_linear(spec, params, k)
+        mu_loss = bounds.sup_loss_mean_classifier(spec, params)
+        best, _ = bounds.sup_loss_best_linear(spec, params)
         assert best <= mu_loss + 1e-12
 
 
@@ -342,7 +342,7 @@ def test_best_linear_constant_encoder():
     params = encoder_for(spec, seed=9)
     params.w1[:] = 0.0
     params.w2[:] = 0.0
-    value, _ = bounds.sup_loss_best_linear(spec, params, 3)
+    value, _ = bounds.sup_loss_best_linear(spec, params)
     assert abs(value - math.log(3)) < 1e-9
 
     skewed = discrete_spec(9)
@@ -351,21 +351,9 @@ def test_best_linear_constant_encoder():
     params.w2[:] = 0.0
     rho = skewed.class_dist.probs
     entropy = -float(rho @ np.log(rho))
-    value, _ = bounds.sup_loss_best_linear(skewed, params, skewed.num_classes)
+    value, _ = bounds.sup_loss_best_linear(skewed, params)
     assert abs(value - entropy) < 1e-6
 
-
-
-def test_sup_losses_enumerate_at_most_max_tasks():
-    spec = uniform_spec(n_classes=16)
-    params = encoder_for(spec, seed=10)
-    assert math.comb(16, 8) > bounds.MAX_TASKS >= math.comb(16, 4)
-    tasks, probs = bounds._task_list(spec, 4)
-    assert tasks == list(itertools.combinations(range(16), 4))
-    assert abs(probs.sum() - 1.0) < 1e-12
-    for loss in (bounds.sup_loss_mean_classifier, bounds.sup_loss_best_linear):
-        with pytest.raises(ValueError, match="tasks of size 8 exceed"):
-            loss(spec, params, 8)
 
 def test_lemma_threshold_and_errors():
     spec = uniform_spec()

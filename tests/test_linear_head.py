@@ -127,13 +127,13 @@ def pinned_problem():
 
 
 def test_fit_softmax_is_pinned(monkeypatch):
-    # recorded with the class-major kernel
+    # recorded with the class-major kernel and the numpy L-BFGS
     x, y = pinned_problem()
     fit = lh.fit_softmax(x, y, num_classes=10, l2=1e-4)
     digest = hashlib.sha256()
     for part in (fit.weights, fit.intercept, np.float64(fit.loss), np.float64(fit.grad_norm)):
         digest.update(np.ascontiguousarray(part).tobytes())
-    assert digest.hexdigest() == "ad67928389f82fe7dabdaa511526710da5b4a2d3092f3bcb07ab5d8ccea781bc"
+    assert digest.hexdigest() == "f462cdedb6e841f409e7ce439a02dffff9734227781c022122250d7e6aaf7d1a"
     assert fit.converged
 
     # the row-major reference, driven by the same optimizer, lands at the
@@ -149,38 +149,98 @@ def test_fit_softmax_is_pinned(monkeypatch):
     assert np.array_equal(lh.predict_classes(reference, x), lh.predict_classes(fit, x))
 
 
+def comparison_problems():
+    """The pinned problem, then three seeded random ones: weighted, with and
+    without intercept, starting from given weights."""
+    x, y = pinned_problem()
+    yield dict(x=x, y=y, num_classes=10, l2=1e-4)
+    for seed, fit_intercept in ((0, True), (1, False), (2, True)):
+        rng = np.random.default_rng([seed, 77])
+        n, d, k = 300, 5, 4
+        x = rng.normal(size=(n, d)) * 2.0
+        y = np.argmax(x @ rng.normal(size=(d, k)) + rng.gumbel(size=(n, k)), axis=1)
+        yield dict(x=x, y=y, num_classes=k, sample_weight=rng.random(n) + 0.1,
+                   fit_intercept=fit_intercept, init_weights=rng.normal(size=(k, d)), l2=1e-3)
+
+
+def scipy_fit(x, y, num_classes, l2, gtol, sample_weight=None, fit_intercept=True,
+              init_weights=None):
+    """scipy's L-BFGS-B on the same loss; returns (theta, loss, grad)."""
+    n, d = x.shape
+    k = num_classes
+    weights = np.full(n, 1.0 / n) if sample_weight is None else sample_weight / sample_weight.sum()
+    w0 = np.zeros((k, d)) if init_weights is None else init_weights
+    theta0 = np.concatenate([w0.ravel(), np.zeros(k)]) if fit_intercept else w0.ravel()
+    result = scipy.optimize.minimize(
+        lambda theta: kernel(theta, x, y, weights, k, d, fit_intercept, l2), theta0, jac=True,
+        method="L-BFGS-B", options={"maxiter": 2000, "gtol": gtol, "ftol": 0.0, "maxls": 50})
+    return result.x, result.fun, result.jac
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_fit_matches_scipy_lbfgsb(case):
+    problem = list(comparison_problems())[case]
+    gtol = 1e-8
+    fit = lh.fit_softmax(**problem, gtol=gtol)
+    theta, loss, grad = scipy_fit(**problem, gtol=gtol)
+    assert fit.converged and fit.grad_norm <= gtol
+    assert np.max(np.abs(grad)) <= gtol
+    assert abs(fit.loss - loss) <= 1e-10
+    k, d = fit.weights.shape
+    reference = lh.SoftmaxFit(weights=theta[: k * d].reshape(k, d),
+                              intercept=theta[k * d :] if fit.intercept is not None else None,
+                              loss=loss, grad_norm=0.0, converged=True, evaluations=0)
+    x = problem["x"]
+    assert np.array_equal(lh.predict_classes(fit, x), lh.predict_classes(reference, x))
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_fit_out_of_iterations_is_no_worse_than_its_start(case):
+    problem = list(comparison_problems())[case]
+    fit = lh.fit_softmax(**problem, max_iter=3)
+    assert not fit.converged
+    start = lh.fit_softmax(**problem, max_iter=0)
+    assert start.evaluations == 1 and not start.converged
+    assert fit.loss <= start.loss
+
+
+def test_separable_fit_stops_when_its_line_search_fails():
+    # the infimum is at infinity: once the loss underflows no step decreases
+    # it, and the fit stops there instead of running out its iterations
+    x = np.random.default_rng(0).normal(size=(200, 3))
+    y = (x[:, 0] > 0).astype(np.int64)
+    fit = lh.fit_softmax(x, y, num_classes=2, gtol=0.0, max_iter=5000)
+    assert not fit.converged
+    assert fit.evaluations < 500
+    assert 0.0 <= fit.loss < 1e-15
+    assert np.array_equal(lh.predict_classes(fit, x), y)
+
+
 @pytest.mark.parametrize("fit_intercept", [True, False])
 def test_fit_reports_the_evaluation_at_its_weights(monkeypatch, fit_intercept):
     x, y = pinned_problem()
     x, y = x[:500], y[:500]
     weights = np.random.default_rng(1).random(500)
-    calls, results = [], []
-    kernel_fn, minimize_fn = lh._loss_grad, scipy.optimize.minimize
+    calls = []
+    kernel_fn = lh._loss_grad
 
     def counting_kernel(*args):
         calls.append(args[0].copy())
         return kernel_fn(*args)
 
-    def recording_minimize(*args, **kwargs):
-        results.append(minimize_fn(*args, **kwargs))
-        return results[-1]
-
     monkeypatch.setattr(lh, "_loss_grad", counting_kernel)
-    monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
     fit = lh.fit_softmax(x, y, num_classes=10, sample_weight=weights,
                          fit_intercept=fit_intercept, l2=1e-4)
-    (result,) = results
-    # every evaluation is the optimizer's own: none for the result or the guard
-    assert len(calls) == result.nfev
-    theta = result.x
+    # every evaluation is the optimizer's own, and each one is counted
+    assert fit.evaluations == len(calls)
     parts = (fit.weights.ravel(), fit.intercept) if fit_intercept else (fit.weights.ravel(),)
-    assert theta.tobytes() == np.concatenate(parts).tobytes()
+    theta = np.concatenate(parts)
+    # the result is an evaluated point, and its loss and gradient are that
+    # evaluation's, bit for bit
+    assert any(theta.tobytes() == call.tobytes() for call in calls)
     loss, grad = kernel(theta, x, y, weights / weights.sum(), 10, 16, fit_intercept, 1e-4)
     assert_bitwise(fit.loss, loss)
     assert_bitwise(fit.grad_norm, np.linalg.norm(grad, ord=np.inf))
-    assert_bitwise(result.fun, loss)
-    assert_bitwise(result.jac, grad)
-    assert fit.evaluations == result.nfev
     want = loss_grad_reference(theta, x, y, weights / weights.sum(), 10, 16, fit_intercept, 1e-4)
     assert_close_to_reference((loss, grad), want)
 

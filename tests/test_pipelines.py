@@ -170,3 +170,24 @@ def test_bound_sweep_deterministic():
                 assert np.isnan(b[key])
             else:
                 assert a[key] == b[key]
+
+
+def test_spearman_matches_scipy():
+    import warnings
+
+    from scipy.stats import spearmanr
+
+    rng = np.random.default_rng(3)
+    for trial in range(300):
+        n = int(rng.integers(2, 10))
+        # continuous columns, then columns with ties, then constant columns
+        a = rng.normal(size=n) if trial % 2 else rng.integers(0, 3, size=n).astype(float)
+        b = rng.normal(size=n) if trial % 3 else rng.integers(0, 2, size=n).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = float(spearmanr(a, b).statistic)
+        got = pl._spearman(a, b)
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert abs(got - want) <= 1e-12
