@@ -76,8 +76,8 @@ class EvalSection:
 
     def __post_init__(self):
         check_fields(self)
-        if self.n_train < 1 or self.n_test < 1:
-            raise ValueError("n_train and n_test must be >= 1")
+        if self.n_train < 1 or self.n_test < 2:
+            raise ValueError("n_train must be >= 1 and n_test >= 2")
         if not 0.0 < self.label_fraction <= 1.0:
             raise ValueError(f"label_fraction must lie in (0, 1], got {self.label_fraction}")
 
@@ -201,7 +201,7 @@ def cmd_simulate(config: Config, args) -> int:
     manifest.record(out / "spec.json")
     lm = None
     if tokens is not None:
-        lm = ts.fit_ngram(*tokens, alpha=1.0, vocab_size=spec.vocab_size)
+        lm = ts.fit_ngram(*tokens, alpha=tr.LM_ALPHA, vocab_size=spec.vocab_size)
         pll_rows = sorted(ts.pll_table(lm, sentences).items())
         write_csv(out / "pll.csv", ["sentence_id", "tokens", "pll"],
                   [[i, " ".join(map(str, seq)), pll] for i, (seq, pll) in enumerate(pll_rows)],
@@ -264,27 +264,33 @@ def cmd_eval(config: Config, args) -> int:
     train_emb, _ = enc.forward_features(params, train_x)
     test_emb, _ = enc.forward_features(params, test_x)
 
-    report = ev.EvalReport(label_fraction=section.label_fraction)
-    report.linear_probe_acc = ev.linear_probe(
-        train_emb, train_classes, test_emb, test_classes, section.label_fraction,
-        stream(seed, 2, 1),
-    ).accuracy
-    report.mean_classifier_acc = ev.mean_classifier_accuracy(
-        train_emb, train_classes, test_emb, test_classes
-    )
+    try:
+        probe = ev.linear_probe(train_emb, train_classes, test_emb, test_classes,
+                                section.label_fraction, stream(seed, 2, 1))
+    except ValueError as exc:
+        raise ConfigError(f"linear probe: {exc}") from exc
+    report = {
+        "linear_probe_acc": probe.accuracy,
+        "mean_classifier_acc": ev.mean_classifier_accuracy(
+            train_emb, train_classes, test_emb, test_classes
+        ),
+        "label_fraction": section.label_fraction,
+    }
     if params.token_embed is not None:
         texts = mix.sample_reports(spec, test_classes, rng)
         txt_emb, _ = enc.forward_tokens(params, *texts)
-        report.retrieval = ev.retrieval_metrics(txt_emb, test_emb, ks=section.retrieval_ks)
-        ranks = report.retrieval.ranks
+        retrieval = ev.retrieval_metrics(txt_emb, test_emb, ks=section.retrieval_ks)
+        report["retrieval"] = {"recall_at": retrieval.recall_at, "medr": retrieval.medr,
+                               "avg_recall": retrieval.avg_recall}
+        ranks = retrieval.ranks
         write_csv(out / "ranks.csv", ["query", "rank_q2g", "rank_g2q"],
                   zip(range(section.n_test), ranks["query_to_gallery"], ranks["gallery_to_query"]),
                   manifest)
     write_csv(out / "projection.csv", ["index", "latent_class", "pc1", "pc2"],
               zip(range(section.n_test), test_classes, *ev.project_2d(test_emb).T), manifest)
-    write_json(out / "report.json", report.to_dict(), manifest)
+    write_json(out / "report.json", report, manifest)
     manifest.save(out)
-    print(to_json(report.to_dict()))
+    print(to_json(report))
     return 0
 
 

@@ -59,10 +59,6 @@ class EncoderParams(_Arrays):
     def input_dim(self) -> int:
         return self.w1.shape[1]
 
-    @property
-    def embed_dim(self) -> int:
-        return self.w2.shape[0]
-
     def copy(self) -> "EncoderParams":
         return replace(self, **{name: getattr(self, name).copy() for name in self.array_fields()})
 

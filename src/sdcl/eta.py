@@ -4,11 +4,12 @@ Three strategies: a constant hyperparameter, the simulator-side oracle that
 reads the true prior of the sample's latent class, and a log-linear map from
 a language-model sentence likelihood,
 
-    eta_LM(x) = a * p_LM(x)^k = a * exp(k * PLL(x)),
+    eta_LM(x) = a * p_LM(x)^k = a * exp(k * PLL(x)).
 
-optionally length-normalizing PLL first.  Every variant clamps its output to
-[eta_min, eta_max] strictly inside (0, 1) because the 1/(1-eta) weights in
-the debiased estimator blow up as eta -> 1.
+A provider is the ``EtaConfig`` it was built from plus its model (none, the
+spec or the language model).  ``eta_for_batch`` clamps every variant's output
+once, to [eta_min, eta_max] strictly inside (0, 1), because the 1/(1-eta)
+weights in the debiased estimator blow up as eta -> 1.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class EtaConfig:
     value: float = 0.1
     a: float = 0.2
     k: float = 0.35
-    length_normalize: bool = False
     eta_min: float = DEFAULT_ETA_MIN
     eta_max: float = DEFAULT_ETA_MAX
 
@@ -52,28 +52,21 @@ class EtaConfig:
 
 @dataclass(frozen=True)
 class ConstantEta:
-    value: float
-    eta_min: float = DEFAULT_ETA_MIN
-    eta_max: float = DEFAULT_ETA_MAX
+    config: EtaConfig
 
 
 @dataclass(frozen=True)
 class TrueOracleEta:
     """Reads rho(c_x) from the generating spec; simulator-side only."""
 
+    config: EtaConfig
     spec: MixtureSpec
-    eta_min: float = DEFAULT_ETA_MIN
-    eta_max: float = DEFAULT_ETA_MAX
 
 
 @dataclass(frozen=True)
 class LMLogLinearEta:
-    a: float
-    k: float
+    config: EtaConfig
     lm: NGramLM
-    length_normalize: bool = False
-    eta_min: float = DEFAULT_ETA_MIN
-    eta_max: float = DEFAULT_ETA_MAX
 
 
 EtaProvider = ConstantEta | TrueOracleEta | LMLogLinearEta
@@ -84,18 +77,15 @@ def make_provider(
     spec: Optional[MixtureSpec] = None,
     lm: Optional[NGramLM] = None,
 ) -> EtaProvider:
-    bounds = dict(eta_min=config.eta_min, eta_max=config.eta_max)
     if config.kind == "constant":
-        return ConstantEta(value=config.value, **bounds)
+        return ConstantEta(config)
     if config.kind == "true_oracle":
         if spec is None:
             raise ValueError("true_oracle provider needs the generating spec")
-        return TrueOracleEta(spec=spec, **bounds)
+        return TrueOracleEta(config, spec)
     if lm is None:
         raise ValueError("lm_log_linear provider needs a fitted language model")
-    return LMLogLinearEta(
-        a=config.a, k=config.k, lm=lm, length_normalize=config.length_normalize, **bounds
-    )
+    return LMLogLinearEta(config, lm)
 
 
 def eta_of(provider: EtaProvider, latent_class: int,
@@ -106,9 +96,7 @@ def eta_of(provider: EtaProvider, latent_class: int,
 
 
 def calibrate_log_linear(
-    pll_values,
-    eta_range: tuple[float, float] = (0.05, 0.3),
-    quantiles: tuple[float, float] = (0.1, 0.9),
+    pll_values, eta_range: tuple[float, float], quantiles: tuple[float, float]
 ) -> tuple[float, float]:
     """Choose (a, k) so the given PLL quantiles map onto ``eta_range``.
 
@@ -132,23 +120,19 @@ def calibrate_log_linear(
 
 def eta_for_batch(
     provider: EtaProvider,
-    classes: Optional[np.ndarray] = None,
+    classes: Sequence[int],
     tokens: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
-    """Vectorized eta for a batch described by latent classes and/or a
-    padded ``(ids, mask)`` token batch."""
+    """Vectorized eta for a batch of latent classes, with its padded
+    ``(ids, mask)`` token batch for the LM provider, clipped to the
+    provider's ``[eta_min, eta_max]``."""
+    config = provider.config
     if isinstance(provider, ConstantEta):
-        size = len(classes) if classes is not None else len(tokens[0])
-        return np.full(size, np.clip(provider.value, provider.eta_min, provider.eta_max))
-    if isinstance(provider, TrueOracleEta):
-        if classes is None:
-            raise ValueError("oracle eta needs latent classes")
-        rho = provider.spec.class_dist.probs[np.asarray(classes)]
-        return np.clip(rho, provider.eta_min, provider.eta_max)
-    if tokens is None:
+        eta = np.full(len(classes), config.value)
+    elif isinstance(provider, TrueOracleEta):
+        eta = provider.spec.class_dist.probs[np.asarray(classes)]
+    elif tokens is None:
         raise ValueError("lm_log_linear eta needs token sequences")
-    ids, mask = tokens
-    pll = pseudo_log_likelihood(provider.lm, ids, mask)
-    if provider.length_normalize:
-        pll = pll / mask.sum(axis=1)
-    return np.clip(provider.a * np.exp(provider.k * pll), provider.eta_min, provider.eta_max)
+    else:
+        eta = config.a * np.exp(config.k * pseudo_log_likelihood(provider.lm, *tokens))
+    return np.clip(eta, config.eta_min, config.eta_max)

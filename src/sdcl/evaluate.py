@@ -1,15 +1,15 @@
 """Downstream evaluation of frozen embeddings.
 
-Linear probing, mean-classifier accuracy, prompt-style cross-modal
-classification, cross-modal retrieval metrics (R@K, median rank, average
-recall over both directions), and a deterministic 2-d principal-component
-projection for plotting.
+Linear probing, mean-classifier accuracy, binary prompt accuracy,
+cross-modal retrieval metrics (R@K, median rank, average recall over both
+directions), and a deterministic 2-d principal-component projection for
+plotting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,40 +26,10 @@ class RetrievalReport:
     ranks: dict  # direction -> (Q,) int array
 
 
-@dataclass
-class PromptReport:
-    accuracy: float
-    per_class: dict  # class id -> accuracy over images for that binary task
-
-
 class ProbeResult(NamedTuple):
     accuracy: float
     converged: bool  # the fit reached its gradient tolerance
     evaluations: int  # loss-and-gradient evaluations of the fit
-
-
-@dataclass
-class EvalReport:
-    linear_probe_acc: Optional[float] = None
-    mean_classifier_acc: Optional[float] = None
-    retrieval: Optional[RetrievalReport] = None
-    label_fraction: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        d: dict = {}
-        if self.linear_probe_acc is not None:
-            d["linear_probe_acc"] = self.linear_probe_acc
-        if self.mean_classifier_acc is not None:
-            d["mean_classifier_acc"] = self.mean_classifier_acc
-        if self.label_fraction is not None:
-            d["label_fraction"] = self.label_fraction
-        if self.retrieval is not None:
-            d["retrieval"] = {
-                "recall_at": {k: dict(v) for k, v in self.retrieval.recall_at.items()},
-                "medr": dict(self.retrieval.medr),
-                "avg_recall": self.retrieval.avg_recall,
-            }
-        return d
 
 
 def linear_probe(
@@ -184,34 +154,20 @@ def retrieval_metrics(
     )
 
 
-def prompt_classify(
+def prompt_accuracy(
     image_embs: np.ndarray,
-    image_labels: np.ndarray,
-    prompts: dict[int, tuple[TokenSeq, TokenSeq]],
+    labels: np.ndarray,
+    cls: int,
+    prompts: tuple[TokenSeq, TokenSeq],
     params: enc.EncoderParams,
-) -> PromptReport:
-    """Binary prompt classification per class: predict positive when the
-    image scores higher against the class's positive prompt than against its
-    negative prompt (ties predict negative); ground truth is whether the
-    image's latent class equals the prompted class."""
-    image_labels = np.asarray(image_labels, dtype=np.int64)
-    per_class = {}
-    correct_total = 0
-    count_total = 0
-    for cls in sorted(prompts):
-        neg_prompt, pos_prompt = prompts[cls]
-        if len(neg_prompt) == 0 or len(pos_prompt) == 0:
-            raise ValueError(f"class {cls}: missing prompt")
-        prompt_embs, _ = enc.forward_tokens(params, *pad_tokens([neg_prompt, pos_prompt]))
-        s_neg = image_embs @ prompt_embs[0]
-        s_pos = image_embs @ prompt_embs[1]
-        pred = s_pos > s_neg
-        truth = image_labels == cls
-        correct = pred == truth
-        per_class[int(cls)] = float(np.mean(correct))
-        correct_total += int(correct.sum())
-        count_total += correct.size
-    return PromptReport(accuracy=correct_total / count_total, per_class=per_class)
+) -> float:
+    """Accuracy of the binary task "is the image of class ``cls``?" from a
+    ``(negative, positive)`` prompt pair: predict positive when the image
+    scores higher against the positive prompt than against the negative one
+    (ties predict negative)."""
+    prompt_embs, _ = enc.forward_tokens(params, *pad_tokens(prompts))
+    pred = image_embs @ prompt_embs[1] > image_embs @ prompt_embs[0]
+    return float(np.mean(pred == (np.asarray(labels) == cls)))
 
 
 def project_2d(embeddings: np.ndarray) -> np.ndarray:

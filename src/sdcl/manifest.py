@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -32,7 +34,7 @@ def config_hash(config: dict) -> str:
 class RunManifest:
     config: dict  # a config dataclass is recorded as its asdict
     seed: int
-    version: str = "0.1.0"
+    version: str = __version__
     outputs: list = field(default_factory=list)
     started: float = field(default_factory=time.time)
     finished: float | None = None

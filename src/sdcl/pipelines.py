@@ -365,12 +365,12 @@ def run_tradeoff_cell(spec: mix.MixtureSpec, config: TradeoffConfig, variant: st
     n_side = config.prompt_images_per_side
     for c in config.head_classes:
         sibling = config.head_classes[1 - config.head_classes.index(c)]
-        prompts = {c: class_prompts(spec, c, sibling)}
         test_classes = np.concatenate([np.full(n_side, c), np.full(n_side, sibling)])
         x, _ = mix.sample_features_for_classes(spec, test_classes, prompt_rng)
         embs, _ = enc.forward_features(params, x)
-        report = ev.prompt_classify(embs, test_classes, prompts, params)
-        head_accs[c] = report.per_class[c]
+        head_accs[c] = ev.prompt_accuracy(
+            embs, test_classes, c, class_prompts(spec, c, sibling), params
+        )
     return {
         "variant": variant,
         "seed": seed,
@@ -510,8 +510,8 @@ def _bound_provider(variant: str, spec: mix.MixtureSpec, rng: np.random.Generato
     marginal = mix.exact_marginal_pmf(spec)
     corpus_idx = rng.choice(len(spec.point_tokens), size=400, p=marginal)
     corpus = [spec.point_tokens[i] for i in corpus_idx]
-    lm = ts.fit_ngram(*mix.pad_tokens(corpus), alpha=1.0, vocab_size=spec.vocab_size)
-    return make_provider(EtaConfig(kind="lm_log_linear", a=0.2, k=0.35), lm=lm)
+    lm = ts.fit_ngram(*mix.pad_tokens(corpus), alpha=tr.LM_ALPHA, vocab_size=spec.vocab_size)
+    return make_provider(EtaConfig(kind="lm_log_linear"), lm=lm)
 
 
 def bound_sweep(config: BoundSweepConfig = BoundSweepConfig()) -> list[dict]:

@@ -636,8 +636,11 @@ def test_bad_config_values_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
     ({"eta": {"value": "0.1"}}, "unknown top-level fields: ['eta']"),  # η is train.eta
     ({"train": {"eta": {"bogus": 1}}}, "unknown train.eta fields: ['bogus']"),
     ({"eta": {"bogus": 1}}, "unknown top-level fields: ['eta']"),
+    ({"train": {"eta": {"length_normalize": True}}},
+     "unknown train.eta fields: ['length_normalize']"),
     ({"seed": "x"}, "invalid top-level config: seed must be int, got 'x'"),
-], ids=["train.eta", "eta", "train.eta-unknown", "eta-unknown", "top-level"])
+], ids=["train.eta", "eta", "train.eta-unknown", "eta-unknown", "train.eta-length_normalize",
+        "top-level"])
 def test_config_errors_name_the_section_path(tmp_path, capsys, config, message):
     cfg = write_config(tmp_path, config)
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -653,6 +656,22 @@ def test_eval_n_train_must_be_an_integer(tmp_path, capsys, base_config):
     assert main(["eval", "--config", cfg, "--out", str(out), "--checkpoint", str(checkpoint)]) == 2
     assert "n_train" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("section, needle", [
+    ({"n_test": 1}, "n_test >= 2"),
+    ({"n_train": 1}, "need at least 2 classes"),
+    ({"n_train": 200, "label_fraction": 0.01}, "missed a class"),
+], ids=["n_test", "n_train", "label_fraction"])
+def test_eval_too_few_samples_exits_2(tmp_path, capsys, base_config, section, needle):
+    checkpoint = _trained_checkpoint(tmp_path, base_config)
+    config = json.loads(Path(base_config).read_text())
+    config["eval"].update(section)
+    cfg = write_config(tmp_path, config, name="eval.json")
+    out = tmp_path / "ev"
+    assert main(["eval", "--config", cfg, "--out", str(out), "--checkpoint", str(checkpoint)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not list(out.glob("*.json"))
 
 
 @pytest.mark.parametrize("inline_change", [

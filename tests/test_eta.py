@@ -70,7 +70,8 @@ def test_lm_log_linear_monotone_in_pll():
     plls = pll_seqs(lm, seqs)
     order = np.argsort(plls)
     assert plls[order[-1]] - plls[order[0]] > 10.0  # sentences of clearly differing PLL
-    etas = eta_mod.eta_for_batch(provider, tokens=mix.pad_tokens(seqs))
+    etas = eta_mod.eta_for_batch(provider, np.zeros(len(seqs), dtype=np.int64),
+                                 mix.pad_tokens(seqs))
     assert np.array_equal(etas, np.clip(0.2 * np.exp(0.35 * plls), 1e-4, 0.9))
     assert np.all(np.diff(etas[order]) >= 0)
     assert np.all((etas >= 1e-4) & (etas <= 0.9))
@@ -81,17 +82,6 @@ def test_lm_log_linear_requires_tokens():
     provider = eta_mod.make_provider(eta_mod.EtaConfig(kind="lm_log_linear"), lm=lm)
     with pytest.raises(ValueError):
         eta_mod.eta_of(provider, 0)
-
-
-def test_lm_log_linear_length_normalize():
-    lm = fit_ngram_seqs([(0, 1), (1, 0, 1)], alpha=1.0, vocab_size=2)
-    provider = lm_provider(lm, a=0.2, k=0.35, length_normalize=True)
-    seqs = [(0, 1, 0, 1), (1,), (0, 0, 1), (1, 1, 1, 1, 1, 0)]
-    plls = pll_seqs(lm, seqs)
-    lengths = np.array([len(s) for s in seqs])
-    expected = np.clip(0.2 * np.exp(0.35 * (plls / lengths)), 1e-4, 0.9)
-    assert np.array_equal(eta_mod.eta_for_batch(provider, tokens=mix.pad_tokens(seqs)), expected)
-    assert eta_mod.eta_of(provider, 0, seqs[0]) == expected[0]
 
 
 def test_eta_for_batch_matches_scalar():
@@ -124,3 +114,22 @@ def test_config_validation():
         eta_mod.make_provider(eta_mod.EtaConfig(kind="true_oracle"))
     with pytest.raises(ValueError):
         eta_mod.make_provider(eta_mod.EtaConfig(kind="lm_log_linear"))
+
+
+def test_calibrate_log_linear_maps_the_quantiles_onto_the_range():
+    plls = stream(72, 0).normal(-8.0, 3.0, size=500)
+    for eta_range, quantiles in (((0.01, 0.2), (0.25, 0.75)), ((0.05, 0.3), (0.1, 0.9))):
+        a, k = eta_mod.calibrate_log_linear(plls, eta_range, quantiles)
+        mapped = a * np.exp(k * np.quantile(plls, quantiles))
+        assert np.all(np.abs(mapped - eta_range) < 1e-12)
+
+
+def test_calibrate_log_linear_rejects_bad_input():
+    plls = np.linspace(-10.0, -2.0, 50)
+    for eta_range in ((0.2, 0.1), (0.0, 0.2), (0.1, 1.0)):
+        with pytest.raises(ValueError, match="eta_range"):
+            eta_mod.calibrate_log_linear(plls, eta_range, (0.25, 0.75))
+    with pytest.raises(ValueError, match="at least two"):
+        eta_mod.calibrate_log_linear([-3.0], (0.01, 0.2), (0.25, 0.75))
+    with pytest.raises(ValueError, match="degenerate"):
+        eta_mod.calibrate_log_linear(np.full(50, -3.0), (0.01, 0.2), (0.25, 0.75))

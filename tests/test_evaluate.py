@@ -203,7 +203,7 @@ def test_retrieval_scale_invariance():
 
 
 # ---------------------------------------------------------------------------
-# prompt classification
+# prompt accuracy
 # ---------------------------------------------------------------------------
 
 
@@ -235,9 +235,9 @@ def test_prompt_classify_ideal_images():
         v = np.linalg.pinv(diffs) @ target
         image_embs.append(gamma * v / np.linalg.norm(v))
         image_labels.append(c)
-    report = ev.prompt_classify(np.stack(image_embs), np.array(image_labels), prompts, params)
-    assert report.accuracy == 1.0
-    assert all(v == 1.0 for v in report.per_class.values())
+    image_embs, image_labels = np.stack(image_embs), np.array(image_labels)
+    for c in range(k):
+        assert ev.prompt_accuracy(image_embs, image_labels, c, prompts[c], params) == 1.0
 
 
 def test_prompt_classify_tie_predicts_negative():
@@ -246,17 +246,17 @@ def test_prompt_classify_tie_predicts_negative():
     rng = stream(88, 0)
     image_embs = rng.standard_normal((20, 6))
     image_labels = rng.integers(0, 2, size=20)
-    report = ev.prompt_classify(image_embs, image_labels, prompts, params)
     # predicting all-negative scores the negative base rate
-    base = np.mean([(image_labels != c).mean() for c in (0, 1)])
-    assert abs(report.accuracy - base) < 1e-12
+    for c in (0, 1):
+        accuracy = ev.prompt_accuracy(image_embs, image_labels, c, prompts[c], params)
+        assert abs(accuracy - (image_labels != c).mean()) < 1e-12
 
 
 def test_prompt_classify_missing_prompt():
     params, prompts = build_prompt_setup()
     prompts[0] = ((), (1,))
-    with pytest.raises(ValueError, match="prompt"):
-        ev.prompt_classify(np.zeros((2, 6)), np.zeros(2, dtype=int), prompts, params)
+    with pytest.raises(ValueError, match="nonempty"):
+        ev.prompt_accuracy(np.zeros((2, 6)), np.zeros(2, dtype=int), 0, prompts[0], params)
 
 
 # ---------------------------------------------------------------------------
