@@ -113,7 +113,7 @@ def prop1_rhs(
 def _normalized_scores(spec: MixtureSpec, params: enc.EncoderParams) -> np.ndarray:
     """Pairwise point scores rescaled to the gamma = 1 convention."""
     cond = require_discrete(spec)
-    emb, _ = enc.forward_features(params, cond.points)
+    emb = enc.embed_features(params, cond.points)
     return (emb @ emb.T) / params.gamma**2
 
 
@@ -267,7 +267,7 @@ def sup_loss_mean_classifier(spec: MixtureSpec, params: enc.EncoderParams) -> fl
     """Supervised loss, over the task of all classes, of the classifier whose
     rows are the exact class-conditional embedding means."""
     cond = require_discrete(spec)
-    emb, _ = enc.forward_features(params, cond.points)
+    emb = enc.embed_features(params, cond.points)
     logits = emb @ (cond.pmfs @ emb).T  # (P, K)
     logits -= logits.max(axis=1, keepdims=True)
     log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
@@ -284,7 +284,7 @@ def sup_loss_best_linear(spec: MixtureSpec, params: enc.EncoderParams) -> tuple[
     infimum at infinity and reports False).
     """
     cond = require_discrete(spec)
-    emb, _ = enc.forward_features(params, cond.points)
+    emb = enc.embed_features(params, cond.points)
     k = spec.num_classes
     fit = fit_softmax(
         np.tile(emb, (k, 1)),

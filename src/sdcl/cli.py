@@ -261,8 +261,8 @@ def cmd_eval(config: Config, args) -> int:
     train_x, _ = mix.sample_features_for_classes(spec, train_classes, rng)
     test_classes = mix.sample_class_array(spec.class_dist, section.n_test, rng)
     test_x, _ = mix.sample_features_for_classes(spec, test_classes, rng)
-    train_emb, _ = enc.forward_features(params, train_x)
-    test_emb, _ = enc.forward_features(params, test_x)
+    train_emb = enc.embed_features(params, train_x)
+    test_emb = enc.embed_features(params, test_x)
 
     try:
         probe = ev.linear_probe(train_emb, train_classes, test_emb, test_classes,

@@ -20,6 +20,10 @@ import numpy as np
 
 NORM_FLOOR = 1e-12
 
+# most rows per forward in embed_features: a 4096-row block's hidden
+# activations are 2 MB, where a 40,000-row probe pool's would be 20 MB
+EMBED_BLOCK_ROWS = 4096
+
 
 # every parameter array in flat-vector and checkpoint order; token_embed is
 # None for feature-only encoders
@@ -126,6 +130,25 @@ def forward_features(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, 
     uhat /= norms[:, None]
     emb = params.gamma * uhat
     return emb, ForwardCache(x=x, a1=a1, norms=norms, uhat=uhat)
+
+
+def embed_features(params: EncoderParams, x: np.ndarray) -> np.ndarray:
+    """Embeddings (n, D) of ``x`` without a cache, for evaluation.
+
+    ``forward_features`` runs on blocks of at most ``EMBED_BLOCK_ROWS`` rows,
+    writing into one preallocated output.  No row depends on another, so the
+    result equals ``forward_features(params, x)[0]`` bit for bit.  The blocks
+    are of near-equal size, never a small remainder: small products round
+    differently (one row goes through numpy's gemv, and OpenBLAS takes
+    another path for products of up to about 1,200 outputs)."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    n = x.shape[0]
+    blocks = max(1, -(-n // EMBED_BLOCK_ROWS))
+    ends = [n * i // blocks for i in range(blocks + 1)]
+    emb = np.empty((n, params.w2.shape[0]))
+    for start, end in zip(ends, ends[1:]):
+        emb[start:end] = forward_features(params, x[start:end])[0]
+    return emb
 
 
 def forward_tokens(params: EncoderParams, ids: np.ndarray,

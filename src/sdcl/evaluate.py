@@ -48,7 +48,8 @@ def linear_probe(
     class present in the training labels; persistent failure raises.  A weak
     ridge term keeps the optimum finite on separable embeddings.  Raises
     ValueError for labels that are not integers, one per row, and for test
-    embeddings that are not finite rows as wide as the training embeddings.
+    embeddings that are not finite rows as wide as the training embeddings
+    or have no rows.
     """
     if not 0.0 < label_fraction <= 1.0:
         raise ValueError("label_fraction must be in (0, 1]")
@@ -57,6 +58,8 @@ def linear_probe(
     test_embs = np.asarray(test_embs, dtype=np.float64)
     if test_embs.ndim != 2 or test_embs.shape[1] != width:
         raise ValueError(f"test embeddings must have shape (m, {width}), got {test_embs.shape}")
+    if test_embs.shape[0] == 0:
+        raise ValueError("need at least 1 test embedding")
     if not np.all(np.isfinite(test_embs)):
         raise ValueError("test embeddings must be finite")
     test_labels = check_labels(test_labels, test_embs.shape[0])
@@ -132,10 +135,13 @@ def retrieval_metrics(
     """R@K, median rank, and average recall over both retrieval directions.
 
     Query i's true partner is gallery item i.  Median rank is the lower median.
+    Raises ValueError for unequal query and gallery sizes and for no queries.
     """
     q = query_embs.shape[0]
     if q != gallery_embs.shape[0]:
         raise ValueError("retrieval needs equal query/gallery sizes")
+    if q == 0:
+        raise ValueError("retrieval needs at least 1 query")
 
     scores = query_embs @ gallery_embs.T
     ranks_fwd = _ranks_with_tie_break(scores)

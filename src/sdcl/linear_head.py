@@ -10,11 +10,12 @@ interpolation (Nocedal & Wright, Algorithms 3.5 and 3.6).  It stops at
 ``max|g| <= gtol``, after ``max_iter`` iterations, or when a line search
 fails; every accepted step lowers the loss.
 
-The loss is evaluated class-major: logits, probabilities and their gradient
-are ``(K, n)`` arrays in a buffer reused across evaluations, with one ``exp``
-per evaluation, the weight gradient as ``probs @ x`` and the intercept
-gradient as a row sum.  The transposed features are made contiguous once per
-fit, so the logits are one ``(K, D) @ (D, n)`` product.
+The loss is evaluated class-major in one ``(K, n)`` buffer reused across
+evaluations: the logits are one ``(K, D) @ (D, n)`` product with the
+transposed features as a view, not a copy; the label logits are gathered
+before one in-place ``exp`` turns the buffer into probabilities and then
+their gradient; the weight gradient is ``probs @ x`` and the intercept
+gradient a row sum.
 """
 
 from __future__ import annotations
@@ -50,19 +51,20 @@ def check_labels(y, n: int) -> np.ndarray:
 def _loss_grad(theta, x, xt, label_pos, sample_weight, k, d, fit_intercept, l2, work):
     """Loss and flat gradient at ``theta`` for ``x`` of shape (n, D).
 
-    ``xt`` is ``x.T`` made C-contiguous, ``label_pos`` holds the flat
+    ``xt`` is ``x.T`` (a view will do), ``label_pos`` holds the flat
     positions ``y * n + arange(n)`` of the labels in a (K, n) array, and
-    ``work`` is a (2, K, n) scratch buffer.
+    ``work`` is a (K, n) scratch buffer: the logits, then the probabilities
+    and their gradient.
     """
-    logits, probs = work
     w = theta[: k * d].reshape(k, d)
-    np.matmul(w, xt, out=logits)
+    logits = np.matmul(w, xt, out=work)
     if fit_intercept:
         logits += theta[k * d :, None]
     logits -= logits.max(axis=0)
-    np.exp(logits, out=probs)
+    label_logits = logits.ravel()[label_pos]
+    probs = np.exp(logits, out=work)
     z = probs.sum(axis=0)
-    loss = -float(sample_weight @ (logits.ravel()[label_pos] - np.log(z)))
+    loss = -float(sample_weight @ (label_logits - np.log(z)))
     probs /= z
     probs.ravel()[label_pos] -= 1.0
     probs *= sample_weight
@@ -219,9 +221,9 @@ def fit_softmax(
         w0 = np.asarray(init_weights, dtype=np.float64)
         if w0.shape != (k, d) or not np.all(np.isfinite(w0)):
             raise ValueError(f"init_weights must be finite with shape ({k}, {d}), got {w0.shape}")
-    xt = np.ascontiguousarray(x.T)
+    xt = x.T
     label_pos = y * n + np.arange(n)
-    work = np.empty((2, k, n))
+    work = np.empty((k, n))
     theta0 = np.concatenate([w0.ravel(), np.zeros(k)]) if fit_intercept else w0.ravel()
 
     def loss_grad(theta):

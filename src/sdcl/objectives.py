@@ -158,7 +158,7 @@ def asymptotic_loss(spec, params, n_negatives: int) -> float:
     if n_negatives < 1:
         raise ValueError("n_negatives must be >= 1")
     cond = spec.conditionals
-    emb, _ = enc.forward_features(params, cond.points)
+    emb = enc.embed_features(params, cond.points)
     scores = emb @ emb.T
     return float(asymptotic_loss_from_scores(scores, spec.class_dist.probs, cond.pmfs, n_negatives))
 

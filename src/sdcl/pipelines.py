@@ -67,6 +67,14 @@ class AnalogConfig:
         for name in ("label_fractions", "r_values"):
             if not all(0.0 < v <= 1.0 for v in getattr(self, name)):
                 raise ValueError(f"{name} must lie in (0, 1]")
+        if self.n_probe < 1 or self.n_test_per_class < 1:
+            raise ValueError("n_probe and n_test_per_class must be >= 1")
+        # the probe's labeled subset, as linear_probe sizes it, must be able
+        # to hold one row of every class
+        budget = max(1, int(round(min(self.label_fractions, default=1.0) * self.n_probe)))
+        if budget < self.n_classes:
+            raise ValueError(f"the smallest label fraction labels {budget} of the n_probe = "
+                             f"{self.n_probe} rows, fewer than the {self.n_classes} classes")
         _check_study(self)
 
     def train_fields(self) -> dict:
@@ -141,19 +149,19 @@ def run_analog_cell(
     """
     sub = mix.subsample_classes(base_spec, config.subsampled, r)
     result = tr.train(sub, analog_train_config(variant, sub, config, seed))
-    # built before the pool: a long-lived array allocated while the pool's
-    # arrays are live can land above them and keep the heap from shrinking
+    # where this is built relative to the pool does not move the peak RSS:
+    # building it after the probe gave the same peak under PYTHONHASHSEED 1-4
     trace = result.trace_array()
 
+    # the pool's raw features, 5 MB at 40k rows, are freed once embedded
     pool_rng = stream(seed, 2, 0)
     pool_classes = mix.sample_class_array(sub.class_dist, config.n_probe, pool_rng)
-    pool_x, _ = mix.sample_features_for_classes(sub, pool_classes, pool_rng)
+    pool_emb = enc.embed_features(
+        result.params, mix.sample_features_for_classes(sub, pool_classes, pool_rng)[0]
+    )
     test_classes = np.repeat(np.arange(base_spec.num_classes), config.n_test_per_class)
     test_x, _ = mix.sample_features_for_classes(base_spec, test_classes, stream(seed, 2, 1))
-    # the caches are dropped at once; the pool's, 30 MB at 40k rows, would
-    # otherwise stay live through the test forward
-    pool_emb = enc.forward_features(result.params, pool_x)[0]
-    test_emb = enc.forward_features(result.params, test_x)[0]
+    test_emb = enc.embed_features(result.params, test_x)
 
     accuracies, probe = {}, {}
     for fraction in config.label_fractions:
@@ -253,6 +261,8 @@ class TradeoffConfig:
             raise ValueError("calibration_range must be two increasing values in (0, 1)")
         if not (len(quantiles) == 2 and 0.0 <= quantiles[0] < quantiles[1] <= 1.0):
             raise ValueError("calibration_quantiles must be two increasing values in [0, 1]")
+        if self.retrieval_per_class < 1 or self.prompt_images_per_side < 1:
+            raise ValueError("retrieval_per_class and prompt_images_per_side must be >= 1")
         _check_study(self)
 
     def train_fields(self) -> dict:
@@ -348,7 +358,7 @@ def run_tradeoff_cell(spec: mix.MixtureSpec, config: TradeoffConfig, variant: st
     classes = np.repeat(np.arange(spec.num_classes), config.retrieval_per_class)
     feats, _ = mix.sample_features_for_classes(spec, classes, rng)
     texts = mix.sample_reports(spec, classes, rng)
-    img_emb, _ = enc.forward_features(params, feats)
+    img_emb = enc.embed_features(params, feats)
     txt_emb, _ = enc.forward_tokens(params, *texts)
     retrieval = ev.retrieval_metrics(txt_emb, img_emb, ks=config.retrieval_ks)
     tail_mask = np.isin(classes, config.tail_classes)
@@ -367,7 +377,7 @@ def run_tradeoff_cell(spec: mix.MixtureSpec, config: TradeoffConfig, variant: st
         sibling = config.head_classes[1 - config.head_classes.index(c)]
         test_classes = np.concatenate([np.full(n_side, c), np.full(n_side, sibling)])
         x, _ = mix.sample_features_for_classes(spec, test_classes, prompt_rng)
-        embs, _ = enc.forward_features(params, x)
+        embs = enc.embed_features(params, x)
         head_accs[c] = ev.prompt_accuracy(
             embs, test_classes, c, class_prompts(spec, c, sibling), params
         )

@@ -607,6 +607,13 @@ BAD_VALUES = [
     ("repro cifar-analog", "seeds", {"analog": {"seeds": 3}}),
     ("repro cifar-analog", "epochs", {"analog": {"epochs": "2"}}),
     ("repro cifar-analog", "label_fractions", {"analog": {"label_fractions": [0]}}),
+    # the probe sizes: an empty pool or test set, and a 1% budget of 3 labels
+    ("repro cifar-analog", "n_probe", {"analog": {"n_probe": 0}}),
+    ("repro cifar-analog", "n_test_per_class", {"analog": {"n_test_per_class": 0}}),
+    ("repro cifar-analog", "fewer than the 10 classes", {"analog": {"n_probe": 300}}),
+    ("repro eta-tradeoff", "retrieval_per_class", {"tradeoff": {"retrieval_per_class": 0}}),
+    ("repro eta-tradeoff", "prompt_images_per_side",
+     {"tradeoff": {"prompt_images_per_side": 0}}),
     ("repro eta-tradeoff", "epochs", {"tradeoff": {"epochs": 0}}),
     ("repro eta-tradeoff", "calibration_range", {"tradeoff": {"calibration_range": [0.01]}}),
 ]

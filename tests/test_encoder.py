@@ -210,6 +210,36 @@ def test_forward_features_allocates_only_what_it_returns():
     assert peak < kept + 128 * 1024
 
 
+@pytest.mark.parametrize("rows", [1, enc.EMBED_BLOCK_ROWS - 1, enc.EMBED_BLOCK_ROWS,
+                                  enc.EMBED_BLOCK_ROWS + 1, 2 * enc.EMBED_BLOCK_ROWS + 3])
+def test_embed_features_is_the_one_pass_forward(rows):
+    # at the study shapes, where a 1- or 3-row remainder block would round
+    # its products differently
+    params = random_params(seed=38, input_dim=16, hidden=64, out=32)
+    x = stream(38, rows).standard_normal((rows, 16))
+    emb = enc.embed_features(params, x)
+    assert emb.tobytes() == enc.forward_features(params, x)[0].tobytes()
+
+
+def test_embed_features_of_no_rows():
+    assert enc.embed_features(random_params(seed=39), np.empty((0, 5))).shape == (0, 6)
+
+
+def test_embed_features_rejects_a_degenerate_row():
+    # with zero biases the zero input maps to the zero vector; it sits in
+    # the last block
+    params = random_params(seed=40)
+    params.b1[:] = 0.0
+    params.b2[:] = 0.0
+    x = stream(40, 1).standard_normal((enc.EMBED_BLOCK_ROWS + 2, 5))
+    x[-1] = 0.0
+    with pytest.raises(ValueError) as want:
+        enc.forward_features(params, x)
+    with pytest.raises(ValueError, match="degenerate embedding") as got:
+        enc.embed_features(params, x)
+    assert str(got.value) == str(want.value)
+
+
 def test_token_batch_rejects_empty_sequence():
     params = random_params(seed=31, vocab=4)
     ids, mask = mix.pad_tokens([(0, 1), (2,)])

@@ -129,6 +129,12 @@ def test_probe_rejects_test_embeddings_of_another_width():
         ev.linear_probe(embs, labels, embs[:, :2], labels, 1.0, stream(85, 1))
 
 
+def test_probe_rejects_an_empty_test_set():
+    embs, labels = probe_problem()
+    with pytest.raises(ValueError, match="at least 1 test embedding"):
+        ev.linear_probe(embs, labels, embs[:0], labels[:0], 1.0, stream(85, 1))
+
+
 def test_probe_rejects_a_test_label_count_mismatch():
     embs, labels = probe_problem()
     with pytest.raises(ValueError, match="labels"):
@@ -162,6 +168,11 @@ def test_retrieval_perfect_case():
     assert report.medr["query_to_gallery"] == 1
     assert report.medr["gallery_to_query"] == 1
     assert report.avg_recall == 1.0
+
+
+def test_retrieval_rejects_no_queries():
+    with pytest.raises(ValueError, match="at least 1 query"):
+        ev.retrieval_metrics(np.empty((0, 3)), np.empty((0, 3)))
 
 
 def test_retrieval_identical_embeddings_tie_break():

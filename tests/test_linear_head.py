@@ -22,7 +22,7 @@ def assert_bitwise(a, b):
 def kernel(theta, x, y, sample_weight, k, d, fit_intercept, l2):
     n = x.shape[0]
     return lh._loss_grad(theta, x, np.ascontiguousarray(x.T), y * n + np.arange(n), sample_weight,
-                         k, d, fit_intercept, l2, np.empty((2, k, n)))
+                         k, d, fit_intercept, l2, np.empty((k, n)))
 
 
 def assert_close_to_reference(got, want):
@@ -77,13 +77,13 @@ def test_sum_classes_matches_numpy_row_sum(k):
         weights /= weights.sum()
         theta = rng.normal(size=5 * k) * 4.0
         want = loss_grad_reference(theta, x, y, weights, k, 4, True, 1e-4)
-        work = np.empty((2, k, n))
+        work = np.empty((k, n))
         got = lh._loss_grad(theta, x, np.ascontiguousarray(x.T), y * n + np.arange(n), weights,
                             k, 4, True, 1e-4, work)
         assert_close_to_reference(got, want)
         # the normalized probabilities sum to 1 over the classes: the
         # weighted (probs - one-hot) left in the buffer sums to ~0 per row
-        residual = work[1].sum(axis=0)
+        residual = work.sum(axis=0)
         assert np.all(np.abs(residual) <= 8 * (k + 2) * np.finfo(float).eps * weights)
 
 

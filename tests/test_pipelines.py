@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,22 @@ def test_analog_study_rows_and_gaps():
     spread = pl.analog_spread(rows, 0.5, 1.0)
     assert np.isfinite(gap)
     assert spread >= 0.0
+
+
+def test_analog_cell_memory_peak_at_the_study_pool():
+    # the 40,000-row probe pool: embedded in row blocks, its raw features
+    # freed once embedded, and one (K, n) probe buffer with no transposed
+    # copy keep the traced peak near 19 MB; one-pass forwards, the kept raw
+    # features, the copy and a second buffer made it 45 MB
+    config = pl.AnalogConfig(epochs=1, label_fractions=(0.01, 1.0))
+    base = pl.analog_spec(config)
+    tracemalloc.start()
+    try:
+        pl.run_analog_cell(base, config, 0.1, "cl", 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_tradeoff_spec_structure():
