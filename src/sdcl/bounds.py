@@ -31,7 +31,7 @@ from . import encoder as enc
 from .eta import EtaProvider, eta_for_batch
 from .linear_head import fit_softmax
 from .mixture import MixtureSpec, choice_cdf, pad_tokens, require_discrete
-from .objectives import asymptotic_loss, asymptotic_loss_from_scores
+from .objectives import asymptotic_loss, asymptotic_loss_from_scores, debiased_negatives
 
 E2 = math.e**2
 PROOF_CONSTANTS = (3.0 * E2 * math.sqrt(math.pi / 2.0),) * 2 + (3.0 * E2,)
@@ -134,9 +134,10 @@ def empirical_gap(
     unclamped variant is nan whenever some trial's denominator would go
     nonpositive without the clamp.
 
-    Where no anchor row of a (trial, class) slice clamps, g equals g0 bit for
+    N * g is ``objectives.debiased_negatives``'s z on the drawn rows' sums.
+    Where no anchor row of a (trial, class) slice clamps, z equals z0 bit for
     bit, so the unclamped term reuses the clamped one; only clamped slices
-    are evaluated twice (a nonpositive denominator needs g0 < 0, a clamp).
+    are evaluated twice (a nonpositive denominator needs z0 < 0, a clamp).
 
     Trials are evaluated in blocks.  A trial draws its n marginal uniforms,
     then m per class in class order, and maps them through the CDFs that
@@ -160,8 +161,6 @@ def empirical_gap(
 
     l_tilde = asymptotic_loss_from_scores(scores, rho, pmfs, n)
     etas = eta_matrix(spec, provider)
-    if np.any(etas >= 1.0):
-        raise ValueError("eta must stay below 1")
 
     per_trial = np.empty(trials)
     per_trial_unclamped = np.empty(trials)
@@ -178,24 +177,23 @@ def empirical_gap(
         # sample rows gathered along a middle axis are summed one at a time in
         # draw order, as in the per-trial exp_scores[:, idx], whose sample axis
         # is strided (a contiguous sample axis would be summed pairwise)
-        mean_u = exp_rows[u_idx].mean(axis=1)  # (t, P) per anchor point
-        mean_v = exp_rows[v_idx].mean(axis=2)  # (t, k, P)
-        g0 = (mean_u[:, None, :] - etas * mean_v) / (1.0 - etas)
-        g = np.maximum(g0, floor)
-        clamped = (g0 < floor).any(axis=2)  # (t, k): some anchor row clamps
+        sum_u = exp_rows[u_idx].sum(axis=1)  # (t, P) per anchor point
+        sum_v = exp_rows[v_idx].sum(axis=2)  # (t, k, P)
+        z0, z, clamps = debiased_negatives(sum_u[:, None, :], n, sum_v, m, etas, floor)
+        clamped = clamps.any(axis=2)  # (t, k): some anchor row clamps
         loss = loss_buffer[:t]
         total = np.zeros(t)
         total_unclamped = np.zeros(t)
         valid = np.ones(t, dtype=bool)
         for c in range(k):
-            np.add(exp_scores, n * g[:, c, :, None], out=loss)
+            np.add(exp_scores, z[:, c, :, None], out=loss)
             np.log(loss, out=loss)
             loss -= scores
             term = rho[c] * _pair_mean(loss, pmfs[c])
             total += term
             rows = np.flatnonzero(clamped[:, c])
             if rows.size:
-                denom0 = exp_scores + n * g0[rows, c, :, None]
+                denom0 = exp_scores + z0[rows, c, :, None]
                 valid[rows] &= ~np.any(denom0 <= 0.0, axis=(1, 2))
                 with np.errstate(divide="ignore", invalid="ignore"):
                     term[rows] = rho[c] * _pair_mean(np.log(denom0) - scores, pmfs[c])

@@ -88,7 +88,9 @@ LINE_SEARCH_EVALUATIONS = 50
 
 def _cubic_step(a, fa, da, b, fb, db):
     """Minimizer of the cubic matching value and slope at steps ``a`` and
-    ``b`` (Nocedal & Wright, eq. 3.59); nan when it has none."""
+    ``b`` (Nocedal & Wright, eq. 3.59); nan when it has none or a == b."""
+    if a == b:
+        return np.nan
     d1 = da + db - 3.0 * (fa - fb) / (a - b)
     square = d1 * d1 - da * db
     if not square >= 0.0:  # also false for nan

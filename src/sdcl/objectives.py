@@ -15,7 +15,10 @@ with eta the (possibly sample-specific) class-probability estimate.  The
 clamp floor is the theoretical minimum of the estimated expectation; the
 subgradient through an active clamp is taken from the constant side, so
 scores get zero gradient there while the floor's own gamma dependence is
-kept.
+kept.  ``debiased_negatives`` is the one place N * g is assembled: training,
+``bounds.empirical_gap`` and the gate's views (``debiased_loss``,
+``g_estimate``, ``g_estimate_many``) call it; ``contrastive_loss``, the
+reference of the eta = 0 reduction, does not.
 
 ``in_batch_loss`` assembles either objective over a batch with in-batch
 negatives (every other positive in the batch) as one B x B computation:
@@ -102,15 +105,24 @@ def contrastive_loss(pos_score: float, neg_scores: np.ndarray) -> float:
     return float(np.log(np.exp(pos_score) + z) - pos_score)
 
 
+def debiased_negatives(z_sum, n, pos_sum, m, eta, floor):
+    """``(z0, z, clamped)``, elementwise, from e^s summed over n negatives and
+    m same-class samples: N * g0 = (z_sum - eta (n/m) pos_sum) / (1 - eta),
+    N * g (z0 clamped at ``n * floor``, else z0 bit for bit) and the clamp
+    mask.  Raises ValueError for eta outside [0, 1)."""
+    if not np.all((eta >= 0.0) & (eta < 1.0)):  # nan fails too
+        raise ValueError("eta must lie in [0, 1)")
+    coef = 1.0 / (1.0 - eta)
+    z0 = coef * z_sum - (eta * coef) * n * (pos_sum / m)
+    clamped = z0 < n * floor
+    return z0, np.where(clamped, n * floor, z0), clamped
+
+
 def g_estimate(inputs: EstimatorInputs) -> float:
     """Clean-negative expectation estimate, clamped at its minimum e^{-gamma^2}."""
-    eta = inputs.eta
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    g0 = (np.mean(np.exp(inputs.neg_scores)) - eta * np.mean(np.exp(inputs.pos_set_scores))) / (
-        1.0 - eta
-    )
-    return float(max(g0, np.exp(-inputs.gamma**2)))
+    return float(g_estimate_many(
+        inputs.neg_scores[None], inputs.pos_set_scores[None], inputs.eta, inputs.gamma
+    )[0])
 
 
 def g_estimate_many(
@@ -119,31 +131,24 @@ def g_estimate_many(
     eta: np.ndarray,
     gamma: np.ndarray | float,
 ) -> np.ndarray:
-    """Vectorized ``g_estimate`` over rows, for checking the estimator on many draws at once."""
-    eta = np.asarray(eta, dtype=np.float64)
-    if np.any(eta < 0.0) or np.any(eta >= 1.0):
-        raise ValueError("eta must lie in [0, 1)")
+    """Vectorized ``g_estimate`` over rows: the kernel's N = 1 term on the
+    mean negative, so the clamp compares g itself with e^{-gamma^2}."""
+    exp_pos = np.exp(np.asarray(pos_set_scores, dtype=np.float64))
     mean_neg = np.exp(np.asarray(neg_scores, dtype=np.float64)).mean(axis=-1)
-    mean_pos = np.exp(np.asarray(pos_set_scores, dtype=np.float64)).mean(axis=-1)
-    g0 = (mean_neg - eta * mean_pos) / (1.0 - eta)
-    return np.maximum(g0, np.exp(-np.asarray(gamma, dtype=np.float64) ** 2))
+    floor = np.exp(-np.asarray(gamma, dtype=np.float64) ** 2)
+    return debiased_negatives(mean_neg, 1, exp_pos.sum(axis=-1), exp_pos.shape[-1],
+                              np.asarray(eta, dtype=np.float64), floor)[1]
 
 
 def debiased_loss(inputs: EstimatorInputs) -> float:
     """Debiased loss -log[e^{s+} / (e^{s+} + N*g)].
 
-    N*g0 is assembled from sums rather than means so that eta = 0 with an
+    N*g is assembled from sums rather than means so that eta = 0 with an
     inactive clamp reproduces ``contrastive_loss`` bitwise.
     """
-    eta = inputs.eta
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    n = inputs.neg_scores.size
-    m = inputs.pos_set_scores.size
-    sum_neg = float(np.sum(np.exp(inputs.neg_scores)))
-    sum_pos = float(np.sum(np.exp(inputs.pos_set_scores)))
-    n_g0 = sum_neg / (1.0 - eta) - (eta / (1.0 - eta)) * (n / m) * sum_pos
-    n_g = max(n_g0, n * np.exp(-inputs.gamma**2))
+    exp_neg, exp_pos = np.exp(inputs.neg_scores), np.exp(inputs.pos_set_scores)
+    n_g = debiased_negatives(float(np.sum(exp_neg)), exp_neg.size, float(np.sum(exp_pos)),
+                             exp_pos.size, inputs.eta, np.exp(-inputs.gamma**2))[1]
     return float(np.log(np.exp(inputs.pos_score) + n_g) - inputs.pos_score)
 
 
@@ -331,8 +336,6 @@ def in_batch_loss(
         if etas is None:
             raise ValueError("dcl objective needs per-sample eta values")
         etas = np.asarray(etas, dtype=np.float64)
-        if np.any(etas < 0.0) or np.any(etas >= 1.0):
-            raise ValueError("eta values must lie in [0, 1)")
     handling = handling or NO_HANDLING
     work = _workspace(b)
     weights, fallbacks = negative_weights(handling, p, classes, max_negatives, out=work[2])
@@ -361,11 +364,8 @@ def in_batch_loss(
         d_gamma = 0.0
         clamp_fraction = 0.0
     else:
-        coef = 1.0 / (1.0 - etas)
-        z0 = coef * z_sum - (etas * coef) * n * exp_pos
-        z_floor = n * floor
-        clamped = z0 < z_floor
-        z = np.where(clamped, z_floor, z0)
+        _, z, clamped = debiased_negatives(z_sum, n, exp_pos, 1, etas, floor)
+        coef = 1.0 / (1.0 - etas)  # the gradient's factor
         denom = exp_pos + z
         dl_dscores *= coef[:, None]
         dl_dscores /= denom[:, None]

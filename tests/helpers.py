@@ -523,23 +523,25 @@ def empirical_gap_reference(spec, params, provider, n, m, trials, rng, clamp_log
     per_trial_unclamped = np.empty(trials)
     for t in range(trials):
         u_idx = rng.choice(p, size=n, p=marginal)
-        mean_u = exp_scores[:, u_idx].mean(axis=1)  # per anchor point
-        g0 = np.empty((k, p))
+        sum_u = exp_scores[:, u_idx].sum(axis=1)  # per anchor point
+        z0 = np.empty((k, p))  # N * g0
         for c in range(k):
             v_idx = rng.choice(p, size=m, p=pmfs[c])
-            mean_v = exp_scores[:, v_idx].mean(axis=1)
-            g0[c] = (mean_u - etas[c] * mean_v) / (1.0 - etas[c])
-        g = np.maximum(g0, floor)
+            sum_v = exp_scores[:, v_idx].sum(axis=1)
+            coef = 1.0 / (1.0 - etas[c])
+            z0[c] = coef * sum_u - (etas[c] * coef) * n * (sum_v / m)
+        clamped = z0 < n * floor
+        z = np.where(clamped, n * floor, z0)
         if clamp_log is not None:
-            clamp_log.append((g0 < floor).any(axis=1))
+            clamp_log.append(clamped.any(axis=1))
         total = 0.0
         total_unclamped = 0.0
         valid = True
         for c in range(k):
-            denom = exp_scores + n * g[c][:, None]
+            denom = exp_scores + z[c][:, None]
             loss_ij = np.log(denom) - scores
             total += rho[c] * float(pmfs[c] @ loss_ij @ pmfs[c])
-            denom0 = exp_scores + n * g0[c][:, None]
+            denom0 = exp_scores + z0[c][:, None]
             if np.any(denom0 <= 0.0):
                 valid = False
             else:

@@ -25,11 +25,10 @@ ALLOWED = {
     "analog_spread": "acceptance criterion 8 reads it",
     "lemma_a1_check": "acceptance criterion 7 reads it",
     "contrastive_loss": "scalar reference of criterion 4's reduction identity",
-    "debiased_loss": "scalar reference of criterion 4's reduction identity",
-    "g_estimate_many": "criterion 5's clamp fuzz evaluates it over many draws",
+    "debiased_loss": "criterion 4's scalar view of the training kernel, debiased_negatives",
     "eta_of": "perfbench traces it by name on the bounds workload",
     "generate_report": "perfbench traces it by name on the tradeoff workload",
-    "g_estimate": "acceptance criterion 5 reads it",
+    "g_estimate": "criterion 5's one-row view of the training kernel, debiased_negatives",
     "exact_negative_pmf": "acceptance criterion 3 reads it",
 }
 

@@ -8,6 +8,7 @@ from helpers import empirical_gap_reference, fit_ngram_seqs
 from sdcl import bounds
 from sdcl import encoder as enc
 from sdcl import mixture as mix
+from sdcl import objectives as obj
 from sdcl import pipelines as pl
 from sdcl.eta import EtaConfig, make_provider
 from sdcl.rngstream import stream
@@ -208,7 +209,7 @@ def test_empirical_gap_matches_reference_on_clamped_and_unclamped_slices(eta, n,
     empirical_gap_reference(spec, params, provider, n, m, 40, stream(1, 9), clamps)
     shares = np.mean(clamps, axis=0)
     gap, _, gap_unclamped = _assert_gap_matches_reference(spec, params, provider, n, m, 40, 1)
-    if expect == "unclamped":  # g0 >= e^{-1} everywhere at eta = 0
+    if expect == "unclamped":  # z0 >= n e^{-1} everywhere at eta = 0
         assert shares.max() == 0.0
         assert _bits(gap_unclamped) == _bits(gap)
         return
@@ -218,6 +219,39 @@ def test_empirical_gap_matches_reference_on_clamped_and_unclamped_slices(eta, n,
         assert math.isfinite(gap_unclamped) and gap_unclamped != gap
     else:  # a clamped slice's nonpositive denominator invalidates its trial
         assert math.isnan(gap_unclamped)
+
+
+def test_training_the_bound_and_the_gate_reach_one_estimator_kernel(monkeypatch):
+    calls = []
+    kernel = obj.debiased_negatives
+
+    def counting_kernel(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(obj, "debiased_negatives", counting_kernel)
+    monkeypatch.setattr(bounds, "debiased_negatives", counting_kernel)
+    rng = stream(5, 0)
+    emb = rng.standard_normal((6, 3))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    inputs = obj.EstimatorInputs(pos_score=0.2, neg_scores=np.array([0.1, -0.4]),
+                                 pos_set_scores=np.array([0.3]), eta=0.4, gamma=1.0)
+    spec = discrete_spec(2)
+    provider = make_provider(EtaConfig(kind="constant", value=0.3))
+    callers = {
+        "in_batch_loss": lambda: obj.in_batch_loss(emb, emb[::-1], objective="dcl", gamma=1.0,
+                                                   etas=np.full(6, 0.3)),
+        "debiased_loss": lambda: obj.debiased_loss(inputs),
+        "g_estimate": lambda: obj.g_estimate(inputs),
+        "g_estimate_many": lambda: obj.g_estimate_many(np.zeros((4, 2)), np.zeros((4, 1)),
+                                                       np.full(4, 0.3), 1.0),
+        "empirical_gap": lambda: bounds.empirical_gap(spec, encoder_for(spec), provider, 4, 2,
+                                                      3, stream(2, 9)),
+    }
+    for name, call in callers.items():
+        before = len(calls)
+        call()
+        assert len(calls) > before, name
 
 
 def test_verify_prop1_doubling_matches_reference():

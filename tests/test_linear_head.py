@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.optimize
 from helpers import loss_grad_reference
 
 from sdcl import linear_head as lh
+from sdcl.rngstream import stream
 
 
 def assert_bitwise(a, b):
@@ -214,6 +216,20 @@ def test_separable_fit_stops_when_its_line_search_fails():
     assert fit.evaluations < 500
     assert 0.0 <= fit.loss < 1e-15
     assert np.array_equal(lh.predict_classes(fit, x), y)
+
+
+def test_zero_width_bracket_falls_back_without_a_warning():
+    # this fit's line search zooms until both ends of its bracket are the
+    # same step; the cubic must not divide by their zero distance
+    rng = stream(900, 0)
+    x = rng.standard_normal((60, 4))
+    y = rng.integers(0, 3, 60)
+    y[:3] = [0, 1, 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = lh.fit_softmax(x, y, num_classes=3, gtol=1e-12)
+    assert np.isfinite(fit.loss)
+    assert np.isnan(lh._cubic_step(0.5, 1.0, -1.0, 0.5, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("fit_intercept", [True, False])

@@ -14,6 +14,7 @@ from helpers import (
 from sdcl import encoder as enc
 from sdcl import mixture as mix
 from sdcl import objectives as obj
+from sdcl.eta import EtaConfig
 from sdcl.rngstream import stream
 
 
@@ -103,6 +104,22 @@ def test_clamp_invariant_quick_fuzz():
     eta = rng.uniform(0, 0.99, size=2000)
     g = obj.g_estimate_many(neg, pos, eta, gamma)
     assert np.all(g >= np.exp(-(gamma**2)))
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_kernel_clamp_edge_at_eta_max(below):
+    # at eta_max a z0 one ulp below n * floor clamps to exactly n * floor, and
+    # one ulp above it passes through bit for bit; n is a power of two so
+    # that n * floor is the chosen edge exactly
+    eta, n, m = EtaConfig().eta_max, 64, 4
+    z0 = obj.debiased_negatives(200.0, n, 1.3, m, eta, 0.0)[0]
+    edge = np.nextafter(z0, np.inf if below else -np.inf)
+    floor = edge / n
+    assert n * floor == edge
+    got_z0, z, clamped = obj.debiased_negatives(200.0, n, 1.3, m, eta, floor)
+    assert got_z0 == z0 > 0.0
+    assert bool(clamped) == below
+    assert z == (edge if below else z0)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +609,10 @@ def test_in_batch_loss_rejects_bad_inputs():
     emb = np.ones((3, 3))
     with pytest.raises(ValueError):
         obj.in_batch_loss(emb, emb, objective="dcl", gamma=1.0)  # missing etas
-    with pytest.raises(ValueError):
-        obj.in_batch_loss(emb, emb, objective="dcl", gamma=1.0, etas=np.array([0.1, 1.0, 0.2]))
+    for bad in (1.0, np.nan):  # the kernel's domain check rejects nan too
+        with pytest.raises(ValueError, match="eta must lie"):
+            obj.in_batch_loss(emb, emb, objective="dcl", gamma=1.0,
+                              etas=np.array([0.1, bad, 0.2]))
 
 
 @pytest.mark.parametrize(
