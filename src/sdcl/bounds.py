@@ -39,6 +39,9 @@ STATEMENT_CONSTANTS = (3.0 * E2 * math.sqrt(math.pi / 2.0), 2.0 * E2, 2.0 * E2)
 # empirical_gap evaluates as many trials at once as keep its largest gathered
 # temporary within this many float64s (one trial at a time if one exceeds it)
 TRIAL_BLOCK_ELEMENTS = 2**16
+# verify_prop1 doubles its trials until the Monte Carlo standard error falls
+# below this fraction of the bound's right-hand side
+STDERR_FRACTION = 0.05
 
 
 @dataclass
@@ -226,18 +229,17 @@ def verify_prop1(
     rng: np.random.Generator,
     trials: int = 200,
     max_trials: int = 6400,
-    stderr_fraction: float = 0.05,
     constants: str = "proof",
 ) -> BoundReport:
     """Full bound check; trials double, capped at ``max_trials``, until the
-    Monte Carlo standard error falls below ``stderr_fraction`` of the
+    Monte Carlo standard error falls below ``STDERR_FRACTION`` of the
     right-hand side."""
     term_n, term_m, term_eta = prop1_rhs(spec, provider, n, m, constants)
     rhs = term_n + term_m + term_eta
     t = trials
     while True:
         gap, stderr, gap_unclamped = empirical_gap(spec, params, provider, n, m, t, rng)
-        if stderr < stderr_fraction * rhs or t >= max_trials:
+        if stderr < STDERR_FRACTION * rhs or t >= max_trials:
             break
         t = min(2 * t, max_trials)
     return BoundReport(

@@ -1,7 +1,7 @@
 """Experiment runner.
 
-Subcommands: ``simulate``, ``train``, ``eval``, ``verify-bounds``, ``sweep``,
-and ``repro`` (full study pipelines).  Each run is described by a JSON config
+Subcommands: ``simulate``, ``train``, ``eval``, ``verify-bounds`` and
+``repro`` (full study pipelines).  Each run is described by a JSON config
 that parses into one typed ``Config``; command-line flags override its
 fields, and the SHA-256 hash of the result, along with the seed, is embedded
 in every output file.  The SDCL_OUT_ROOT environment variable relocates the
@@ -27,10 +27,9 @@ from . import mixture as mix
 from . import pipelines as pl
 from . import textsim as ts
 from . import train as tr
-from .eta import EtaConfig, eta_for_batch, make_provider
+from .eta import eta_for_batch, make_provider
 from .fields import build, check_fields
 from .manifest import RunManifest, to_json, write_csv, write_json
-from .objectives import NegativeHandling
 from .rngstream import stream
 
 
@@ -80,16 +79,8 @@ class EvalSection:
             raise ValueError("n_train must be >= 1 and n_test >= 2")
         if not 0.0 < self.label_fraction <= 1.0:
             raise ValueError(f"label_fraction must lie in (0, 1], got {self.label_fraction}")
-
-
-@dataclass(frozen=True)
-class SweepSection:
-    objectives: tuple[str, ...] = ("cl", "dcl")
-    etas: tuple[float, ...] = (0.05, 0.1)
-    remove_thresholds: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        check_fields(self)
+        if not self.retrieval_ks or min(self.retrieval_ks) < 1:
+            raise ValueError("retrieval_ks must be non-empty and every k >= 1")
 
 
 @dataclass(frozen=True)
@@ -102,7 +93,6 @@ class Config:
     train: tr.TrainConfig = field(default_factory=tr.TrainConfig)
     simulate: SimulateSection = field(default_factory=SimulateSection)
     eval: EvalSection = field(default_factory=EvalSection)
-    sweep: SweepSection = field(default_factory=SweepSection)
     bounds: pl.BoundSweepConfig = field(default_factory=pl.BoundSweepConfig)
     analog: pl.AnalogConfig = field(default_factory=pl.AnalogConfig)
     tradeoff: pl.TradeoffConfig = field(default_factory=pl.TradeoffConfig)
@@ -165,12 +155,12 @@ def _resolve_spec(config: Config) -> mix.MixtureSpec:
         if section.inline is not None:
             return mix.spec_from_dict(section.inline)
         if section.preset == "cifar-analog":
-            base = pl.analog_spec(pl.AnalogConfig())
+            base = pl.analog_spec(config.analog)
             if section.r is None:
                 return base
-            return mix.subsample_classes(base, pl.AnalogConfig().subsampled, section.r)
+            return mix.subsample_classes(base, config.analog.subsampled, section.r)
         if section.preset == "eta-tradeoff":
-            return pl.tradeoff_spec(pl.TradeoffConfig())
+            return pl.tradeoff_spec(config.tradeoff)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid spec: {exc}") from exc
     raise ConfigError("this command needs a spec: a preset (cifar-analog, eta-tradeoff) "
@@ -309,47 +299,6 @@ def cmd_verify_bounds(config: Config, args) -> int:
     return 0 if n_hold == len(reports) else 4
 
 
-def cmd_sweep(config: Config, args) -> int:
-    spec = _resolve_spec(config)
-    out = _out_dir(config, args)
-    manifest = RunManifest(config, seed=config.seed)
-    sweep, train = config.sweep, config.train
-    grid = [
-        (objective, eta, threshold)
-        for objective in sweep.objectives
-        for eta in (sweep.etas if objective == "dcl" else [None])
-        for threshold in sweep.remove_thresholds or [None]
-    ]
-    try:  # every cell's config is checked before the first one trains
-        cells = [replace(
-            train, objective=objective,
-            eta=train.eta if eta is None else EtaConfig(kind="constant", value=eta),
-            handling=(train.handling if threshold is None
-                      else NegativeHandling(kind="remove_by_sim", threshold=threshold)),
-        ) for objective, eta, threshold in grid]
-    except ValueError as exc:
-        raise ConfigError(f"invalid sweep cell: {exc}") from exc
-    rows = []
-    for cell, ((objective, eta, threshold), train_config) in enumerate(zip(grid, cells)):
-        cell_dir = out / f"cell_{cell:03d}"
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        cell_manifest = RunManifest(replace(config, train=train_config), seed=train_config.seed)
-        result = tr.train(spec, train_config)
-        enc.save_checkpoint(
-            result.params, cell_dir / "checkpoint.bin",
-            meta={"seed": train_config.seed, "config_hash": cell_manifest.hash},
-        )
-        cell_manifest.record(cell_dir / "checkpoint.bin")
-        cell_manifest.save(cell_dir)
-        rows.append([cell, objective, "" if eta is None else eta,
-                     "" if threshold is None else threshold, result.trace[-1].loss])
-    write_csv(out / "sweep.csv", ["cell", "objective", "eta", "threshold", "final_loss"],
-              rows, manifest)
-    manifest.save(out)
-    print(f"swept {len(rows)} cells")
-    return 0
-
-
 def cmd_repro(config: Config, args) -> int:
     out = _out_dir(config, args)
     if args.pipeline == "cifar-analog":
@@ -394,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("train", cmd_train, "train an encoder; write checkpoint and trace"),
         ("eval", cmd_eval, "evaluate a checkpoint"),
         ("verify-bounds", cmd_verify_bounds, "randomized bound verification sweep"),
-        ("sweep", cmd_sweep, "grid over objectives and eta values"),
         ("repro", cmd_repro, "full study pipelines"),
     ]:
         p = sub.add_parser(name, help=help_text)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -62,9 +62,6 @@ class EncoderParams(_Arrays):
     @property
     def input_dim(self) -> int:
         return self.w1.shape[1]
-
-    def copy(self) -> "EncoderParams":
-        return replace(self, **{name: getattr(self, name).copy() for name in self.array_fields()})
 
 
 @dataclass

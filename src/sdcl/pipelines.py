@@ -31,7 +31,7 @@ from . import mixture as mix
 from . import textsim as ts
 from . import train as tr
 from .bounds import verify_prop1
-from .eta import EtaConfig, calibrate_log_linear, make_provider
+from .eta import DEFAULT_ETA_MAX, DEFAULT_ETA_MIN, EtaConfig, calibrate_log_linear, make_provider
 from .fields import check_fields
 from .rngstream import stream
 
@@ -65,13 +65,14 @@ class AnalogConfig:
     def __post_init__(self):
         check_fields(self)
         for name in ("label_fractions", "r_values"):
-            if not all(0.0 < v <= 1.0 for v in getattr(self, name)):
-                raise ValueError(f"{name} must lie in (0, 1]")
+            values = getattr(self, name)
+            if not values or not all(0.0 < v <= 1.0 for v in values):
+                raise ValueError(f"{name} must be non-empty and lie in (0, 1]")
         if self.n_probe < 1 or self.n_test_per_class < 1:
             raise ValueError("n_probe and n_test_per_class must be >= 1")
         # the probe's labeled subset, as linear_probe sizes it, must be able
         # to hold one row of every class
-        budget = max(1, int(round(min(self.label_fractions, default=1.0) * self.n_probe)))
+        budget = max(1, int(round(min(self.label_fractions) * self.n_probe)))
         if budget < self.n_classes:
             raise ValueError(f"the smallest label fraction labels {budget} of the n_probe = "
                              f"{self.n_probe} rows, fewer than the {self.n_classes} classes")
@@ -95,8 +96,8 @@ class AnalogConfig:
 def _check_study(config) -> None:
     """Range checks a study config shares, run before any cell trains: the
     seeds, and the cells' TrainConfig fields through TrainConfig's checks."""
-    if any(seed < 0 for seed in config.seeds):
-        raise ValueError("seeds must be >= 0")
+    if not config.seeds or min(config.seeds) < 0:
+        raise ValueError("seeds must be non-empty and >= 0")
     tr.TrainConfig(**config.train_fields())
 
 
@@ -263,6 +264,13 @@ class TradeoffConfig:
             raise ValueError("calibration_quantiles must be two increasing values in [0, 1]")
         if self.retrieval_per_class < 1 or self.prompt_images_per_side < 1:
             raise ValueError("retrieval_per_class and prompt_images_per_side must be >= 1")
+        if not self.retrieval_ks or min(self.retrieval_ks) < 1:
+            raise ValueError("retrieval_ks must be non-empty and every k >= 1")
+        # a study cell's constant EtaConfig would clip a value outside this range
+        if not self.constant_etas or not all(
+                DEFAULT_ETA_MIN <= v <= DEFAULT_ETA_MAX for v in self.constant_etas):
+            raise ValueError(f"constant_etas must be non-empty and lie in "
+                             f"[{DEFAULT_ETA_MIN}, {DEFAULT_ETA_MAX}]")
         _check_study(self)
 
     def train_fields(self) -> dict:

@@ -254,15 +254,16 @@ def test_training_the_bound_and_the_gate_reach_one_estimator_kernel(monkeypatch)
         assert len(calls) > before, name
 
 
-def test_verify_prop1_doubling_matches_reference():
+def test_verify_prop1_doubling_matches_reference(monkeypatch):
     # a tiny stderr fraction doubles the trials 16 -> 32 -> 64, drawing each
     # call's trials after the previous call's from the same generator
+    monkeypatch.setattr(bounds, "STDERR_FRACTION", 1e-9)
     spec = discrete_spec(7)
     params = encoder_for(spec, seed=7)
     provider = make_provider(EtaConfig(kind="constant", value=0.2))
     rng, rng_ref = stream(7, 9), stream(7, 9)
     report = bounds.verify_prop1(spec, params, provider, n=16, m=4, rng=rng, trials=16,
-                                 max_trials=64, stderr_fraction=1e-9)
+                                 max_trials=64)
     for trials in (16, 32, 64):
         expected = empirical_gap_reference(spec, params, provider, 16, 4, trials, rng_ref)
     assert report.trials == 64
@@ -270,14 +271,15 @@ def test_verify_prop1_doubling_matches_reference():
     assert rng.random() == rng_ref.random()
 
 
-def test_verify_prop1_doubling_stops_at_max_trials():
+def test_verify_prop1_doubling_stops_at_max_trials(monkeypatch):
     # 16 -> 24, not 32: the last doubling is capped at max_trials
+    monkeypatch.setattr(bounds, "STDERR_FRACTION", 1e-9)
     spec = discrete_spec(7)
     params = encoder_for(spec, seed=7)
     provider = make_provider(EtaConfig(kind="constant", value=0.2))
     rng, rng_ref = stream(7, 9), stream(7, 9)
     report = bounds.verify_prop1(spec, params, provider, n=16, m=4, rng=rng, trials=16,
-                                 max_trials=24, stderr_fraction=1e-9)
+                                 max_trials=24)
     for trials in (16, 24):
         expected = empirical_gap_reference(spec, params, provider, 16, 4, trials, rng_ref)
     assert report.trials == 24

@@ -290,6 +290,43 @@ def test_simulate_bodies_are_pinned(tmp_path):
     }
 
 
+def test_spec_preset_is_built_from_the_config_study_section(tmp_path):
+    # the manifest hashes the analog and tradeoff sections, so the preset the
+    # spec section names is built from them, with and without an r
+    for r in (None, 0.5):
+        config = {"spec": {"preset": "cifar-analog", "r": r}, "analog": {"separation": 5},
+                  "simulate": {"samples": 10}}
+        out = tmp_path / f"r{r}"
+        assert main(["simulate", "--config", write_config(tmp_path, config),
+                     "--out", str(out)]) == 0
+        means = json.loads((out / "spec.json").read_text())["gaussian"]["means"]
+        assert np.allclose(np.linalg.norm(means, axis=1), 5.0)
+    from sdcl import pipelines as pl
+
+    tradeoff = pl.TradeoffConfig(spec_seed=7)
+    got = _resolve_spec(Config(spec=SpecSection(preset="eta-tradeoff"), tradeoff=tradeoff))
+    assert mix.spec_to_dict(got) == mix.spec_to_dict(pl.tradeoff_spec(tradeoff))
+
+
+def test_subcommands_are_listed_alike_in_docstring_readme_and_parser():
+    import argparse
+    import re
+
+    from sdcl import cli
+
+    docstring = cli.__doc__.split("Subcommands:", 1)[1].split(".", 1)[0]
+    documented = set(re.findall(r"``([\w-]+)``", docstring))
+    readme = (Path(sdcl.__file__).resolve().parents[2] / "README.md").read_text()
+    usage = readme.split("## Command-line usage", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    in_readme = {line.split()[1] for line in usage.splitlines() if line.startswith("sdcl ")}
+    sub, = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert documented == in_readme == set(sub.choices) == {
+        "simulate", "train", "eval", "verify-bounds", "repro"}
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep"])
+    assert exc.value.code == 2
+
+
 def test_readme_example_config_dumps_the_oracle_eta(tmp_path):
     # the README's example config, with a dump: etas.csv holds each point's
     # clipped class prior rho(c), not the default constant 0.1
@@ -395,24 +432,6 @@ def test_bad_bounds_fields_exit_2(tmp_path, capsys, field, value):
     cfg = write_config(tmp_path, {"bounds": {"n_configs": 1, field: value}})
     assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "invalid bounds config" in capsys.readouterr().err
-
-
-def test_sweep_cells(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {
-            "seed": 1,
-            "spec": {"preset": "cifar-analog", "r": 0.5},
-            "train": {"epochs": 1, "samples_per_epoch": 32, "batch_size": 16},
-            "sweep": {"objectives": ["cl", "dcl"], "etas": [0.05, 0.1]},
-        },
-    )
-    out = tmp_path / "sweep"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert len(lines) == 2 + 3  # cl + dcl x {0.05, 0.1}
-    assert (out / "cell_000" / "manifest.json").exists()
-    assert (out / "cell_002" / "checkpoint.bin").exists()
 
 
 def test_repro_analog_bitwise_determinism(tmp_path):
@@ -597,8 +616,6 @@ BAD_VALUES = [
     ("simulate", "needs a spec", {"simulate": {"samples": 5}}),
     ("verify-bounds", "unknown preset 'cifar'", {"spec": {"preset": "cifar"}}),
     ("repro eta-tradeoff", "unknown preset 'tradeoff'", {"spec": {"preset": "tradeoff"}}),
-    ("sweep", "etas", {"spec": TRADEOFF, "sweep": {"etas": ["x"]}}),
-    ("sweep", "remove_thresholds", {"spec": TRADEOFF, "sweep": {"remove_thresholds": ["a"]}}),
     ("train", "batch_size", {"spec": TRADEOFF, "train": {"batch_size": 12.5}}),
     ("train", "epochs", {"spec": TRADEOFF, "train": {"epochs": 1.5}}),
     ("train", "gamma_trainable", {"spec": TRADEOFF, "train": {"gamma_trainable": "false"}}),
@@ -607,6 +624,19 @@ BAD_VALUES = [
     ("repro cifar-analog", "seeds", {"analog": {"seeds": 3}}),
     ("repro cifar-analog", "epochs", {"analog": {"epochs": "2"}}),
     ("repro cifar-analog", "label_fractions", {"analog": {"label_fractions": [0]}}),
+    # every study grid is non-empty, so no study trains cells it cannot report
+    ("repro cifar-analog", "seeds", {"analog": {"seeds": []}}),
+    ("repro cifar-analog", "r_values", {"analog": {"r_values": []}}),
+    ("repro cifar-analog", "label_fractions", {"analog": {"label_fractions": []}}),
+    ("repro eta-tradeoff", "seeds", {"tradeoff": {"seeds": []}}),
+    ("repro eta-tradeoff", "constant_etas", {"tradeoff": {"constant_etas": []}}),
+    ("repro eta-tradeoff", "retrieval_ks", {"tradeoff": {"retrieval_ks": []}}),
+    ("repro eta-tradeoff", "retrieval_ks", {"tradeoff": {"retrieval_ks": [10, 0]}}),
+    ("eval", "retrieval_ks", {"spec": TRADEOFF, "eval": {"retrieval_ks": []}}),
+    ("eval", "retrieval_ks", {"spec": TRADEOFF, "eval": {"retrieval_ks": [0]}}),
+    # a constant eta outside [DEFAULT_ETA_MIN, DEFAULT_ETA_MAX] would train clipped
+    ("repro eta-tradeoff", "constant_etas", {"tradeoff": {"constant_etas": [0.05, 1.5]}}),
+    ("repro eta-tradeoff", "constant_etas", {"tradeoff": {"constant_etas": [0.0]}}),
     # the probe sizes: an empty pool or test set, and a 1% budget of 3 labels
     ("repro cifar-analog", "n_probe", {"analog": {"n_probe": 0}}),
     ("repro cifar-analog", "n_test_per_class", {"analog": {"n_test_per_class": 0}}),
@@ -646,8 +676,9 @@ def test_bad_config_values_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
     ({"train": {"eta": {"length_normalize": True}}},
      "unknown train.eta fields: ['length_normalize']"),
     ({"seed": "x"}, "invalid top-level config: seed must be int, got 'x'"),
+    ({"sweep": {"etas": [0.05]}}, "unknown top-level fields: ['sweep']"),  # sdcl has no sweep
 ], ids=["train.eta", "eta", "train.eta-unknown", "eta-unknown", "train.eta-length_normalize",
-        "top-level"])
+        "top-level", "sweep"])
 def test_config_errors_name_the_section_path(tmp_path, capsys, config, message):
     cfg = write_config(tmp_path, config)
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -746,24 +777,6 @@ def test_manifest_json_is_strict(tmp_path):
 
     json.loads((tmp_path / "m" / "manifest.json").read_text(), parse_constant=refuse)
     assert manifest["config_hash"]
-
-
-def test_sweep_cell_manifest_records_its_own_train_section(tmp_path):
-    cfg = write_config(tmp_path, {
-        "seed": 1, "spec": {"preset": "cifar-analog", "r": 0.5},
-        "train": {"epochs": 1, "samples_per_epoch": 32, "batch_size": 16},
-        "sweep": {"objectives": ["cl", "dcl"], "etas": [0.05]},
-    })
-    out = tmp_path / "sweep"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-    top = json.loads((out / "manifest.json").read_text())["config"]
-    cells = [json.loads((out / f"cell_00{i}" / "manifest.json").read_text())["config"]
-             for i in range(2)]
-    assert [cell["train"]["objective"] for cell in cells] == ["cl", "dcl"]
-    assert cells[1]["train"]["eta"]["value"] == 0.05
-    for cell in cells:
-        assert {k: v for k, v in cell.items() if k != "train"} == \
-            {k: v for k, v in top.items() if k != "train"}
 
 
 def test_repro_has_no_seed_flag(tmp_path):

@@ -346,9 +346,6 @@ def test_gamma_is_an_ordinary_parameter_array():
     flat = enc.params_to_flat(params)
     assert flat[-1] == 1.5
     assert flat.size == sum(getattr(params, n).size for n in params.array_fields())
-    copy = params.copy()
-    copy.gamma += 1.0  # the copy owns its radius
-    assert params.gamma == 1.5
     # backward fills the gamma gradient whether or not gamma is trainable
     emb, cache = enc.forward_features(params, stream(33, 1).standard_normal((3, 5)))
     grads = enc.backward(params, cache, emb)

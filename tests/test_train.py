@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import AdamPerArray, build_lm_assets_loop
+from helpers import AdamPerArray, build_lm_assets_loop, params_at
 
 from sdcl import encoder as enc
 from sdcl import mixture as mix
@@ -225,7 +225,7 @@ def test_flat_adam_matches_the_per_array_update(train_gamma):
     # 50 steps on views of one flat vector equal 50 per-array updates bit for bit
     rng = stream(14, 0)
     params = enc.init_params(5, 7, 4, rng, gamma=2.0, vocab_size=6)
-    ref_params = params.copy()
+    ref_params = params_at(params, enc.params_to_flat(params))
     flat, ref = tr._Adam(params, train_gamma), AdamPerArray(train_gamma)
     for name in params.array_fields():
         assert np.shares_memory(getattr(params, name), flat.flat)
