@@ -503,9 +503,7 @@ def _random_discrete_spec(rng: np.random.Generator, config: BoundSweepConfig) ->
     probs /= probs.sum()
     pmfs = rng.random((k, p)) + 0.05
     pmfs /= pmfs.sum(axis=1, keepdims=True)
-    point_tokens = tuple(
-        tuple(int(t) for t in rng.integers(0, vocab, size=4)) for _ in range(p)
-    )
+    point_tokens = tuple(tuple(row) for row in rng.integers(0, vocab, size=(p, 4)).tolist())
     return mix.MixtureSpec(
         class_dist=mix.ClassDistribution(probs),
         conditionals=mix.DiscreteConditionals(
