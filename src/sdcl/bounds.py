@@ -36,8 +36,9 @@ from .objectives import asymptotic_loss, asymptotic_loss_from_scores, debiased_n
 E2 = math.e**2
 PROOF_CONSTANTS = (3.0 * E2 * math.sqrt(math.pi / 2.0),) * 2 + (3.0 * E2,)
 STATEMENT_CONSTANTS = (3.0 * E2 * math.sqrt(math.pi / 2.0), 2.0 * E2, 2.0 * E2)
-# empirical_gap evaluates as many trials at once as keep its largest gathered
-# temporary within this many float64s (one trial at a time if one exceeds it)
+# empirical_gap evaluates as many trials at once as keep its largest temporary,
+# a trial's (K, P, P) log-losses or its draws, within this many elements (one
+# trial at a time if one trial exceeds it)
 TRIAL_BLOCK_ELEMENTS = 2**16
 # verify_prop1 doubles its trials until the Monte Carlo standard error falls
 # below this fraction of the bound's right-hand side
@@ -137,10 +138,15 @@ def empirical_gap(
     unclamped variant is nan whenever some trial's denominator would go
     nonpositive without the clamp.
 
-    N * g is ``objectives.debiased_negatives``'s z on the drawn rows' sums.
-    Where no anchor row of a (trial, class) slice clamps, z equals z0 bit for
-    bit, so the unclamped term reuses the clamped one; only clamped slices
-    are evaluated twice (a nonpositive denominator needs z0 < 0, a clamp).
+    A trial's sums of e^s over its draws are its point counts times the rows
+    of e^S, one (k + 1, P) @ (P, P) product per trial, and N * g is
+    ``objectives.debiased_negatives``'s z on them.  Every class's
+    log(e^s + z) is averaged over pairs in one pass, and the pair mean of
+    the scores themselves is subtracted once per class.  z equals z0 bit
+    for bit on every anchor row that does not clamp, so the unclamped
+    estimator rewrites only the clamped rows and re-averages only the
+    (trial, class) slices holding one (a nonpositive denominator needs
+    z0 < 0, a clamp).
 
     Trials are evaluated in blocks.  A trial draws its n marginal uniforms,
     then m per class in class order, and maps them through the CDFs that
@@ -158,6 +164,7 @@ def empirical_gap(
     scores = _normalized_scores(spec, params)
     exp_scores = np.exp(scores)
     exp_rows = np.ascontiguousarray(exp_scores.T)  # row j: every anchor's score with j
+    score_means = _pair_means(scores, pmfs)  # (k,)
     floor = math.exp(-1.0)
     u_cdf = choice_cdf(rho @ pmfs)
     v_cdfs = [choice_cdf(pmf) for pmf in pmfs]
@@ -167,42 +174,36 @@ def empirical_gap(
 
     per_trial = np.empty(trials)
     per_trial_unclamped = np.empty(trials)
-    block = max(1, TRIAL_BLOCK_ELEMENTS // (p * max(n, k * m, p)))
-    loss_buffer = np.empty((min(block, trials), p, p))  # clamped log-loss per class
+    block = max(1, TRIAL_BLOCK_ELEMENTS // max(k * p * p, n + k * m))
+    loss_buffer = np.empty((min(block, trials), k, p, p))  # clamped log-loss per class
     for start in range(0, trials, block):
         t = min(block, trials - start)
         draws = rng.random((t, n + k * m))
-        u_idx = u_cdf.searchsorted(draws[:, :n], side="right")
-        v_idx = np.stack([
-            cdf.searchsorted(draws[:, n + c * m:n + (c + 1) * m], side="right")
-            for c, cdf in enumerate(v_cdfs)
-        ], axis=1)
-        # sample rows gathered along a middle axis are summed one at a time in
-        # draw order, as in the per-trial exp_scores[:, idx], whose sample axis
-        # is strided (a contiguous sample axis would be summed pairwise)
-        sum_u = exp_rows[u_idx].sum(axis=1)  # (t, P) per anchor point
-        sum_v = exp_rows[v_idx].sum(axis=2)  # (t, k, P)
-        z0, z, clamps = debiased_negatives(sum_u[:, None, :], n, sum_v, m, etas, floor)
-        clamped = clamps.any(axis=2)  # (t, k): some anchor row clamps
-        loss = loss_buffer[:t]
-        total = np.zeros(t)
-        total_unclamped = np.zeros(t)
+        idx = np.empty(draws.shape, dtype=np.int64)  # into (trial, sample set, point)
+        idx[:, :n] = u_cdf.searchsorted(draws[:, :n], side="right")
+        for c, cdf in enumerate(v_cdfs):
+            v = slice(n + c * m, n + (c + 1) * m)
+            idx[:, v] = cdf.searchsorted(draws[:, v], side="right") + (c + 1) * p
+        idx += (np.arange(t) * ((k + 1) * p))[:, None]
+        counts = np.bincount(idx.ravel(), minlength=t * (k + 1) * p).reshape(t, k + 1, p)
+        sums = np.matmul(counts.astype(np.float64), exp_rows)  # (t, k + 1, P) per anchor
+        z0, z, clamps = debiased_negatives(sums[:, :1], n, sums[:, 1:], m, etas, floor)
+        loss = np.add(exp_scores, z[..., None], out=loss_buffer[:t])
+        np.log(loss, out=loss)
+        terms = rho * (_pair_means(loss, pmfs) - score_means)  # (t, k)
+        per_trial[start:start + t] = terms.sum(axis=1)
+        ti, ci, ai = np.nonzero(clamps)
+        if ti.size == 0:
+            per_trial_unclamped[start:start + t] = per_trial[start:start + t]
+            continue
+        denom0 = exp_scores[ai] + z0[ti, ci, ai][:, None]
         valid = np.ones(t, dtype=bool)
-        for c in range(k):
-            np.add(exp_scores, z[:, c, :, None], out=loss)
-            np.log(loss, out=loss)
-            loss -= scores
-            term = rho[c] * _pair_mean(loss, pmfs[c])
-            total += term
-            rows = np.flatnonzero(clamped[:, c])
-            if rows.size:
-                denom0 = exp_scores + z0[rows, c, :, None]
-                valid[rows] &= ~np.any(denom0 <= 0.0, axis=(1, 2))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    term[rows] = rho[c] * _pair_mean(np.log(denom0) - scores, pmfs[c])
-            total_unclamped += term
-        per_trial[start:start + t] = total
-        per_trial_unclamped[start:start + t] = np.where(valid, total_unclamped, np.nan)
+        valid[ti[np.any(denom0 <= 0.0, axis=1)]] = False
+        ts, cs = np.nonzero(clamps.any(axis=2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loss[ti, ci, ai] = np.log(denom0)
+            terms[ts, cs] = rho[cs] * (_pair_means(loss[ts, cs], pmfs[cs]) - score_means[cs])
+            per_trial_unclamped[start:start + t] = np.where(valid, terms.sum(axis=1), np.nan)
     l_est = float(per_trial.mean())
     stderr = float(per_trial.std(ddof=1) / math.sqrt(trials))
     if np.any(np.isnan(per_trial_unclamped)):
@@ -212,12 +213,12 @@ def empirical_gap(
     return abs(l_tilde - l_est), stderr, gap_unclamped
 
 
-def _pair_mean(loss: np.ndarray, pmf: np.ndarray) -> np.ndarray:
-    """``pmf @ loss[i] @ pmf`` for each (P, P) slice of ``loss``, with the same
-    roundings: a stacked vector-matrix product, then one dot per slice (a
-    plain (t, P) @ (P,) goes through a matrix-vector product and rounds
-    differently)."""
-    return np.matmul((pmf @ loss)[:, None, :], pmf)[:, 0]
+def _pair_means(loss: np.ndarray, pmfs: np.ndarray) -> np.ndarray:
+    """``pmfs[c] @ loss[c] @ pmfs[c]`` over the stacked (P, P) slices of
+    ``loss`` and rows of ``pmfs``, with the 1-D products' roundings: a
+    vector-matrix product (gemv), then one dot per slice (a plain (t, P) @
+    (P,) goes through a matrix-vector product and rounds differently)."""
+    return np.matmul(np.matmul(pmfs[..., None, :], loss), pmfs[..., :, None])[..., 0, 0]
 
 
 def verify_prop1(

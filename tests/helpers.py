@@ -501,6 +501,11 @@ class AdamPerArray:
 def empirical_gap_reference(spec, params, provider, n, m, trials, rng, clamp_log=None):
     """``empirical_gap`` one trial at a time, with ``1 + k`` ``rng.choice`` calls each.
 
+    A trial's sums are its point counts times the rows of e^S in one
+    (k + 1, P) @ (P, P) product, and each class's pair means are 1-D
+    vector-matrix and vector-vector products: the shapes the kernel's
+    products take.  Every class's unclamped term is evaluated in full.
+
     A list passed as ``clamp_log`` receives one (k,) bool array per trial: whether
     some anchor row of that class's estimate clamps."""
     if trials < 2:
@@ -511,6 +516,8 @@ def empirical_gap_reference(spec, params, provider, n, m, trials, rng, clamp_log
     k, p = pmfs.shape
     scores = bounds._normalized_scores(spec, params)
     exp_scores = np.exp(scores)
+    exp_rows = np.ascontiguousarray(exp_scores.T)
+    score_means = [pmfs[c] @ scores @ pmfs[c] for c in range(k)]
     floor = math.exp(-1.0)
     marginal = rho @ pmfs
 
@@ -522,33 +529,32 @@ def empirical_gap_reference(spec, params, provider, n, m, trials, rng, clamp_log
     per_trial = np.empty(trials)
     per_trial_unclamped = np.empty(trials)
     for t in range(trials):
-        u_idx = rng.choice(p, size=n, p=marginal)
-        sum_u = exp_scores[:, u_idx].sum(axis=1)  # per anchor point
+        counts = np.empty((k + 1, p))
+        counts[0] = np.bincount(rng.choice(p, size=n, p=marginal), minlength=p)
+        for c in range(k):
+            counts[c + 1] = np.bincount(rng.choice(p, size=m, p=pmfs[c]), minlength=p)
+        sums = counts @ exp_rows  # per anchor point: the marginal draws, then each class's
         z0 = np.empty((k, p))  # N * g0
         for c in range(k):
-            v_idx = rng.choice(p, size=m, p=pmfs[c])
-            sum_v = exp_scores[:, v_idx].sum(axis=1)
             coef = 1.0 / (1.0 - etas[c])
-            z0[c] = coef * sum_u - (etas[c] * coef) * n * (sum_v / m)
+            z0[c] = coef * sums[0] - (etas[c] * coef) * n * (sums[c + 1] / m)
         clamped = z0 < n * floor
         z = np.where(clamped, n * floor, z0)
         if clamp_log is not None:
             clamp_log.append(clamped.any(axis=1))
-        total = 0.0
-        total_unclamped = 0.0
+        terms = np.empty(k)
+        terms_unclamped = np.empty(k)
         valid = True
         for c in range(k):
-            denom = exp_scores + z[c][:, None]
-            loss_ij = np.log(denom) - scores
-            total += rho[c] * float(pmfs[c] @ loss_ij @ pmfs[c])
+            loss = np.log(exp_scores + z[c][:, None])
+            terms[c] = rho[c] * (pmfs[c] @ loss @ pmfs[c] - score_means[c])
             denom0 = exp_scores + z0[c][:, None]
-            if np.any(denom0 <= 0.0):
-                valid = False
-            else:
-                loss0_ij = np.log(denom0) - scores
-                total_unclamped += rho[c] * float(pmfs[c] @ loss0_ij @ pmfs[c])
-        per_trial[t] = total
-        per_trial_unclamped[t] = total_unclamped if valid else np.nan
+            valid &= not np.any(denom0 <= 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                loss0 = np.log(denom0)
+                terms_unclamped[c] = rho[c] * (pmfs[c] @ loss0 @ pmfs[c] - score_means[c])
+        per_trial[t] = terms.sum()
+        per_trial_unclamped[t] = terms_unclamped.sum() if valid else np.nan
     l_est = float(per_trial.mean())
     stderr = float(per_trial.std(ddof=1) / math.sqrt(trials))
     if np.any(np.isnan(per_trial_unclamped)):

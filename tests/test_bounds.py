@@ -176,12 +176,85 @@ def test_empirical_gap_matches_reference(variant):
 
 
 def test_empirical_gap_matches_reference_across_blocks():
-    # 32 points and N = 256 make blocks of 8 trials: 8 + 8 + 8 + 5
+    # 4 classes of 32 points make blocks of 16 trials: 16 + 16 + 5
     spec = discrete_spec(6, n_classes=4, n_points=32)
     params = encoder_for(spec, seed=6)
     provider = make_provider(EtaConfig(kind="constant", value=0.2))
-    assert bounds.TRIAL_BLOCK_ELEMENTS // (32 * 256) == 8
-    _assert_gap_matches_reference(spec, params, provider, n=256, m=16, trials=29, seed=6)
+    assert bounds.TRIAL_BLOCK_ELEMENTS // (4 * 32 * 32) == 16
+    _assert_gap_matches_reference(spec, params, provider, n=256, m=16, trials=37, seed=6)
+
+
+def _block_size_cases():
+    config = pl.BoundSweepConfig()
+    for variant_index, variant in enumerate(pl.BOUND_ETA_VARIANTS):
+        for i, (n, m) in enumerate([(4, 1), (64, 16), (256, 4)]):
+            rng = stream(19, variant_index, i)
+            spec = pl._random_discrete_spec(rng, config)
+            params = enc.init_params(spec.dim, 6, 4, rng, gamma=1.0)
+            yield spec, params, pl._bound_provider(variant, spec, rng), n, m
+    constant = [make_provider(EtaConfig(kind="constant", value=v)) for v in (0.5, 0.2, 0.3)]
+    spec = discrete_spec(0)  # nonpositive unclamped denominators
+    yield spec, encoder_for(spec, gamma=2.0), constant[0], 4, 1
+    spec = discrete_spec(6, n_classes=4, n_points=32)  # default blocks of 16 + 16 + 5
+    yield spec, encoder_for(spec, seed=6), constant[1], 256, 16
+    spec = uniform_spec(n_classes=10)  # more than 8 classes summed per trial
+    yield spec, encoder_for(spec), constant[2], 16, 4
+
+
+def test_empirical_gap_is_independent_of_the_block_size(monkeypatch):
+    # one trial per block, the default blocks and one block for every trial
+    # give the same bits and leave the generator in the same state
+    default = bounds.TRIAL_BLOCK_ELEMENTS
+    nans = 0
+    for case, (spec, params, provider, n, m) in enumerate(_block_size_cases()):
+        seen = set()
+        for elements in (1, default, 2**40):
+            monkeypatch.setattr(bounds, "TRIAL_BLOCK_ELEMENTS", elements)
+            rng = stream(case, 9)
+            result = bounds.empirical_gap(spec, params, provider, n, m, 37, rng)
+            seen.add((_bits(result), rng.random()))
+        assert len(seen) == 1, (case, seen)
+        nans += math.isnan(result[2])
+    assert 0 < nans < case + 1  # some cases, not all, have an invalid unclamped trial
+
+
+def _gathered_gap(spec, params, provider, n, m, trials, rng):
+    """The gap's arithmetic before counted sums: each trial's sums gathered
+    from the drawn columns of e^S, and the scores subtracted from every
+    class's log-loss before its pair mean."""
+    rho, pmfs = spec.class_dist.probs, spec.conditionals.pmfs
+    k, p = pmfs.shape
+    scores = bounds._normalized_scores(spec, params)
+    exp_scores = np.exp(scores)
+    etas = bounds.eta_matrix(spec, provider)
+    per_trial = np.empty((2, trials))  # clamped, unclamped
+    for t in range(trials):
+        sum_u = exp_scores[:, rng.choice(p, size=n, p=rho @ pmfs)].sum(axis=1)
+        sum_v = np.stack([exp_scores[:, rng.choice(p, size=m, p=pmf)].sum(axis=1) for pmf in pmfs])
+        z0, z, _ = obj.debiased_negatives(sum_u, n, sum_v, m, etas, math.exp(-1.0))
+        for row, z in enumerate((z, z0)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                loss = np.log(exp_scores + z[:, :, None]) - scores
+            per_trial[row, t] = sum(rho[c] * (pmfs[c] @ loss[c] @ pmfs[c]) for c in range(k))
+    l_tilde = bounds.asymptotic_loss_from_scores(scores, rho, pmfs, n)
+    gaps = np.abs(l_tilde - per_trial.mean(axis=1))
+    return gaps[0], per_trial[0].std(ddof=1) / math.sqrt(trials), gaps[1]
+
+
+@pytest.mark.parametrize("variant", pl.BOUND_ETA_VARIANTS)
+def test_empirical_gap_matches_the_gathered_sums(variant):
+    # counted sums and one subtraction of the scores' pair mean per class
+    # round differently from the gathered arithmetic, by far less than 1e-9
+    config = pl.BoundSweepConfig()
+    variant_index = pl.BOUND_ETA_VARIANTS.index(variant)
+    for i, (n, m) in enumerate(itertools.product(config.n_grid, config.m_grid)):
+        rng = stream(23, variant_index, i)
+        spec = pl._random_discrete_spec(rng, config)
+        params = enc.init_params(spec.dim, 6, 4, rng, gamma=1.0)
+        provider = pl._bound_provider(variant, spec, rng)
+        result = bounds.empirical_gap(spec, params, provider, n, m, 40, stream(i, 9))
+        expected = _gathered_gap(spec, params, provider, n, m, 40, stream(i, 9))
+        np.testing.assert_allclose(result, expected, rtol=1e-9, atol=0.0, err_msg=str((n, m)))
 
 
 def test_empirical_gap_matches_reference_on_invalid_trials():

@@ -169,12 +169,13 @@ def test_bound_sweep_rows():
 def test_bound_sweep_rows_are_pinned():
     # the 50-config sweep of acceptance criterion 1; any change to the Monte
     # Carlo draws or to the order of the gap's arithmetic names itself here.
-    # Recorded with the gap assembled by objectives.debiased_negatives.
+    # Recorded with the gap's sums taken from point counts and the scores'
+    # pair mean subtracted once per class.
     rows = pl.bound_sweep(pl.BoundSweepConfig(n_configs=50))
     flat = [[(k, v if isinstance(v, str) else float(v)) for k, v in sorted(row.items())]
             for row in rows]
     assert hashlib.sha256(repr(flat).encode()).hexdigest() == (
-        "e53d052c5c6010885da35f933764660b4a039b04a264a2a0bb5d915f2b626a84")
+        "33f92863f685a3389bfcddef9ae8e9ccf67b54c94303273d3469d7092dbdcfc6")
 
 
 def test_bound_sweep_deterministic():
