@@ -28,13 +28,9 @@ from . import pipelines as pl
 from . import textsim as ts
 from . import train as tr
 from .eta import eta_for_batch, make_provider
-from .fields import build, check_fields
+from .fields import ConfigError, build, check_fields
 from .manifest import RunManifest, to_json, write_csv, write_json
 from .rngstream import stream
-
-
-class ConfigError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -170,6 +166,12 @@ def _resolve_spec(config: Config) -> mix.MixtureSpec:
 def cmd_simulate(config: Config, args) -> int:
     seed, section = config.seed, config.simulate
     spec = _resolve_spec(config)
+    if section.dump_etas and config.train.eta.kind == "lm_log_linear":
+        # eta_LM's bigram model is fit to the reports the dump samples
+        if not section.with_tokens:
+            raise ConfigError("eta dump with lm_log_linear needs simulate.with_tokens true")
+        if not section.samples:
+            raise ConfigError("eta dump with lm_log_linear needs simulate.samples >= 1")
     out = _out_dir(config, args)
     manifest = RunManifest(config, seed=seed)
     n = section.samples
@@ -197,8 +199,6 @@ def cmd_simulate(config: Config, args) -> int:
                   [[i, " ".join(map(str, seq)), pll] for i, (seq, pll) in enumerate(pll_rows)],
                   manifest)
     if section.dump_etas:
-        if config.train.eta.kind == "lm_log_linear" and lm is None:
-            raise ConfigError("eta dump with lm_log_linear needs token templates in the spec")
         provider = make_provider(config.train.eta, spec=spec, lm=lm)
         etas = eta_for_batch(provider, classes=classes, tokens=tokens)
         eta_rows = [[i, int(classes[i]), etas[i]] for i in range(n)]
@@ -300,6 +300,8 @@ def cmd_verify_bounds(config: Config, args) -> int:
 
 
 def cmd_repro(config: Config, args) -> int:
+    # a study section the mixture rejects exits 2 here, before any cell trains
+    _resolve_spec(replace(config, spec=SpecSection(preset=args.pipeline)))
     out = _out_dir(config, args)
     if args.pipeline == "cifar-analog":
         analog = config.analog

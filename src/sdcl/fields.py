@@ -90,6 +90,10 @@ def check_fields(obj) -> None:
         object.__setattr__(obj, name, convert(hint, getattr(obj, name), name))
 
 
+class ConfigError(Exception):
+    """A config the run cannot use; the command line exits 2 on it."""
+
+
 class SectionError(ValueError):
     """A bad config section: the message is ``before``, the section's dotted
     path ("top-level" for the whole file), then ``after``."""

@@ -16,6 +16,11 @@ The tradeoff study trains cross-modal text/image encoders on a long-tailed
 prior (two head classes at 0.25, eight tails) and sweeps the constant
 correction strength against the language-model estimate, scoring head-class
 prompt classification and tail-class retrieval.
+
+Each study decodes its variant names in one table, ``analog_train_config``
+or ``tradeoff_train_config``: a name maps to its cell's eta (none for plain
+``cl``), and ``dcl_eta_lm`` also to the LM it reads, fit and calibrated there.
+``tradeoff_study`` trains ``cl`` first; the summary reads ``tradeoff_variants``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from . import textsim as ts
 from . import train as tr
 from .bounds import verify_prop1
 from .eta import DEFAULT_ETA_MAX, DEFAULT_ETA_MIN, EtaConfig, calibrate_log_linear, make_provider
-from .fields import check_fields
+from .fields import ConfigError, check_fields
 from .rngstream import stream
 
 # ---------------------------------------------------------------------------
@@ -70,6 +75,11 @@ class AnalogConfig:
                 raise ValueError(f"{name} must be non-empty and lie in (0, 1]")
         if self.n_probe < 1 or self.n_test_per_class < 1:
             raise ValueError("n_probe and n_test_per_class must be >= 1")
+        # the rare eta reads a subsampled class and the common eta one left out
+        if not (self.subsampled and all(0 <= c < self.n_classes for c in self.subsampled)
+                and len(set(self.subsampled)) < self.n_classes):
+            raise ValueError(f"subsampled must name at least one class in [0, {self.n_classes}) "
+                             f"and leave at least one out")
         # the probe's labeled subset, as linear_probe sizes it, must be able
         # to hold one row of every class
         budget = max(1, int(round(min(self.label_fractions) * self.n_probe)))
@@ -95,9 +105,12 @@ class AnalogConfig:
 
 def _check_study(config) -> None:
     """Range checks a study config shares, run before any cell trains: the
-    seeds, and the cells' TrainConfig fields through TrainConfig's checks."""
+    seeds, the feature dim, and the cells' TrainConfig fields through
+    TrainConfig's checks."""
     if not config.seeds or min(config.seeds) < 0:
         raise ValueError("seeds must be non-empty and >= 0")
+    if config.dim < 1:
+        raise ValueError("dim must be >= 1")
     tr.TrainConfig(**config.train_fields())
 
 
@@ -117,26 +130,31 @@ def analog_spec(config: AnalogConfig = AnalogConfig()) -> mix.MixtureSpec:
     )
 
 
+def _cell_train_config(etas: dict, variant: str, config, seed: int) -> tr.TrainConfig:
+    """The TrainConfig of the study cell that ``etas`` maps ``variant`` to:
+    plain contrastive for None, debiased with the EtaConfig otherwise."""
+    if variant not in etas:
+        raise ValueError(f"unknown variant {variant!r}; this study has {list(etas)}")
+    fields = dict(config.train_fields(), seed=seed)
+    if etas[variant] is None:
+        return tr.TrainConfig(objective="cl", **fields)
+    return tr.TrainConfig(objective="dcl", eta=etas[variant], **fields)
+
+
 def analog_train_config(
     variant: str, sub: mix.MixtureSpec, config: AnalogConfig, seed: int
 ) -> tr.TrainConfig:
-    rare_eta = float(sub.class_dist.probs[config.subsampled[0]])
+    """The cell's TrainConfig: each name in ANALOG_VARIANTS maps to its eta
+    on the subsampled prior ``sub``, and ``cl`` to none."""
+    probs = sub.class_dist.probs
     common = next(c for c in range(sub.num_classes) if c not in config.subsampled)
-    common_eta = float(sub.class_dist.probs[common])
-    base = dict(config.train_fields(), seed=seed)
-    if variant == "cl":
-        return tr.TrainConfig(objective="cl", **base)
-    if variant == "dcl_eta_true":
-        return tr.TrainConfig(objective="dcl", eta=EtaConfig(kind="true_oracle"), **base)
-    if variant == "dcl_eta_rare":
-        return tr.TrainConfig(
-            objective="dcl", eta=EtaConfig(kind="constant", value=rare_eta), **base
-        )
-    if variant == "dcl_eta_common":
-        return tr.TrainConfig(
-            objective="dcl", eta=EtaConfig(kind="constant", value=common_eta), **base
-        )
-    raise ValueError(f"unknown analog variant {variant!r}")
+    etas = {
+        "cl": None,
+        "dcl_eta_true": EtaConfig(kind="true_oracle"),
+        "dcl_eta_rare": EtaConfig(kind="constant", value=float(probs[config.subsampled[0]])),
+        "dcl_eta_common": EtaConfig(kind="constant", value=float(probs[common])),
+    }
+    return _cell_train_config(etas, variant, config, seed)
 
 
 def run_analog_cell(
@@ -183,18 +201,12 @@ def run_analog_cell(
 
 
 def analog_study(config: AnalogConfig = AnalogConfig()) -> list[dict]:
-    """Full grid of (r, variant, seed) cells without their params and traces;
-    rows sorted for reproducibility."""
+    """Full grid of (r, variant, seed) cells, in grid order, without their
+    params and traces."""
     base = analog_spec(config)
-    rows = []
-    for r in config.r_values:
-        for variant in ANALOG_VARIANTS:
-            for seed in config.seeds:
-                cell = run_analog_cell(base, config, r, variant, seed)
-                cell.pop("params")
-                cell.pop("trace")
-                rows.append(cell)
-    return rows
+    cells = (run_analog_cell(base, config, r, variant, seed)
+             for r in config.r_values for variant in ANALOG_VARIANTS for seed in config.seeds)
+    return [{k: v for k, v in cell.items() if k not in ("params", "trace")} for cell in cells]
 
 
 def analog_means(rows: list[dict], r: float, fraction: float) -> dict:
@@ -271,6 +283,8 @@ class TradeoffConfig:
                 DEFAULT_ETA_MIN <= v <= DEFAULT_ETA_MAX for v in self.constant_etas):
             raise ValueError(f"constant_etas must be non-empty and lie in "
                              f"[{DEFAULT_ETA_MIN}, {DEFAULT_ETA_MAX}]")
+        if len(set(self.constant_etas)) < len(self.constant_etas):
+            raise ValueError("constant_etas must not repeat a value")
         _check_study(self)
 
     def train_fields(self) -> dict:
@@ -331,35 +345,39 @@ def class_prompts(spec: mix.MixtureSpec, c: int, sibling: int) -> tuple:
     return spec.templates[sibling][0], spec.templates[c][0]
 
 
-def tradeoff_train_config(variant: str, config: TradeoffConfig, seed: int) -> tr.TrainConfig:
-    base = dict(config.train_fields(), seed=seed)
-    if variant == "cl":
-        return tr.TrainConfig(objective="cl", **base)
-    if variant == "dcl_eta_lm":
-        return tr.TrainConfig(objective="dcl", eta=EtaConfig(kind="lm_log_linear"), **base)
-    return tr.TrainConfig(
-        objective="dcl", eta=EtaConfig(kind="constant", value=float(variant)), **base
-    )
+def tradeoff_variants(config: TradeoffConfig) -> tuple[str, ...]:
+    """The summary's variants: each constant eta as ``str(v)``, then the LM's."""
+    return tuple(str(v) for v in config.constant_etas) + ("dcl_eta_lm",)
+
+
+def tradeoff_train_config(
+    variant: str, spec: mix.MixtureSpec, config: TradeoffConfig, seed: int
+) -> tuple[tr.TrainConfig, ts.NGramLM | None]:
+    """The cell's TrainConfig and the LM its eta reads: ``cl`` trains plain
+    contrastive, ``str(v)`` debiases with the constant v, and ``dcl_eta_lm``
+    fits the bigram LM and calibrates eta_LM's (a, k) on its PLL quantiles."""
+    etas = {"cl": None, **{str(v): EtaConfig(kind="constant", value=v)
+                           for v in config.constant_etas},
+            "dcl_eta_lm": EtaConfig(kind="lm_log_linear")}
+    train_config = _cell_train_config(etas, variant, config, seed)
+    if train_config.eta.kind != "lm_log_linear":
+        return train_config, None
+    lm = tr.build_lm_assets(spec, train_config)
+    rng = stream(seed, 11)
+    reports = mix.sample_reports(spec, mix.sample_class_array(spec.class_dist, 1000, rng), rng)
+    try:
+        a, k = calibrate_log_linear(ts.pseudo_log_likelihood(lm, *reports),
+                                    config.calibration_range, config.calibration_quantiles)
+    except ValueError as exc:
+        raise ConfigError(f"tradeoff.calibration_quantiles "
+                          f"{list(config.calibration_quantiles)} at seed {seed}: {exc}") from exc
+    return replace(train_config, eta=EtaConfig(kind="lm_log_linear", a=a, k=k)), lm
 
 
 def run_tradeoff_cell(spec: mix.MixtureSpec, config: TradeoffConfig, variant: str, seed: int) -> dict:
     """Train one variant and score head prompt accuracy plus tail retrieval."""
-    train_config = tradeoff_train_config(variant, config, seed)
-    lm = eta_a = eta_k = None  # only the LM variant calibrates (a, k)
-    if variant == "dcl_eta_lm":
-        lm = tr.build_lm_assets(spec, train_config)
-        cal_rng = stream(seed, 11)
-        cal_classes = mix.sample_class_array(spec.class_dist, 1000, cal_rng)
-        cal_reports = mix.sample_reports(spec, cal_classes, cal_rng)
-        eta_a, eta_k = calibrate_log_linear(
-            ts.pseudo_log_likelihood(lm, *cal_reports),
-            eta_range=config.calibration_range, quantiles=config.calibration_quantiles,
-        )
-        train_config = replace(
-            train_config, eta=EtaConfig(kind="lm_log_linear", a=eta_a, k=eta_k)
-        )
-    result = tr.train(spec, train_config, lm=lm)
-    params = result.params
+    train_config, lm = tradeoff_train_config(variant, spec, config, seed)
+    params = tr.train(spec, train_config, lm=lm).params
 
     # tail-class retrieval over a balanced text/image gallery
     rng = stream(seed, 3, 0)
@@ -396,24 +414,18 @@ def run_tradeoff_cell(spec: mix.MixtureSpec, config: TradeoffConfig, variant: st
         "tail_avg_recall": tail_recall,
         "avg_recall": retrieval.avg_recall,
         "gamma_final": float(params.gamma),
-        "eta_a": eta_a,
-        "eta_k": eta_k,
+        # only eta_LM calibrates (a, k); a cell without an LM has none
+        "eta_a": train_config.eta.a if lm is not None else None,
+        "eta_k": train_config.eta.k if lm is not None else None,
     }
 
 
-def tradeoff_study(
-    config: TradeoffConfig = TradeoffConfig(),
-    include_cl: bool = True,
-) -> list[dict]:
+def tradeoff_study(config: TradeoffConfig = TradeoffConfig()) -> list[dict]:
+    """Every (variant, seed) cell: plain contrastive first, which the summary
+    does not read, then the tradeoff_variants."""
     spec = tradeoff_spec(config)
-    variants = (("cl",) if include_cl else ()) + tuple(
-        str(v) for v in config.constant_etas
-    ) + ("dcl_eta_lm",)
-    rows = []
-    for variant in variants:
-        for seed in config.seeds:
-            rows.append(run_tradeoff_cell(spec, config, variant, seed))
-    return rows
+    return [run_tradeoff_cell(spec, config, variant, seed)
+            for variant in ("cl",) + tradeoff_variants(config) for seed in config.seeds]
 
 
 def _spearman(a, b) -> float:
@@ -436,22 +448,18 @@ def tradeoff_summary(rows: list[dict], config: TradeoffConfig = TradeoffConfig()
     def mean_metric(variant, key):
         return float(np.mean([r[key] for r in rows if r["variant"] == variant]))
 
-    constants = [str(v) for v in config.constant_etas]
+    *constants, lm = tradeoff_variants(config)
     head = [mean_metric(v, "head_accuracy") for v in constants]
     tail = [mean_metric(v, "tail_avg_recall") for v in constants]
-    etas = [float(v) for v in constants]
-    head_rho = _spearman(etas, head)
-    tail_rho = _spearman(etas, tail)
-    lm_head = mean_metric("dcl_eta_lm", "head_accuracy")
-    lm_tail = mean_metric("dcl_eta_lm", "tail_avg_recall")
+    etas = list(config.constant_etas)
     return {
         "constant_etas": etas,
         "head_accuracy": head,
         "tail_avg_recall": tail,
-        "head_spearman": head_rho,
-        "tail_spearman": tail_rho,
-        "lm_head_accuracy": lm_head,
-        "lm_tail_avg_recall": lm_tail,
+        "head_spearman": _spearman(etas, head),
+        "tail_spearman": _spearman(etas, tail),
+        "lm_head_accuracy": mean_metric(lm, "head_accuracy"),
+        "lm_tail_avg_recall": mean_metric(lm, "tail_avg_recall"),
         "best_constant_head": max(head),
         "best_constant_tail": max(tail),
     }

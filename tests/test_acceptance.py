@@ -74,9 +74,12 @@ def analog_results():
 
 @pytest.fixture(scope="module")
 def tradeoff_results():
+    # criterion 9's cells alone: tradeoff_study also trains cl, which no criterion reads
     config = pl.TradeoffConfig()
     start = time.monotonic()
-    rows = pl.tradeoff_study(config, include_cl=False)
+    spec = pl.tradeoff_spec(config)
+    rows = [pl.run_tradeoff_cell(spec, config, variant, seed)
+            for variant in pl.tradeoff_variants(config) for seed in config.seeds]
     summary = pl.tradeoff_summary(rows, config)
     return {"summary": summary, "elapsed": time.monotonic() - start}
 

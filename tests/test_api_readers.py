@@ -34,7 +34,6 @@ ALLOWED = {
 
 # "module.function.parameter" (methods: "module.Class.method.parameter")
 ALLOWED_DEFAULTS = {
-    "pipelines.tradeoff_study.include_cl": "the gate skips the cl cells",
     "eta.eta_of.tokens": "eta_of stays for perfbench; tests pass tokens to check eta_LM per sample",
     "cli.main.argv": "entry point; the console script passes nothing",
 }

@@ -201,9 +201,8 @@ params = encoder.init_params(2, 8, 4, stream(0, 1))
 assert bounds.lemma_a1_check(spec, params, n=5).holds
 
 config = pipelines.TradeoffConfig()
-variants = [str(v) for v in config.constant_etas] + ["dcl_eta_lm"]
 rows = [{"variant": v, "head_accuracy": 0.5 + 0.1 * i, "tail_avg_recall": 0.5 - 0.1 * i}
-        for i, v in enumerate(variants)]
+        for i, v in enumerate(pipelines.tradeoff_variants(config))]
 pipelines.tradeoff_summary(rows, config)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
@@ -602,6 +601,7 @@ def test_eval_unusable_input_exits_2(tmp_path, capsys, damage, needle):
 # ---------------------------------------------------------------------------
 
 TRADEOFF = {"preset": "eta-tradeoff"}
+LM_ETA = {"eta": {"kind": "lm_log_linear"}}
 BAD_VALUES = [
     ("simulate", "samples", {"spec": TRADEOFF, "simulate": {"samples": "ten"}}),
     ("simulate", "samples", {"spec": TRADEOFF, "simulate": {"samples": 2.5}}),
@@ -646,6 +646,24 @@ BAD_VALUES = [
      {"tradeoff": {"prompt_images_per_side": 0}}),
     ("repro eta-tradeoff", "epochs", {"tradeoff": {"epochs": 0}}),
     ("repro eta-tradeoff", "calibration_range", {"tradeoff": {"calibration_range": [0.01]}}),
+    # a repeated constant would train its cells twice and give the summary a tie
+    ("repro eta-tradeoff", "constant_etas", {"tradeoff": {"constant_etas": [0.05, 0.05]}}),
+    # the rare and common constants read one subsampled class and one left out
+    ("repro cifar-analog", "subsampled", {"analog": {"subsampled": []}}),
+    ("repro cifar-analog", "subsampled", {"analog": {"subsampled": [12]}}),
+    ("repro cifar-analog", "subsampled", {"analog": {"subsampled": list(range(10))}}),
+    ("repro cifar-analog", "dim", {"analog": {"dim": 0}}),
+    ("repro eta-tradeoff", "dim", {"tradeoff": {"dim": 0}}),
+    # a study section whose mixture is invalid fails where the spec is built
+    ("repro cifar-analog", "stddevs", {"analog": {"sigma": -1.0}}),
+    ("repro eta-tradeoff", "stddevs", {"tradeoff": {"tail_sigma": -1.0}}),
+    ("repro eta-tradeoff", "report_perturb_prob", {"tradeoff": {"perturb_prob": 2.0}}),
+    ("repro eta-tradeoff", "out of vocab", {"tradeoff": {"vocab_size": 20}}),
+    # eta_LM's dump fits its bigram model to the reports the command samples
+    ("simulate", "simulate.with_tokens", {"spec": TRADEOFF, "train": LM_ETA,
+                                          "simulate": {"with_tokens": False, "dump_etas": True}}),
+    ("simulate", "simulate.samples", {"spec": TRADEOFF, "train": LM_ETA,
+                                      "simulate": {"samples": 0, "dump_etas": True}}),
 ]
 
 
@@ -665,6 +683,20 @@ def test_bad_config_values_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "config error" in err and field in err
     assert not [p for p in out.rglob("*") if p.suffix in (".csv", ".bin")]
+
+
+@pytest.mark.parametrize("quantiles", [[0.55, 0.6], [0.6, 0.7], [0.8, 0.9]])
+def test_degenerate_lm_calibration_exits_2(tmp_path, capsys, quantiles):
+    # at these quantiles the tiny LM gives equal PLLs, so (a, k) has no slope
+    cfg = write_config(tmp_path, {"tradeoff": {
+        "seeds": [0], "epochs": 1, "samples_per_epoch": 64, "batch_size": 16,
+        "lm_corpus_size": 200, "constant_etas": [0.05], "retrieval_per_class": 5,
+        "prompt_images_per_side": 10, "calibration_quantiles": quantiles}})
+    out = tmp_path / "t"
+    assert main(["repro", "eta-tradeoff", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: tradeoff.calibration_quantiles" in err and "degenerate" in err
+    assert not list(out.glob("*.csv"))
 
 
 @pytest.mark.parametrize("config, message", [

@@ -8,6 +8,7 @@ import pytest
 
 from sdcl import pipelines as pl
 from sdcl import mixture as mix
+from sdcl import train as tr
 from sdcl.manifest import RunManifest, write_json
 
 
@@ -62,8 +63,6 @@ def test_analog_variant_configs():
     assert abs(rare.eta.value - 0.2 * 0.1 / 1.1) < 1e-12
     common = pl.analog_train_config("dcl_eta_common", sub, config, seed=0)
     assert abs(common.eta.value - 0.2 / 1.1) < 1e-12
-    with pytest.raises(ValueError):
-        pl.analog_train_config("mystery", sub, config, seed=0)
 
 
 def test_analog_study_rows_and_gaps():
@@ -109,8 +108,12 @@ def test_tradeoff_spec_structure():
 def test_tradeoff_study_and_summary():
     config = tiny_tradeoff_config()
     rows = pl.tradeoff_study(config)
-    # cl + 2 constants + lm, one seed each
+    # cl + 2 constants + lm, one seed each; every value, (a, k) included, as
+    # recorded before the variant table replaced the if-chain
     assert len(rows) == 4
+    flat = [sorted(row.items()) for row in rows]
+    assert hashlib.sha256(repr(flat).encode()).hexdigest() == (
+        "59f77bb973c7eb578cdd0c736c46fcd919ea1f7f81baae5164f7afea32921e19")
     summary = pl.tradeoff_summary(rows, config)
     assert len(summary["head_accuracy"]) == 2
     assert 0.0 <= summary["lm_tail_avg_recall"] <= 1.0
@@ -121,14 +124,33 @@ def test_tradeoff_study_and_summary():
     assert [r["variant"] for r in others] == ["cl", "0.05", "0.1"]
     assert all(r["eta_a"] is None and r["eta_k"] is None for r in others)
 
+    # every variant of both studies builds its TrainConfig; an unknown name raises
+    analog = tiny_analog_config()
+    sub = mix.subsample_classes(pl.analog_spec(analog), analog.subsampled, 0.5)
+    for variant in pl.ANALOG_VARIANTS:
+        train_config = pl.analog_train_config(variant, sub, analog, seed=0)
+        assert isinstance(train_config, tr.TrainConfig) and train_config.seed == 0
+        assert (train_config.objective == "cl") == (variant == "cl")
+    spec = pl.tradeoff_spec(config)
+    for variant in ("cl",) + pl.tradeoff_variants(config):
+        train_config, lm = pl.tradeoff_train_config(variant, spec, config, seed=0)
+        assert isinstance(train_config, tr.TrainConfig) and train_config.seed == 0
+        assert (train_config.objective == "cl") == (variant == "cl")
+        assert (lm is not None) == (train_config.eta.kind == "lm_log_linear")
+    with pytest.raises(ValueError, match="unknown variant 'mystery'"):
+        pl.analog_train_config("mystery", sub, analog, seed=0)
+    # a constant outside constant_etas is unknown, not parsed
+    for variant in ("mystery", "0.2"):
+        with pytest.raises(ValueError, match="unknown variant"):
+            pl.tradeoff_train_config(variant, spec, config, seed=0)
+
 
 def test_tradeoff_summary_with_a_constant_column_is_strict_json(tmp_path):
     # a constant head-accuracy column has no rank correlation: nan in Python
     # (criterion 9 reads it), null in the written file, which strict parsers accept
     config = pl.TradeoffConfig()
-    variants = [str(v) for v in config.constant_etas] + ["dcl_eta_lm"]
     rows = [{"variant": v, "head_accuracy": 0.5, "tail_avg_recall": 0.1 * i}
-            for i, v in enumerate(variants)]
+            for i, v in enumerate(pl.tradeoff_variants(config))]
     summary = pl.tradeoff_summary(rows, config)
     assert math.isnan(summary["head_spearman"]) and summary["tail_spearman"] == 1.0
 

@@ -166,14 +166,13 @@ def test_cross_modal_draws_are_pinned():
     # number of draws moves every trained cross-modal encoder, and this names it
     config = pl.TradeoffConfig()
     spec = pl.tradeoff_spec(config)
-    train_config = pl.tradeoff_train_config("dcl_eta_lm", config, 0)
+    train_config, lm = pl.tradeoff_train_config("dcl_eta_lm", spec, config, 0)
     classes, _, tokens, positives = tr.sample_training_batch(spec, train_config, stream(0, 1, 0, 0))
     assert _digest(classes.astype(np.int64), *tokens, positives) == (
         "ca680459dde9a33378324a44f4c0ec3243a820694a310b724efabedbe0ea411a")
-    lm = tr.build_lm_assets(spec, train_config)
     assert _digest(lm.bigram_counts) == (
         "b25f43f7318dc499eb4b09cf0a32348c2918c4e2705f6d26ca8e438e81c0eb4e")
-    # the calibration reports of pipelines.run_tradeoff_cell
+    # the calibration reports of the LM variant in pipelines.tradeoff_train_config
     rng = stream(0, 11)
     reports = mix.sample_reports(spec, mix.sample_class_array(spec.class_dist, 1000, rng), rng)
     assert _digest(*reports) == (
