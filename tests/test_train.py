@@ -180,28 +180,36 @@ def test_cross_modal_draws_are_pinned():
 
 
 HANDLING_PINS = {
-    "remove_by_sim": (NegativeHandling(kind="remove_by_sim", threshold=-0.9), None,
+    "remove_by_sim": ("dcl_eta_true", NegativeHandling(kind="remove_by_sim", threshold=-0.9), None,
                       "2882793ec1d38994f060736b4d407ed8da596fb95bf9f840528dea7d7b00b75b"),
-    "reweight_by_sim": (NegativeHandling(kind="reweight_by_sim"), None,
+    "reweight_by_sim": ("dcl_eta_true", NegativeHandling(kind="reweight_by_sim"), None,
                         "5832f1b37e7456f9fe10acdf9b8eee9fe6a7d3a80f5e655cb9fe4d3f18fba29d"),
-    "resample_by_sim": (NegativeHandling(kind="resample_by_sim", keep_count=32), None,
-                        "2ddf1ffb4923d8fcbf973e7f33460f42e5b07c5615ec42953bf3a99f18089e46"),
-    "remove_by_label": (NegativeHandling(kind="remove_by_label"), None,
+    "resample_by_sim": ("dcl_eta_true", NegativeHandling(kind="resample_by_sim", keep_count=32),
+                        None, "2ddf1ffb4923d8fcbf973e7f33460f42e5b07c5615ec42953bf3a99f18089e46"),
+    "remove_by_label": ("dcl_eta_true", NegativeHandling(kind="remove_by_label"), None,
                         "958a90cff99250b051b5a4bb8ce6678716516b42928823b589beddb56fd8fad5"),
-    "max_negatives": (NegativeHandling(), 64,
+    "max_negatives": ("dcl_eta_true", NegativeHandling(), 64,
                       "89274fa9356505efe78b379c77e4c182b8835ad1b47c2de643e5541c097790a2"),
+    # the plain contrastive step: no handling, the reweighting gradient and the cap
+    "cl_none": ("cl", NegativeHandling(), None,
+                "fffaf43ed3ba40241902fb211be33ae65c8b248b721fafa45ff943dd03bffdc1"),
+    "cl_reweight_by_sim": ("cl", NegativeHandling(kind="reweight_by_sim"), None,
+                           "c25ade68a84eba6450109f78fc3e84e2d5155e3504fde9b490d644745049e322"),
+    "cl_max_negatives": ("cl", NegativeHandling(), 64,
+                         "497e84f15dee49f8087405bd62f97a17a80a42729fbd02abf9bf61950db9de46"),
 }
 
 
 @pytest.mark.parametrize("mode", sorted(HANDLING_PINS))
 def test_handling_training_is_pinned(mode):
     # two epochs of the weighted in-batch path at B=128 on the analog r=0.1
-    # spec, one run per negative-handling mode as the benchmark cycles them;
-    # the digest covers every trace record and the trained flat parameters
-    handling, cap, digest = HANDLING_PINS[mode]
+    # spec, one run per negative-handling mode as the benchmark cycles them,
+    # and plain contrastive runs; the digest covers every trace record and
+    # the trained flat parameters
+    variant, handling, cap, digest = HANDLING_PINS[mode]
     config = pl.AnalogConfig()
     spec = mix.subsample_classes(pl.analog_spec(config), config.subsampled, 0.1)
-    base = pl.analog_train_config("dcl_eta_true", spec, config, 5)
+    base = pl.analog_train_config(variant, spec, config, 5)
     result = tr.train(spec, replace(base, epochs=2, handling=handling, n_negatives=cap))
     if mode == "remove_by_sim":
         assert result.trace.fallback_count.sum() > 0
