@@ -30,18 +30,8 @@ EMBED_BLOCK_ROWS = 4096
 ARRAY_FIELDS = ("w1", "b1", "w2", "b2", "token_embed", "gamma")
 
 
-class _Arrays:
-    """Shared by parameters and gradients: the arrays present, in order."""
-
-    def array_fields(self) -> list[str]:
-        return [name for name in ARRAY_FIELDS if getattr(self, name) is not None]
-
-    def array_shapes(self) -> dict[str, tuple[int, ...]]:
-        return {name: getattr(self, name).shape for name in self.array_fields()}
-
-
 @dataclass
-class EncoderParams(_Arrays):
+class EncoderParams:
     """MLP weights, optional token embedding table, and the sphere radius."""
 
     w1: np.ndarray  # (hidden, input)
@@ -59,24 +49,16 @@ class EncoderParams(_Arrays):
         if self.gamma.size != 1 or not self.gamma > 0:
             raise ValueError("gamma must be one positive number")
 
+    def array_fields(self) -> list[str]:
+        """The arrays present, in flat-vector order."""
+        return [name for name in ARRAY_FIELDS if getattr(self, name) is not None]
+
+    def array_shapes(self) -> dict[str, tuple[int, ...]]:
+        return {name: getattr(self, name).shape for name in self.array_fields()}
+
     @property
     def input_dim(self) -> int:
         return self.w1.shape[1]
-
-
-@dataclass
-class EncoderGrads(_Arrays):
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    token_embed: Optional[np.ndarray]
-    gamma: np.ndarray
-
-    def add_(self, other: "EncoderGrads") -> None:
-        for name in self.array_fields():
-            mine = getattr(self, name)
-            mine += getattr(other, name)
 
 
 def init_params(
@@ -163,10 +145,11 @@ def forward_tokens(params: EncoderParams, ids: np.ndarray,
     return emb, cache
 
 
-def backward(params: EncoderParams, cache: ForwardCache, d_emb: np.ndarray) -> EncoderGrads:
-    """Exact parameter gradients given d(loss)/d(embedding) for the batch.
+def backward(params: EncoderParams, cache: ForwardCache, d_emb: np.ndarray) -> np.ndarray:
+    """Exact parameter gradients given d(loss)/d(embedding) for the batch,
+    as one float64 vector in ``params_to_flat``'s layout (gamma last).
 
-    Raises on non-finite intermediate values rather than clamping.
+    Raises on non-finite values rather than clamping.
     """
     d_emb = np.atleast_2d(np.asarray(d_emb, dtype=np.float64))
     radial = d_emb * cache.uhat
@@ -187,18 +170,16 @@ def backward(params: EncoderParams, cache: ForwardCache, d_emb: np.ndarray) -> E
             (ids[mask][:, None] * width + np.arange(width)).ravel(),
             np.repeat(dx / lengths[:, None], lengths, axis=0).ravel(),
             minlength=params.token_embed.size,
-        ).reshape(params.token_embed.shape)
-    grads = EncoderGrads(
-        w1=dz1.T @ cache.x, b1=dz1.sum(axis=0), w2=du.T @ cache.a1, b2=du.sum(axis=0),
-        token_embed=d_token_embed, gamma=np.asarray(np.sum(radial)),
-    )
-    # a non-finite entry makes its array's sum, and so the total, non-finite;
-    # finite arrays whose sums overflow are told apart by the scan
-    arrays = {name: getattr(grads, name) for name in grads.array_fields()}
+        )
+    arrays = {"w1": dz1.T @ cache.x, "b1": dz1.sum(axis=0), "w2": du.T @ cache.a1,
+              "b2": du.sum(axis=0), "token_embed": d_token_embed, "gamma": np.sum(radial)}
+    grads = np.concatenate([np.ravel(arrays[name]) for name in params.array_fields()])
+    # a non-finite entry makes the sum non-finite; finite entries whose sum
+    # overflows are told apart by the scan
     with np.errstate(over="ignore", invalid="ignore"):
-        total = sum(float(a.sum()) for a in arrays.values())
+        total = float(grads.sum())
     if not math.isfinite(total):
-        for name, a in arrays.items():
+        for name, a in split_flat(grads, params.array_shapes()).items():
             if not np.all(np.isfinite(a)):
                 raise FloatingPointError(f"non-finite gradient in {name}")
     return grads

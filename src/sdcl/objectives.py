@@ -20,11 +20,12 @@ kept.  ``debiased_negatives`` is the one place N * g is assembled: training,
 ``g_estimate``, ``g_estimate_many``) call it; ``contrastive_loss``, the
 reference of the eta = 0 reduction, does not.
 
-``in_batch_loss`` assembles either objective over a batch with in-batch
-negatives (every other positive in the batch) as one B x B computation:
-every negative-handling rule becomes a weight matrix from
-``negative_weights``.  It returns exact gradients with respect to all
-embeddings, including through similarity-derived reweighting factors.
+``in_batch_loss`` runs both objectives through that kernel over a batch with
+in-batch negatives (every other positive in the batch) as one B x B
+computation: plain contrastive is eta = 0, whose clamp binds only on exactly
+antipodal embeddings, and every negative-handling rule is a weight matrix
+from ``negative_weights``.  Gradients are exact w.r.t. all embeddings,
+through similarity-derived reweighting factors too.
 
 The B x B intermediates live in reused per-batch-size buffers
 (``_workspace``), which assume one thread per process.
@@ -315,13 +316,16 @@ def in_batch_loss(
     """Mean loss over a batch where anchor i's negatives are the other
     positives {P_j : j != i}, with exact gradients w.r.t. all embeddings.
 
-    For the debiased objective the positive itself serves as the single
-    same-class sample (M = 1).  ``max_negatives`` caps each anchor's negative
-    pool at its first entries (batch order is already random).  Negative
-    handling enters as the weight matrix W of ``negative_weights``: row i's
-    weighted negative sum is (W * E).sum(1) - e^{s_ii} with E = exp(A P^T),
-    and its negative count is W.sum(1) - 1.  Reductions run in batch order so
-    results are reproducible.
+    The positive itself is the single same-class sample (M = 1).  ``cl`` is
+    eta = 0 in the one kernel, bit for bit the plain loss: the gradient's
+    factor is 1.0, N * g0 is the negative sum - 0.0 and dz/ds_ii is -0.0.
+    Its clamp binds only if rounding pushes every kept negative's score below
+    -gamma^2, which needs exactly antipodal embeddings.  ``max_negatives``
+    caps each anchor's negative pool at its first entries (batch order is
+    already random).  Negative handling enters as the weight matrix W of
+    ``negative_weights``: row i's weighted negative sum is (W * E).sum(1) -
+    e^{s_ii} with E = exp(A P^T), and its negative count is W.sum(1) - 1.
+    Reductions run in batch order so results are reproducible.
     """
     if objective not in ("cl", "dcl"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -332,10 +336,9 @@ def in_batch_loss(
         raise ValueError("need batch size >= 2 for in-batch negatives")
     if max_negatives is not None and not 1 <= max_negatives <= b - 1:
         raise ValueError("max_negatives must lie in [1, batch_size - 1]")
-    if objective == "dcl":
-        if etas is None:
-            raise ValueError("dcl objective needs per-sample eta values")
-        etas = np.asarray(etas, dtype=np.float64)
+    if objective == "dcl" and etas is None:
+        raise ValueError("dcl objective needs per-sample eta values")
+    etas = np.zeros(b) if objective == "cl" else np.asarray(etas, dtype=np.float64)
     handling = handling or NO_HANDLING
     work = _workspace(b)
     weights, fallbacks = negative_weights(handling, p, classes, max_negatives, out=work[2])
@@ -356,24 +359,15 @@ def in_batch_loss(
         w_exp = np.multiply(exp_scores, weights, out=work[1] if reweight else exp_scores)
     z_sum = w_exp.sum(axis=1) - exp_pos
 
-    dl_dscores = w_exp  # computed in place: W * E is not read again
-    if objective == "cl":
-        denom = exp_pos + z_sum
-        dl_dscores /= denom[:, None]
-        dl_dscores[diag, diag] = exp_pos / denom - 1.0
-        d_gamma = 0.0
-        clamp_fraction = 0.0
-    else:
-        _, z, clamped = debiased_negatives(z_sum, n, exp_pos, 1, etas, floor)
-        coef = 1.0 / (1.0 - etas)  # the gradient's factor
-        denom = exp_pos + z
-        dl_dscores *= coef[:, None]
-        dl_dscores /= denom[:, None]
-        dl_dscores[clamped] = 0.0
-        dz_da = np.where(clamped, 0.0, -(etas * coef) * n * exp_pos)
-        dl_dscores[diag, diag] = (exp_pos + dz_da) / denom - 1.0
-        d_gamma = float(np.sum(np.where(clamped, -2.0 * gamma * floor * n / denom, 0.0))) / b
-        clamp_fraction = float(np.mean(clamped))
+    _, z, clamped = debiased_negatives(z_sum, n, exp_pos, 1, etas, floor)
+    coef = 1.0 / (1.0 - etas)  # the gradient's factor
+    denom = exp_pos + z
+    dl_dscores = np.multiply(w_exp, coef[:, None], out=w_exp)  # W * E is not read again
+    dl_dscores /= denom[:, None]
+    dl_dscores[clamped] = 0.0
+    dz_da = np.where(clamped, 0.0, -(etas * coef) * n * exp_pos)
+    dl_dscores[diag, diag] = (exp_pos + dz_da) / denom - 1.0
+    d_gamma = float(np.sum(np.where(clamped, -2.0 * gamma * floor * n / denom, 0.0))) / b
     loss = float(np.mean(np.log(denom) - pos_scores))
 
     d_a = dl_dscores @ p / b
@@ -383,10 +377,9 @@ def in_batch_loss(
         # backpropagate dL/dW through the softmax into both P_i and P_j.
         # One buffer (E's) holds dz/dW, then dL/dW, then dL/dsims.
         dsims = exp_scores
-        if objective == "dcl":
-            dsims *= coef[:, None]
-            dsims -= (etas * coef * exp_pos)[:, None]
-            dsims[clamped] = floor
+        dsims *= coef[:, None]
+        dsims -= (etas * coef * exp_pos)[:, None]
+        dsims[clamped] = floor
         dsims /= denom[:, None]
         np.fill_diagonal(weights, 0.0)
         # W * E's buffer is free once d_a and d_p are formed
@@ -401,7 +394,7 @@ def in_batch_loss(
         d_anchor=d_a,
         d_positive=d_p,
         d_gamma=d_gamma,
-        clamp_fraction=clamp_fraction,
+        clamp_fraction=float(np.mean(clamped)),
         fallback_count=fallbacks,
-        mean_eta=float(np.mean(etas)) if objective == "dcl" else 0.0,
+        mean_eta=float(np.mean(etas)),
     )

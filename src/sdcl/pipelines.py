@@ -75,6 +75,8 @@ class AnalogConfig:
                 raise ValueError(f"{name} must be non-empty and lie in (0, 1]")
         if self.n_probe < 1 or self.n_test_per_class < 1:
             raise ValueError("n_probe and n_test_per_class must be >= 1")
+        if not self.sigma >= 0:  # nan fails too
+            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         # the rare eta reads a subsampled class and the common eta one left out
         if not (self.subsampled and all(0 <= c < self.n_classes for c in self.subsampled)
                 and len(set(self.subsampled)) < self.n_classes):
@@ -285,6 +287,14 @@ class TradeoffConfig:
                              f"[{DEFAULT_ETA_MIN}, {DEFAULT_ETA_MAX}]")
         if len(set(self.constant_etas)) < len(self.constant_etas):
             raise ValueError("constant_etas must not repeat a value")
+        for name in ("head_sigma", "tail_sigma"):
+            if not getattr(self, name) >= 0:  # nan fails too
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.perturb_prob <= 1.0:
+            raise ValueError(f"perturb_prob must lie in [0, 1], got {self.perturb_prob}")
+        if self.vocab_size < 22:  # the templates' largest token is 12 + 9
+            raise ValueError(f"vocab_size must be >= 22 to hold the templates' tokens, "
+                             f"got {self.vocab_size}")
         _check_study(self)
 
     def train_fields(self) -> dict:
@@ -422,8 +432,12 @@ def run_tradeoff_cell(spec: mix.MixtureSpec, config: TradeoffConfig, variant: st
 
 def tradeoff_study(config: TradeoffConfig = TradeoffConfig()) -> list[dict]:
     """Every (variant, seed) cell: plain contrastive first, which the summary
-    does not read, then the tradeoff_variants."""
+    does not read, then the tradeoff_variants.  Every seed's eta_LM is
+    calibrated first, on its own streams, so a degenerate calibration fails
+    before any cell trains."""
     spec = tradeoff_spec(config)
+    for seed in config.seeds:
+        tradeoff_train_config("dcl_eta_lm", spec, config, seed)
     return [run_tradeoff_cell(spec, config, variant, seed)
             for variant in ("cl",) + tradeoff_variants(config) for seed in config.seeds]
 

@@ -103,7 +103,8 @@ class TrainResult:
 class _Adam:
     """Adam plus decoupled weight decay over one flat vector that holds every
     parameter array: binding to ``params`` makes each of its arrays a view of
-    the vector.  Gamma is last, so it moves only when ``train_gamma`` is set."""
+    the vector, and ``update`` reads ``encoder.backward``'s vector in that
+    layout.  Gamma is last, so it moves only when ``train_gamma`` is set."""
 
     def __init__(self, params: enc.EncoderParams, train_gamma: bool):
         self.flat = enc.params_to_flat(params)
@@ -114,10 +115,9 @@ class _Adam:
         self.v = np.zeros(self.size)
         self.t = 0
 
-    def update(self, grads: enc.EncoderGrads, lr: float) -> None:
+    def update(self, grads: np.ndarray, lr: float) -> None:
         self.t += 1
-        flat_grads = np.concatenate([getattr(grads, name).ravel() for name in grads.array_fields()])
-        g, m, v, p = flat_grads[: self.size], self.m, self.v, self.flat[: self.size]
+        g, m, v, p = grads[: self.size], self.m, self.v, self.flat[: self.size]
         m *= ADAM_BETA1
         m += (1 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -208,7 +208,7 @@ def train(
             p_emb, p_cache = enc.forward_features(params, positives)
 
             etas = None
-            if config.objective == "dcl":
+            if provider is not None:
                 etas = eta_for_batch(provider, classes=classes, tokens=anchor_tokens)
 
             result = in_batch_loss(
@@ -227,8 +227,8 @@ def train(
                     f"batch seed path ({config.seed}, 1, {epoch}, {batch}))"
                 )
             grads = enc.backward(params, a_cache, result.d_anchor)
-            grads.add_(enc.backward(params, p_cache, result.d_positive))
-            grads.gamma += result.d_gamma
+            grads += enc.backward(params, p_cache, result.d_positive)
+            grads[-1] += result.d_gamma  # gamma is last
 
             optimizer.update(grads, config.learning_rate)
             trace[step] = (step, result.loss, result.clamp_fraction, result.mean_eta,

@@ -67,10 +67,9 @@ def pipeline_loss_and_grads(
         classes=classes,
     )
     grads = enc.backward(params, a_cache, result.d_anchor)
-    grads.add_(enc.backward(params, p_cache, result.d_positive))
-    grads.gamma += result.d_gamma
-    flat = np.concatenate([getattr(grads, name).ravel() for name in params.array_fields()])
-    return result.loss, flat, result
+    grads += enc.backward(params, p_cache, result.d_positive)
+    grads[-1] += result.d_gamma
+    return result.loss, grads, result
 
 
 def params_at(params, flat):
@@ -319,8 +318,9 @@ def forward_tokens_reference(params, token_seqs):
 
 
 def backward_reference(params, cache, d_emb):
-    """``backward`` with the token gradient added sequence by sequence, token
-    by token; ``cache`` comes from ``forward_tokens_reference``."""
+    """``backward`` array by array, keyed by name, with the token gradient
+    added sequence by sequence, token by token; ``cache`` comes from
+    ``forward_features`` or ``forward_tokens_reference``."""
     d_emb = np.atleast_2d(np.asarray(d_emb, dtype=np.float64))
     radial = d_emb * cache.uhat
     # projection: du = gamma/||u|| * (dE - uhat (uhat . dE))
@@ -335,19 +335,20 @@ def backward_reference(params, cache, d_emb):
             contribution = dx[i] / len(seq)
             for t in seq:
                 d_token_embed[t] += contribution
-    grads = enc.EncoderGrads(
-        w1=dz1.T @ cache.x, b1=dz1.sum(axis=0), w2=du.T @ cache.a1, b2=du.sum(axis=0),
-        token_embed=d_token_embed, gamma=np.asarray(np.sum(radial)),
-    )
-    for name in grads.array_fields():
-        if not np.all(np.isfinite(getattr(grads, name))):
+    grads = {"w1": dz1.T @ cache.x, "b1": dz1.sum(axis=0), "w2": du.T @ cache.a1,
+             "b2": du.sum(axis=0), "token_embed": d_token_embed,
+             "gamma": np.asarray(np.sum(radial))}
+    grads = {name: grads[name] for name in params.array_fields()}
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in {name}")
     return grads
 
 
 def backward_add_at(params, cache, d_emb):
-    """``backward`` as it scattered the token gradient before, with one
-    ``np.add.at``; ``cache`` comes from ``forward_tokens``."""
+    """``backward`` array by array, keyed by name, as it scattered the token
+    gradient before, with one ``np.add.at``; ``cache`` comes from
+    ``forward_tokens``."""
     d_emb = np.atleast_2d(np.asarray(d_emb, dtype=np.float64))
     radial = d_emb * cache.uhat
     inner = np.sum(radial, axis=1, keepdims=True)
@@ -361,10 +362,9 @@ def backward_add_at(params, cache, d_emb):
         lengths = mask.sum(axis=1)
         dx = dz1 @ params.w1
         np.add.at(d_token_embed, ids[mask], np.repeat(dx / lengths[:, None], lengths, axis=0))
-    return enc.EncoderGrads(
-        w1=dz1.T @ cache.x, b1=dz1.sum(axis=0), w2=du.T @ cache.a1, b2=du.sum(axis=0),
-        token_embed=d_token_embed, gamma=np.asarray(np.sum(radial)),
-    )
+    return {"w1": dz1.T @ cache.x, "b1": dz1.sum(axis=0), "w2": du.T @ cache.a1,
+            "b2": du.sum(axis=0), "token_embed": d_token_embed,
+            "gamma": np.asarray(np.sum(radial))}
 
 
 def pseudo_log_likelihood_reference(lm: NGramLM, seq) -> float:
@@ -466,8 +466,9 @@ def build_lm_assets_loop(spec, config):
 
 
 class AdamPerArray:
-    """Adam plus decoupled weight decay over every parameter array; gamma
-    moves only when ``train_gamma`` is set."""
+    """Adam plus decoupled weight decay over every parameter array, reading
+    the gradients keyed by name; gamma moves only when ``train_gamma`` is
+    set."""
 
     def __init__(self, train_gamma: bool):
         self.train_gamma = train_gamma
@@ -475,12 +476,12 @@ class AdamPerArray:
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
-    def update(self, params: enc.EncoderParams, grads: enc.EncoderGrads, lr: float) -> None:
+    def update(self, params: enc.EncoderParams, grads: dict, lr: float) -> None:
         self.t += 1
         for name in params.array_fields():
             if name == "gamma" and not self.train_gamma:
                 continue
-            g = getattr(grads, name)
+            g = grads[name]
             p = getattr(params, name)
             m = self.m.get(name, np.zeros_like(p))
             v = self.v.get(name, np.zeros_like(p))

@@ -654,11 +654,15 @@ BAD_VALUES = [
     ("repro cifar-analog", "subsampled", {"analog": {"subsampled": list(range(10))}}),
     ("repro cifar-analog", "dim", {"analog": {"dim": 0}}),
     ("repro eta-tradeoff", "dim", {"tradeoff": {"dim": 0}}),
-    # a study section whose mixture is invalid fails where the spec is built
-    ("repro cifar-analog", "stddevs", {"analog": {"sigma": -1.0}}),
-    ("repro eta-tradeoff", "stddevs", {"tradeoff": {"tail_sigma": -1.0}}),
-    ("repro eta-tradeoff", "report_perturb_prob", {"tradeoff": {"perturb_prob": 2.0}}),
-    ("repro eta-tradeoff", "out of vocab", {"tradeoff": {"vocab_size": 20}}),
+    # a study field the mixture would reject is named with its section
+    ("repro cifar-analog", "analog config: sigma", {"analog": {"sigma": -1.0}}),
+    ("repro eta-tradeoff", "tradeoff config: head_sigma", {"tradeoff": {"head_sigma": -0.5}}),
+    ("repro eta-tradeoff", "tradeoff config: tail_sigma", {"tradeoff": {"tail_sigma": -1.0}}),
+    ("repro eta-tradeoff", "tradeoff config: perturb_prob", {"tradeoff": {"perturb_prob": 2.0}}),
+    ("repro eta-tradeoff", "tradeoff config: perturb_prob",
+     {"tradeoff": {"perturb_prob": -0.1}}),
+    ("repro eta-tradeoff", "tradeoff config: vocab_size", {"tradeoff": {"vocab_size": 20}}),
+    ("repro eta-tradeoff", "tradeoff config: vocab_size", {"tradeoff": {"vocab_size": 21}}),
     # eta_LM's dump fits its bigram model to the reports the command samples
     ("simulate", "simulate.with_tokens", {"spec": TRADEOFF, "train": LM_ETA,
                                           "simulate": {"with_tokens": False, "dump_etas": True}}),
@@ -686,8 +690,15 @@ def test_bad_config_values_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("quantiles", [[0.55, 0.6], [0.6, 0.7], [0.8, 0.9]])
-def test_degenerate_lm_calibration_exits_2(tmp_path, capsys, quantiles):
-    # at these quantiles the tiny LM gives equal PLLs, so (a, k) has no slope
+def test_degenerate_lm_calibration_exits_2(tmp_path, capsys, monkeypatch, quantiles):
+    # at these quantiles the tiny LM gives equal PLLs, so (a, k) has no slope;
+    # every seed calibrates before any cell trains
+    from sdcl import train as tr
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell trained before the calibration failed")
+
+    monkeypatch.setattr(tr, "train", no_training)
     cfg = write_config(tmp_path, {"tradeoff": {
         "seeds": [0], "epochs": 1, "samples_per_epoch": 64, "batch_size": 16,
         "lm_corpus_size": 200, "constant_etas": [0.05], "retrieval_per_class": 5,

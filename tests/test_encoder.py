@@ -19,6 +19,11 @@ def random_params(seed=0, input_dim=5, hidden=7, out=6, gamma=np.sqrt(2.0), voca
                            vocab_size=vocab)
 
 
+def backward_arrays(params, cache, d_emb):
+    """``backward``'s flat vector split into its arrays, keyed by name."""
+    return enc.split_flat(enc.backward(params, cache, d_emb), params.array_shapes())
+
+
 def test_embedding_norm_is_gamma():
     for gamma in (1.0, np.sqrt(2.0), 5.0):
         params = random_params(seed=1, gamma=gamma)
@@ -64,15 +69,14 @@ def test_projection_kills_radial_gradient():
     params = random_params(seed=6)
     x = stream(6, 1).standard_normal((4, 5))
     emb, cache = enc.forward_features(params, x)
-    grads = enc.backward(params, cache, 2.0 * emb)
+    grads = backward_arrays(params, cache, 2.0 * emb)
     for name in ("w1", "b1", "w2", "b2"):
-        assert np.max(np.abs(getattr(grads, name))) < 1e-12
+        assert np.max(np.abs(grads[name])) < 1e-12
 
 
 def _fd_check(params, loss_fn, step=1e-5, rtol=1e-4):
     """Central-difference check of d(loss)/d(params) for a scalar loss."""
-    loss, grads = loss_fn(params)
-    flat_grads = np.concatenate([getattr(grads, name).ravel() for name in params.array_fields()])
+    loss, flat_grads = loss_fn(params)
     theta = enc.params_to_flat(params)
     fd = np.zeros_like(theta)
     for i in range(theta.size):
@@ -129,10 +133,10 @@ def test_token_batch_matches_per_sequence_reference(kind):
         ref_emb, ref_cache = forward_tokens_reference(params, seqs)
         assert np.array_equal(emb, ref_emb)
         d_emb = r.standard_normal(emb.shape)
-        grads = enc.backward(params, cache, d_emb)
+        grads = backward_arrays(params, cache, d_emb)
         ref = backward_reference(params, ref_cache, d_emb)
         for name in params.array_fields():
-            assert np.array_equal(getattr(grads, name), getattr(ref, name)), name
+            assert np.array_equal(grads[name], ref[name]), name
 
 
 @pytest.mark.parametrize("kind", ["ragged", "one_row", "equal_length"])
@@ -144,10 +148,34 @@ def test_token_scatter_matches_add_at(kind):
         params = random_params(seed=seed + 50, vocab=3)
         emb, cache = enc.forward_tokens(params, *mix.pad_tokens(token_batch(kind, r, vocab=3)))
         d_emb = r.standard_normal(emb.shape)
-        grads = enc.backward(params, cache, d_emb)
+        grads = backward_arrays(params, cache, d_emb)
         ref = backward_add_at(params, cache, d_emb)
         for name in params.array_fields():
-            assert getattr(grads, name).tobytes() == getattr(ref, name).tobytes(), name
+            assert grads[name].tobytes() == ref[name].tobytes(), name
+
+
+@pytest.mark.parametrize("vocab", [None, 6])
+def test_backward_returns_the_flat_layout(vocab):
+    # one vector in params_to_flat's layout whose split views equal the
+    # per-array reference bit for bit, on the feature pass and, with a token
+    # table, on the token pass too
+    r = stream(12, 3)
+    params = random_params(seed=60, vocab=vocab)
+    passes = [(enc.forward_features(params, r.standard_normal((9, 5)))[1], None)]
+    if vocab is not None:
+        seqs = token_batch("ragged", r, vocab=vocab)
+        passes.append((enc.forward_tokens(params, *mix.pad_tokens(seqs))[1],
+                       forward_tokens_reference(params, seqs)[1]))
+    for cache, ref_cache in passes:
+        d_emb = r.standard_normal((cache.x.shape[0], 6))
+        flat = enc.backward(params, cache, d_emb)
+        assert flat.dtype == np.float64 and flat.shape == enc.params_to_flat(params).shape
+        ref = backward_reference(params, ref_cache or cache, d_emb)
+        assert list(ref) == params.array_fields()
+        grads = enc.split_flat(flat, params.array_shapes())
+        for name in params.array_fields():
+            assert grads[name].shape == ref[name].shape, name
+            assert grads[name].tobytes() == ref[name].tobytes(), name
 
 
 def test_backward_finite_check_names_the_array_and_allows_overflowing_sums():
@@ -159,10 +187,10 @@ def test_backward_finite_check_names_the_array_and_allows_overflowing_sums():
     x = np.full((1, 5), 1e307)
     cache = enc.ForwardCache(x=x, a1=np.zeros((1, 7)), norms=np.ones(1), uhat=uhat)
     d_emb = np.eye(6)[1:2]
-    grads = enc.backward(params, cache, d_emb)
+    grads = backward_arrays(params, cache, d_emb)
     # every entry is finite, only their sum overflows
-    assert np.all(np.isfinite(grads.w1))
-    assert sum(grads.w1.ravel().tolist()) == np.inf
+    assert np.all(np.isfinite(grads["w1"]))
+    assert sum(grads["w1"].ravel().tolist()) == np.inf
     x[0, 2] = np.inf
     with pytest.raises(FloatingPointError, match="non-finite gradient in w1$"):
         enc.backward(params, cache, d_emb)
@@ -350,4 +378,4 @@ def test_gamma_is_an_ordinary_parameter_array():
     emb, cache = enc.forward_features(params, stream(33, 1).standard_normal((3, 5)))
     grads = enc.backward(params, cache, emb)
     # d(sum t . emb)/dgamma = sum t . uhat, which is B * gamma for t = emb
-    assert abs(float(grads.gamma) - 3 * 1.5) < 1e-12
+    assert abs(grads[-1] - 3 * 1.5) < 1e-12
