@@ -52,7 +52,6 @@ class SpecSection:
 @dataclass(frozen=True)
 class SimulateSection:
     samples: int = 1000
-    with_tokens: bool = True
     dump_etas: bool = False
 
     def __post_init__(self):
@@ -166,12 +165,12 @@ def _resolve_spec(config: Config) -> mix.MixtureSpec:
 def cmd_simulate(config: Config, args) -> int:
     seed, section = config.seed, config.simulate
     spec = _resolve_spec(config)
-    if section.dump_etas and config.train.eta.kind == "lm_log_linear":
-        # eta_LM's bigram model is fit to the reports the dump samples
-        if not section.with_tokens:
-            raise ConfigError("eta dump with lm_log_linear needs simulate.with_tokens true")
-        if not section.samples:
-            raise ConfigError("eta dump with lm_log_linear needs simulate.samples >= 1")
+    eta = config.train.eta
+    if section.dump_etas and eta is None:
+        raise ConfigError("simulate.dump_etas needs train.eta, which is null")
+    # eta_LM's bigram model is fit to the reports the dump samples
+    if section.dump_etas and eta.kind == "lm_log_linear" and not section.samples:
+        raise ConfigError("eta dump with lm_log_linear needs simulate.samples >= 1")
     out = _out_dir(config, args)
     manifest = RunManifest(config, seed=seed)
     n = section.samples
@@ -179,13 +178,13 @@ def cmd_simulate(config: Config, args) -> int:
     classes = mix.sample_class_array(spec.class_dist, n, rng)
     features, points = mix.sample_features_for_classes(spec, classes, rng)
     tokens, sentences = None, []
-    if n and section.with_tokens:
+    if n:
         if spec.point_tokens is not None:
             tokens = mix.pad_tokens([spec.point_tokens[i] for i in points])
         else:
             tokens = mix.sample_reports(spec, classes, rng)
         sentences = [ids[valid].tolist() for ids, valid in zip(*tokens)]
-    texts = [" ".join(map(str, seq)) for seq in sentences] or [""] * n
+    texts = [" ".join(map(str, seq)) for seq in sentences]
     rows = [[i, int(classes[i]), texts[i]] + list(features[i]) for i in range(n)]
     header = ["index", "latent_class", "tokens"] + [f"x{j}" for j in range(spec.dim)]
     write_csv(out / "dataset.csv", header, rows, manifest)
@@ -199,7 +198,7 @@ def cmd_simulate(config: Config, args) -> int:
                   [[i, " ".join(map(str, seq)), pll] for i, (seq, pll) in enumerate(pll_rows)],
                   manifest)
     if section.dump_etas:
-        provider = make_provider(config.train.eta, spec=spec, lm=lm)
+        provider = make_provider(eta, spec=spec, lm=lm)
         etas = eta_for_batch(provider, classes=classes, tokens=tokens)
         eta_rows = [[i, int(classes[i]), etas[i]] for i in range(n)]
         write_csv(out / "etas.csv", ["index", "latent_class", "eta"], eta_rows, manifest)

@@ -8,8 +8,8 @@ a language-model sentence likelihood,
 
 A provider is the ``EtaConfig`` it was built from plus its model (none, the
 spec or the language model).  ``eta_for_batch`` clamps every variant's output
-once, to [eta_min, eta_max] strictly inside (0, 1), because the 1/(1-eta)
-weights in the debiased estimator blow up as eta -> 1.
+once, to the fixed [ETA_MIN, ETA_MAX] strictly inside (0, 1), because the
+1/(1-eta) weights in the debiased estimator blow up as eta -> 1.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from .fields import check_fields
 from .mixture import MixtureSpec, pad_tokens
 from .textsim import NGramLM, pseudo_log_likelihood
 
-DEFAULT_ETA_MIN = 1e-4
-DEFAULT_ETA_MAX = 0.9
+ETA_MIN, ETA_MAX = 1e-4, 0.9
 
 
 @dataclass(frozen=True)
@@ -35,15 +34,11 @@ class EtaConfig:
     value: float = 0.1
     a: float = 0.2
     k: float = 0.35
-    eta_min: float = DEFAULT_ETA_MIN
-    eta_max: float = DEFAULT_ETA_MAX
 
     def __post_init__(self):
         check_fields(self)
         if self.kind not in ("constant", "true_oracle", "lm_log_linear"):
             raise ValueError(f"unknown eta kind {self.kind!r}")
-        if not 0.0 < self.eta_min <= self.eta_max < 1.0:
-            raise ValueError("need 0 < eta_min <= eta_max < 1")
         if not all(np.isfinite(x) for x in (self.value, self.a, self.k)):
             raise ValueError("eta value, a and k must be finite")
         if self.kind == "lm_log_linear" and (self.a <= 0 or self.k <= 0):
@@ -124,8 +119,8 @@ def eta_for_batch(
     tokens: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Vectorized eta for a batch of latent classes, with its padded
-    ``(ids, mask)`` token batch for the LM provider, clipped to the
-    provider's ``[eta_min, eta_max]``."""
+    ``(ids, mask)`` token batch for the LM provider, clipped to
+    ``[ETA_MIN, ETA_MAX]``."""
     config = provider.config
     if isinstance(provider, ConstantEta):
         eta = np.full(len(classes), config.value)
@@ -135,4 +130,4 @@ def eta_for_batch(
         raise ValueError("lm_log_linear eta needs token sequences")
     else:
         eta = config.a * np.exp(config.k * pseudo_log_likelihood(provider.lm, *tokens))
-    return np.clip(eta, config.eta_min, config.eta_max)
+    return np.clip(eta, ETA_MIN, ETA_MAX)

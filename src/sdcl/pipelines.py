@@ -18,9 +18,10 @@ correction strength against the language-model estimate, scoring head-class
 prompt classification and tail-class retrieval.
 
 Each study decodes its variant names in one table, ``analog_train_config``
-or ``tradeoff_train_config``: a name maps to its cell's eta (none for plain
+or ``tradeoff_train_config``: a name maps to its cell's eta (None for plain
 ``cl``), and ``dcl_eta_lm`` also to the LM it reads, fit and calibrated there.
-``tradeoff_study`` trains ``cl`` first; the summary reads ``tradeoff_variants``.
+``tradeoff_study`` builds every cell's setup once, before any cell trains,
+and trains ``cl`` first; the summary reads ``tradeoff_variants``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from . import mixture as mix
 from . import textsim as ts
 from . import train as tr
 from .bounds import verify_prop1
-from .eta import DEFAULT_ETA_MAX, DEFAULT_ETA_MIN, EtaConfig, calibrate_log_linear, make_provider
+from .eta import ETA_MAX, ETA_MIN, EtaConfig, calibrate_log_linear, make_provider
 from .fields import ConfigError, check_fields
 from .rngstream import stream
 
@@ -91,11 +92,10 @@ class AnalogConfig:
         _check_study(self)
 
     def train_fields(self) -> dict:
-        """The TrainConfig fields every cell shares; a cell adds its
-        objective, eta and seed."""
+        """The TrainConfig fields every cell shares; a cell adds its eta
+        and seed."""
         return dict(
-            mode="unimodal",
-            positive_mode="view",
+            mode="view",
             view_noise=self.view_noise,
             batch_size=self.batch_size,
             epochs=self.epochs,
@@ -137,10 +137,7 @@ def _cell_train_config(etas: dict, variant: str, config, seed: int) -> tr.TrainC
     plain contrastive for None, debiased with the EtaConfig otherwise."""
     if variant not in etas:
         raise ValueError(f"unknown variant {variant!r}; this study has {list(etas)}")
-    fields = dict(config.train_fields(), seed=seed)
-    if etas[variant] is None:
-        return tr.TrainConfig(objective="cl", **fields)
-    return tr.TrainConfig(objective="dcl", eta=etas[variant], **fields)
+    return tr.TrainConfig(eta=etas[variant], seed=seed, **config.train_fields())
 
 
 def analog_train_config(
@@ -280,11 +277,9 @@ class TradeoffConfig:
             raise ValueError("retrieval_per_class and prompt_images_per_side must be >= 1")
         if not self.retrieval_ks or min(self.retrieval_ks) < 1:
             raise ValueError("retrieval_ks must be non-empty and every k >= 1")
-        # a study cell's constant EtaConfig would clip a value outside this range
-        if not self.constant_etas or not all(
-                DEFAULT_ETA_MIN <= v <= DEFAULT_ETA_MAX for v in self.constant_etas):
-            raise ValueError(f"constant_etas must be non-empty and lie in "
-                             f"[{DEFAULT_ETA_MIN}, {DEFAULT_ETA_MAX}]")
+        # eta_for_batch would clip a study cell's constant outside this range
+        if not self.constant_etas or not all(ETA_MIN <= v <= ETA_MAX for v in self.constant_etas):
+            raise ValueError(f"constant_etas must be non-empty and lie in [{ETA_MIN}, {ETA_MAX}]")
         if len(set(self.constant_etas)) < len(self.constant_etas):
             raise ValueError("constant_etas must not repeat a value")
         for name in ("head_sigma", "tail_sigma"):
@@ -298,8 +293,8 @@ class TradeoffConfig:
         _check_study(self)
 
     def train_fields(self) -> dict:
-        """The TrainConfig fields every cell shares; a cell adds its
-        objective, eta and seed."""
+        """The TrainConfig fields every cell shares; a cell adds its eta
+        and seed."""
         return dict(
             mode="cross_modal",
             batch_size=self.batch_size,
@@ -370,7 +365,7 @@ def tradeoff_train_config(
                            for v in config.constant_etas},
             "dcl_eta_lm": EtaConfig(kind="lm_log_linear")}
     train_config = _cell_train_config(etas, variant, config, seed)
-    if train_config.eta.kind != "lm_log_linear":
+    if variant != "dcl_eta_lm":
         return train_config, None
     lm = tr.build_lm_assets(spec, train_config)
     rng = stream(seed, 11)
@@ -384,9 +379,13 @@ def tradeoff_train_config(
     return replace(train_config, eta=EtaConfig(kind="lm_log_linear", a=a, k=k)), lm
 
 
-def run_tradeoff_cell(spec: mix.MixtureSpec, config: TradeoffConfig, variant: str, seed: int) -> dict:
-    """Train one variant and score head prompt accuracy plus tail retrieval."""
-    train_config, lm = tradeoff_train_config(variant, spec, config, seed)
+def run_tradeoff_cell(spec: mix.MixtureSpec, config: TradeoffConfig, variant: str, seed: int,
+                      *, setup: tuple[tr.TrainConfig, ts.NGramLM | None] | None = None) -> dict:
+    """Train one variant and score head prompt accuracy plus tail retrieval.
+    ``setup`` is the cell's ``tradeoff_train_config``, built here when None."""
+    if setup is None:
+        setup = tradeoff_train_config(variant, spec, config, seed)
+    train_config, lm = setup
     params = tr.train(spec, train_config, lm=lm).params
 
     # tail-class retrieval over a balanced text/image gallery
@@ -432,14 +431,14 @@ def run_tradeoff_cell(spec: mix.MixtureSpec, config: TradeoffConfig, variant: st
 
 def tradeoff_study(config: TradeoffConfig = TradeoffConfig()) -> list[dict]:
     """Every (variant, seed) cell: plain contrastive first, which the summary
-    does not read, then the tradeoff_variants.  Every seed's eta_LM is
-    calibrated first, on its own streams, so a degenerate calibration fails
-    before any cell trains."""
+    does not read, then the tradeoff_variants.  Every cell's setup is built
+    first, each seed's LM fit and calibrated once on its own streams, so a
+    degenerate calibration fails before any cell trains."""
     spec = tradeoff_spec(config)
-    for seed in config.seeds:
-        tradeoff_train_config("dcl_eta_lm", spec, config, seed)
-    return [run_tradeoff_cell(spec, config, variant, seed)
-            for variant in ("cl",) + tradeoff_variants(config) for seed in config.seeds]
+    cells = [(variant, seed, tradeoff_train_config(variant, spec, config, seed))
+             for variant in ("cl",) + tradeoff_variants(config) for seed in config.seeds]
+    return [run_tradeoff_cell(spec, config, variant, seed, setup=setup)
+            for variant, seed, setup in cells]
 
 
 def _spearman(a, b) -> float:

@@ -1,10 +1,12 @@
 """Optimization loop producing encoders under any objective configuration.
 
 Every batch is freshly simulated: anchors and positives are independent
-same-class draws (unimodal) or a report/feature pair (cross-modal), and each
-anchor's negatives are the other positives in the batch.  Runs are
-bit-reproducible given the seed: every epoch/batch owns a counter-based
-stream derived from it.
+same-class draws (``redraw``), two jittered views of one draw (``view``) or
+a report/feature pair (``cross_modal``), and each anchor's negatives are the
+other positives in the batch.  A config with an eta trains the debiased
+objective; ``eta=None`` trains plain contrastive, its eta = 0 reduction.
+Runs are bit-reproducible given the seed: every epoch/batch owns a
+counter-based stream derived from it.
 """
 
 from __future__ import annotations
@@ -31,11 +33,9 @@ LM_ALPHA = 1.0  # add-alpha smoothing of the eta_LM bigram model
 
 @dataclass(frozen=True)
 class TrainConfig:
-    objective: str = "dcl"  # cl | dcl
-    eta: EtaConfig = field(default_factory=EtaConfig)
+    eta: Optional[EtaConfig] = field(default_factory=EtaConfig)  # None: plain contrastive
     handling: NegativeHandling = field(default_factory=NegativeHandling)
-    mode: str = "unimodal"  # unimodal | cross_modal
-    positive_mode: str = "redraw"  # redraw | view
+    mode: str = "redraw"  # redraw | view | cross_modal
     view_noise: float = 0.05
     batch_size: int = 128
     n_negatives: Optional[int] = None  # cap on the in-batch pool; default batch_size - 1
@@ -51,14 +51,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.objective not in ("cl", "dcl"):
-            raise ValueError(f"unknown objective {self.objective!r}")
-        if self.mode not in ("unimodal", "cross_modal"):
+        if self.mode not in ("redraw", "view", "cross_modal"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.positive_mode not in ("redraw", "view"):
-            raise ValueError(f"unknown positive_mode {self.positive_mode!r}")
-        if self.positive_mode == "view" and self.mode == "cross_modal":
-            raise ValueError("view positives only apply to unimodal feature pairs")
         if self.view_noise < 0:
             raise ValueError("view_noise must be nonnegative")
         if self.batch_size < 2:
@@ -140,29 +134,27 @@ def sample_training_batch(
 ):
     """Classes, anchor inputs, and positive features for one batch.
 
-    Positives are independent same-class redraws by default; ``view`` mode
-    instead emits two jittered views of one underlying draw, the augmentation
-    analog where the pair carries no class information beyond the instance.
-    Anchor tokens, a padded ``(ids, mask)`` batch, are generated in
-    cross-modal mode (they are the anchor input) and whenever the eta
-    strategy scores text.
+    Positives are independent same-class redraws in ``redraw`` mode;
+    ``view`` mode instead emits two jittered views of one underlying draw,
+    the augmentation analog where the pair carries no class information
+    beyond the instance.  Anchor tokens, a padded ``(ids, mask)`` batch, are
+    generated in ``cross_modal`` mode (they are the anchor input) and
+    whenever the eta strategy scores text.
     """
     classes = mix.sample_class_array(spec.class_dist, config.batch_size, rng)
-    anchors = None
-    anchor_tokens = None
-    if config.mode == "unimodal":
-        if config.positive_mode == "view":
-            base, _ = mix.sample_features_for_classes(spec, classes, rng)
-            anchors = base + config.view_noise * rng.standard_normal(base.shape)
-            positives = base + config.view_noise * rng.standard_normal(base.shape)
-        else:
-            anchors, _ = mix.sample_features_for_classes(spec, classes, rng)
-            positives, _ = mix.sample_features_for_classes(spec, classes, rng)
-        if with_tokens:
-            anchor_tokens = mix.sample_reports(spec, classes, rng)
+    anchors = anchor_tokens = None
+    if config.mode == "view":
+        base, _ = mix.sample_features_for_classes(spec, classes, rng)
+        anchors = base + config.view_noise * rng.standard_normal(base.shape)
+        positives = base + config.view_noise * rng.standard_normal(base.shape)
+    elif config.mode == "redraw":
+        anchors, _ = mix.sample_features_for_classes(spec, classes, rng)
+        positives, _ = mix.sample_features_for_classes(spec, classes, rng)
     else:
         anchor_tokens = mix.sample_reports(spec, classes, rng)
         positives, _ = mix.sample_features_for_classes(spec, classes, rng)
+    if with_tokens and anchor_tokens is None:
+        anchor_tokens = mix.sample_reports(spec, classes, rng)
     return classes, anchors, anchor_tokens, positives
 
 
@@ -176,10 +168,10 @@ def train(
     if config.mode == "cross_modal" and spec.vocab_size < 1:
         raise ValueError("cross-modal training needs a vocabulary")
 
-    needs_tokens = config.objective == "dcl" and config.eta.kind == "lm_log_linear"
+    needs_tokens = config.eta is not None and config.eta.kind == "lm_log_linear"
     if needs_tokens and lm is None:
         lm = build_lm_assets(spec, config)
-    provider = make_provider(config.eta, spec=spec, lm=lm) if config.objective == "dcl" else None
+    provider = None if config.eta is None else make_provider(config.eta, spec=spec, lm=lm)
 
     init_rng = stream(config.seed, 0)
     params = enc.init_params(
@@ -201,10 +193,10 @@ def train(
             classes, anchors, anchor_tokens, positives = sample_training_batch(
                 spec, config, rng, with_tokens=needs_tokens
             )
-            if config.mode == "unimodal":
-                a_emb, a_cache = enc.forward_features(params, anchors)
-            else:
+            if config.mode == "cross_modal":
                 a_emb, a_cache = enc.forward_tokens(params, *anchor_tokens)
+            else:
+                a_emb, a_cache = enc.forward_features(params, anchors)
             p_emb, p_cache = enc.forward_features(params, positives)
 
             etas = None
@@ -214,7 +206,7 @@ def train(
             result = in_batch_loss(
                 a_emb,
                 p_emb,
-                objective=config.objective,
+                objective="cl" if provider is None else "dcl",
                 gamma=float(params.gamma),
                 etas=etas,
                 handling=config.handling,

@@ -15,7 +15,7 @@ from sdcl import encoder as enc
 from sdcl import mixture as mix
 from sdcl import textsim as ts
 from sdcl.cli import Config, SpecSection, _resolve_spec, main
-from sdcl.eta import DEFAULT_ETA_MAX, DEFAULT_ETA_MIN, EtaConfig, eta_for_batch, make_provider
+from sdcl.eta import ETA_MAX, ETA_MIN, EtaConfig, eta_for_batch, make_provider
 from sdcl.rngstream import stream
 
 
@@ -35,7 +35,6 @@ def base_config(tmp_path):
             "spec": {"preset": "cifar-analog", "r": 0.5},
             "simulate": {"samples": 120},
             "train": {
-                "objective": "dcl",
                 "eta": {"kind": "true_oracle"},
                 "epochs": 2,
                 "samples_per_epoch": 64,
@@ -146,8 +145,7 @@ def test_m_positives_is_an_unknown_train_field(tmp_path, capsys):
     ids=["gamma", "epochs", "lm_corpus_size", "embed_dim", "learning_rate", "eta.value", "eta.a"],
 )
 def test_train_bad_field_exits_2(tmp_path, capsys, train):
-    section = {"objective": "dcl", "epochs": 1, "samples_per_epoch": 32, "batch_size": 16,
-               "lm_corpus_size": 20}
+    section = {"epochs": 1, "samples_per_epoch": 32, "batch_size": 16, "lm_corpus_size": 20}
     section.update(train)
     cfg = write_config(tmp_path, {"spec": {"preset": "eta-tradeoff"}, "train": section})
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -327,24 +325,20 @@ def test_subcommands_are_listed_alike_in_docstring_readme_and_parser():
 
 
 def test_readme_example_config_dumps_the_oracle_eta(tmp_path):
-    # the README's example config, with a dump: etas.csv holds each point's
-    # clipped class prior rho(c), not the default constant 0.1
-    config = {
-        "seed": 0,
-        "spec": {"preset": "cifar-analog", "r": 0.1},
-        "train": {"objective": "dcl", "eta": {"kind": "true_oracle"},
-                  "handling": {"kind": "none"}, "batch_size": 128, "epochs": 40},
-        "eval": {"n_train": 4000, "n_test": 2000, "label_fraction": 0.1},
-        "bounds": {"n_configs": 50, "trials": 200},
-        "simulate": {"samples": 200, "dump_etas": True},
-    }
+    # the README's example config, read from README.md, with a dump: etas.csv
+    # holds each point's clipped class prior rho(c), not the default constant 0.1
+    readme = (Path(sdcl.__file__).resolve().parents[2] / "README.md").read_text()
+    example = readme.split("A config file looks like:", 1)[1].split("```json", 1)[1]
+    config = json.loads(example.split("```", 1)[0])
+    assert config["train"]["eta"] == {"kind": "true_oracle"}
+    config["simulate"] = {"samples": 200, "dump_etas": True}
     out = tmp_path / "s"
     assert main(["simulate", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
     rows = data_rows(out / "etas.csv")
     rho = _resolve_spec(Config(spec=SpecSection(preset="cifar-analog", r=0.1))).class_dist.probs
     classes = np.array([int(c) for _, c, _ in rows])
     etas = np.array([float(e) for _, _, e in rows])
-    assert np.array_equal(etas, np.clip(rho[classes], DEFAULT_ETA_MIN, DEFAULT_ETA_MAX))
+    assert np.array_equal(etas, np.clip(rho[classes], ETA_MIN, ETA_MAX))
     assert len(set(etas.tolist())) > 1
 
 
@@ -390,6 +384,21 @@ def test_simulate_train_eval_round_trip(tmp_path, base_config):
     assert "linear_probe_acc" in report
     assert report["config_hash"]
     assert (eval_dir / "projection.csv").exists()
+
+
+def test_train_with_null_eta_trains_plain_contrastive(tmp_path, base_config):
+    # "eta": null is plain contrastive, the eta = 0 reduction: no step has an
+    # eta or a clamp, and the manifest records the null it hashed
+    config = json.loads(Path(base_config).read_text())
+    config["train"]["eta"] = None
+    out = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, config, name="cl.json"),
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "trace.csv").read_text().splitlines()[1:]))
+    assert len(rows) == 8
+    assert all(float(row["mean_eta"]) == 0.0 == float(row["clamp_fraction"]) for row in rows)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["train"]["eta"] is None
 
 
 def test_eval_missing_checkpoint_exits_2(tmp_path, base_config):
@@ -576,7 +585,7 @@ def test_eval_unusable_input_exits_2(tmp_path, capsys, damage, needle):
     train_cfg = write_config(tmp_path, {
         "seed": 1,
         "spec": {"preset": "eta-tradeoff"},
-        "train": {"mode": "cross_modal", "objective": "cl", "epochs": 1,
+        "train": {"mode": "cross_modal", "eta": None, "epochs": 1,
                   "samples_per_epoch": 32, "batch_size": 16},
     }, name="train.json")
     run_dir = tmp_path / "run"
@@ -634,7 +643,7 @@ BAD_VALUES = [
     ("repro eta-tradeoff", "retrieval_ks", {"tradeoff": {"retrieval_ks": [10, 0]}}),
     ("eval", "retrieval_ks", {"spec": TRADEOFF, "eval": {"retrieval_ks": []}}),
     ("eval", "retrieval_ks", {"spec": TRADEOFF, "eval": {"retrieval_ks": [0]}}),
-    # a constant eta outside [DEFAULT_ETA_MIN, DEFAULT_ETA_MAX] would train clipped
+    # a constant eta outside [ETA_MIN, ETA_MAX] would train clipped
     ("repro eta-tradeoff", "constant_etas", {"tradeoff": {"constant_etas": [0.05, 1.5]}}),
     ("repro eta-tradeoff", "constant_etas", {"tradeoff": {"constant_etas": [0.0]}}),
     # the probe sizes: an empty pool or test set, and a 1% budget of 3 labels
@@ -664,10 +673,22 @@ BAD_VALUES = [
     ("repro eta-tradeoff", "tradeoff config: vocab_size", {"tradeoff": {"vocab_size": 20}}),
     ("repro eta-tradeoff", "tradeoff config: vocab_size", {"tradeoff": {"vocab_size": 21}}),
     # eta_LM's dump fits its bigram model to the reports the command samples
-    ("simulate", "simulate.with_tokens", {"spec": TRADEOFF, "train": LM_ETA,
-                                          "simulate": {"with_tokens": False, "dump_etas": True}}),
     ("simulate", "simulate.samples", {"spec": TRADEOFF, "train": LM_ETA,
                                       "simulate": {"samples": 0, "dump_etas": True}}),
+    # plain contrastive has no eta to dump
+    ("simulate", "simulate.dump_etas needs train.eta, which is null",
+     {"spec": TRADEOFF, "train": {"eta": None}, "simulate": {"dump_etas": True}}),
+    # one field per training choice: the objective is whether train.eta is
+    # null, the pair kind is train.mode, and eta's clip range is fixed
+    ("train", "unknown train fields: ['objective']", {"spec": TRADEOFF,
+                                                      "train": {"objective": "cl"}}),
+    ("train", "unknown train fields: ['positive_mode']",
+     {"spec": TRADEOFF, "train": {"positive_mode": "view"}}),
+    ("train", "unknown train.eta fields: ['eta_max']",
+     {"spec": TRADEOFF, "train": {"eta": {"eta_max": 0.5}}}),
+    ("train", "unknown mode 'unimodal'", {"spec": TRADEOFF, "train": {"mode": "unimodal"}}),
+    ("simulate", "unknown simulate fields: ['with_tokens']",
+     {"spec": TRADEOFF, "simulate": {"with_tokens": False}}),
 ]
 
 
@@ -720,8 +741,15 @@ def test_degenerate_lm_calibration_exits_2(tmp_path, capsys, monkeypatch, quanti
      "unknown train.eta fields: ['length_normalize']"),
     ({"seed": "x"}, "invalid top-level config: seed must be int, got 'x'"),
     ({"sweep": {"etas": [0.05]}}, "unknown top-level fields: ['sweep']"),  # sdcl has no sweep
+    ({"train": {"objective": "dcl"}}, "unknown train fields: ['objective']"),
+    ({"train": {"positive_mode": "redraw"}}, "unknown train fields: ['positive_mode']"),
+    ({"train": {"eta": {"eta_min": 1e-3, "eta_max": 0.5}}},
+     "unknown train.eta fields: ['eta_max', 'eta_min']"),
+    ({"train": {"mode": "unimodal"}}, "invalid train config: unknown mode 'unimodal'"),
+    ({"simulate": {"with_tokens": True}}, "unknown simulate fields: ['with_tokens']"),
 ], ids=["train.eta", "eta", "train.eta-unknown", "eta-unknown", "train.eta-length_normalize",
-        "top-level", "sweep"])
+        "top-level", "sweep", "train.objective", "train.positive_mode", "train.eta.eta_max",
+        "train.mode", "simulate.with_tokens"])
 def test_config_errors_name_the_section_path(tmp_path, capsys, config, message):
     cfg = write_config(tmp_path, config)
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -27,10 +27,9 @@ def test_constant_eta():
 
 
 def test_constant_eta_clamped():
-    provider = eta_mod.make_provider(
-        eta_mod.EtaConfig(kind="constant", value=0.95, eta_max=0.9)
-    )
-    assert eta_mod.eta_of(provider, 0) == 0.9
+    for value, clipped in ((0.95, eta_mod.ETA_MAX), (0.0, eta_mod.ETA_MIN)):
+        provider = eta_mod.make_provider(eta_mod.EtaConfig(kind="constant", value=value))
+        assert eta_mod.eta_of(provider, 0) == clipped
 
 
 def test_true_oracle_reads_prior():
@@ -100,14 +99,14 @@ def test_eta_for_batch_matches_scalar():
                                       tokens=mix.pad_tokens(token_seqs))
         for i in range(20):
             assert abs(batch[i] - eta_mod.eta_of(provider, int(classes[i]), token_seqs[i])) < 1e-15
-        assert np.all(batch >= config.eta_min) and np.all(batch <= config.eta_max)
+        assert np.all(batch >= eta_mod.ETA_MIN) and np.all(batch <= eta_mod.ETA_MAX)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         eta_mod.EtaConfig(kind="mystery")
-    with pytest.raises(ValueError):
-        eta_mod.EtaConfig(eta_min=0.0)
+    with pytest.raises(TypeError):  # the clip range is fixed, not a field
+        eta_mod.EtaConfig(eta_max=0.5)
     with pytest.raises(ValueError):
         eta_mod.EtaConfig(kind="lm_log_linear", a=-1.0)
     with pytest.raises(ValueError):

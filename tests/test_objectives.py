@@ -14,7 +14,7 @@ from helpers import (
 from sdcl import encoder as enc
 from sdcl import mixture as mix
 from sdcl import objectives as obj
-from sdcl.eta import EtaConfig
+from sdcl.eta import ETA_MAX
 from sdcl.rngstream import stream
 
 
@@ -111,7 +111,7 @@ def test_kernel_clamp_edge_at_eta_max(below):
     # at eta_max a z0 one ulp below n * floor clamps to exactly n * floor, and
     # one ulp above it passes through bit for bit; n is a power of two so
     # that n * floor is the chosen edge exactly
-    eta, n, m = EtaConfig().eta_max, 64, 4
+    eta, n, m = ETA_MAX, 64, 4
     z0 = obj.debiased_negatives(200.0, n, 1.3, m, eta, 0.0)[0]
     edge = np.nextafter(z0, np.inf if below else -np.inf)
     floor = edge / n

@@ -58,7 +58,7 @@ def test_analog_variant_configs():
     spec = pl.analog_spec(config)
     sub = mix.subsample_classes(spec, config.subsampled, 0.1)
     cl = pl.analog_train_config("cl", sub, config, seed=0)
-    assert cl.objective == "cl" and cl.positive_mode == "view"
+    assert cl.eta is None and cl.mode == "view"
     rare = pl.analog_train_config("dcl_eta_rare", sub, config, seed=0)
     assert abs(rare.eta.value - 0.2 * 0.1 / 1.1) < 1e-12
     common = pl.analog_train_config("dcl_eta_common", sub, config, seed=0)
@@ -130,19 +130,35 @@ def test_tradeoff_study_and_summary():
     for variant in pl.ANALOG_VARIANTS:
         train_config = pl.analog_train_config(variant, sub, analog, seed=0)
         assert isinstance(train_config, tr.TrainConfig) and train_config.seed == 0
-        assert (train_config.objective == "cl") == (variant == "cl")
+        assert (train_config.eta is None) == (variant == "cl")
     spec = pl.tradeoff_spec(config)
     for variant in ("cl",) + pl.tradeoff_variants(config):
         train_config, lm = pl.tradeoff_train_config(variant, spec, config, seed=0)
         assert isinstance(train_config, tr.TrainConfig) and train_config.seed == 0
-        assert (train_config.objective == "cl") == (variant == "cl")
-        assert (lm is not None) == (train_config.eta.kind == "lm_log_linear")
+        assert (train_config.eta is None) == (variant == "cl")
+        eta = train_config.eta
+        assert (lm is not None) == (eta is not None and eta.kind == "lm_log_linear")
     with pytest.raises(ValueError, match="unknown variant 'mystery'"):
         pl.analog_train_config("mystery", sub, analog, seed=0)
     # a constant outside constant_etas is unknown, not parsed
     for variant in ("mystery", "0.2"):
         with pytest.raises(ValueError, match="unknown variant"):
             pl.tradeoff_train_config(variant, spec, config, seed=0)
+
+
+def test_tradeoff_study_fits_each_seed_lm_once(monkeypatch):
+    # every cell's setup is built once: only dcl_eta_lm fits an LM, one per
+    # seed, and training reuses it; a second calibration pass made it four
+    calls = []
+    build = tr.build_lm_assets
+
+    def counted(spec, config):
+        calls.append(config.seed)
+        return build(spec, config)
+
+    monkeypatch.setattr(tr, "build_lm_assets", counted)
+    rows = pl.tradeoff_study(tiny_tradeoff_config(epochs=1, seeds=(0, 1)))
+    assert len(rows) == 8 and sorted(calls) == [0, 1]
 
 
 def test_tradeoff_summary_with_a_constant_column_is_strict_json(tmp_path):

@@ -31,7 +31,7 @@ def gaussian_spec(n_classes=4, dim=6, sep=2.0, sigma=1.0, seed=0):
 
 def small_config(**overrides):
     base = dict(
-        objective="cl",
+        eta=None,
         batch_size=8,
         hidden_dim=8,
         embed_dim=6,
@@ -58,7 +58,7 @@ def test_zero_lr_keeps_params_bitwise():
 
 def test_same_seed_reproduces_trace_bitwise():
     spec = gaussian_spec()
-    config = small_config(objective="dcl", eta=EtaConfig(kind="true_oracle"))
+    config = small_config(eta=EtaConfig(kind="true_oracle"))
     r1 = tr.train(spec, config)
     r2 = tr.train(spec, config)
     assert np.array_equal(r1.trace_array(), r2.trace_array())
@@ -77,10 +77,9 @@ def test_different_seed_changes_trace():
     "config",
     [
         small_config(),
-        small_config(objective="dcl", eta=EtaConfig(kind="constant", value=0.1)),
-        small_config(objective="dcl", eta=EtaConfig(kind="true_oracle")),
+        small_config(eta=EtaConfig(kind="constant", value=0.1)),
+        small_config(eta=EtaConfig(kind="true_oracle")),
         small_config(
-            objective="dcl",
             eta=EtaConfig(kind="lm_log_linear", a=0.2, k=0.35),
             lm_corpus_size=100,
         ),
@@ -94,7 +93,7 @@ def test_training_traces_stay_finite(config):
     trace = result.trace_array()
     assert trace.shape[0] == config.epochs * (config.samples_per_epoch // config.batch_size)
     assert np.all(np.isfinite(trace))
-    if config.objective == "dcl":
+    if config.eta is not None:
         assert np.all(trace[:, 3] > 0)  # mean eta recorded
 
 
@@ -112,7 +111,6 @@ def test_cross_modal_training_runs_and_trains_gamma():
     spec = gaussian_spec()
     config = small_config(
         mode="cross_modal",
-        objective="dcl",
         eta=EtaConfig(kind="lm_log_linear", a=0.2, k=0.35),
         gamma=2.0,
         gamma_trainable=True,
@@ -247,7 +245,7 @@ def test_flat_adam_matches_the_per_array_update(train_gamma):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        tr.TrainConfig(objective="triplet")
+        tr.TrainConfig(mode="unimodal")  # the pair kinds are redraw, view and cross_modal
     with pytest.raises(ValueError):
         tr.TrainConfig(batch_size=1)
     for bad in (dict(epochs=0), dict(hidden_dim=0), dict(embed_dim=0), dict(lm_corpus_size=0),
