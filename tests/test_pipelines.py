@@ -135,8 +135,8 @@ def test_tradeoff_study_and_summary():
     for variant in ("cl",) + pl.tradeoff_variants(config):
         train_config, lm = pl.tradeoff_train_config(variant, spec, config, seed=0)
         assert isinstance(train_config, tr.TrainConfig) and train_config.seed == 0
-        assert (train_config.eta is None) == (variant == "cl")
         eta = train_config.eta
+        assert (eta is None) == (variant == "cl")
         assert (lm is not None) == (eta is not None and eta.kind == "lm_log_linear")
     with pytest.raises(ValueError, match="unknown variant 'mystery'"):
         pl.analog_train_config("mystery", sub, analog, seed=0)
@@ -148,7 +148,7 @@ def test_tradeoff_study_and_summary():
 
 def test_tradeoff_study_fits_each_seed_lm_once(monkeypatch):
     # every cell's setup is built once: only dcl_eta_lm fits an LM, one per
-    # seed, and training reuses it; a second calibration pass made it four
+    # seed, and its cells train with that LM
     calls = []
     build = tr.build_lm_assets
 
