@@ -30,7 +30,7 @@ import numpy as np
 from . import encoder as enc
 from .eta import EtaProvider, eta_for_batch
 from .linear_head import fit_softmax
-from .mixture import MixtureSpec, choice_cdf, pad_tokens, require_discrete
+from .mixture import MixtureSpec, choice_indices, choice_table, pad_tokens, require_discrete
 from .objectives import asymptotic_loss, asymptotic_loss_from_scores, debiased_negatives
 
 E2 = math.e**2
@@ -149,9 +149,11 @@ def empirical_gap(
     z0 < 0, a clamp).
 
     Trials are evaluated in blocks.  A trial draws its n marginal uniforms,
-    then m per class in class order, and maps them through the CDFs that
-    ``rng.choice`` builds, so the indices, the results and the generator's
-    state are those of one ``rng.choice`` call per sample set and trial.
+    then m per class in class order.  One ``choice_indices`` pass over the
+    guide table of the K + 1 CDFs that ``rng.choice`` builds maps a block's
+    draws to points, each column through its own sample set's CDF, so the
+    indices, the results and the generator's state are those of one
+    ``rng.choice`` call per sample set and trial.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
@@ -166,8 +168,9 @@ def empirical_gap(
     exp_rows = np.ascontiguousarray(exp_scores.T)  # row j: every anchor's score with j
     score_means = _pair_means(scores, pmfs)  # (k,)
     floor = math.exp(-1.0)
-    u_cdf = choice_cdf(rho @ pmfs)
-    v_cdfs = [choice_cdf(pmf) for pmf in pmfs]
+    table = choice_table(np.vstack([rho @ pmfs, pmfs]))
+    sets = np.repeat(np.arange(k + 1), [n] + [m] * k)  # each column's sample set
+    set_offsets = sets * p
 
     l_tilde = asymptotic_loss_from_scores(scores, rho, pmfs, n)
     etas = eta_matrix(spec, provider)
@@ -179,11 +182,8 @@ def empirical_gap(
     for start in range(0, trials, block):
         t = min(block, trials - start)
         draws = rng.random((t, n + k * m))
-        idx = np.empty(draws.shape, dtype=np.int64)  # into (trial, sample set, point)
-        idx[:, :n] = u_cdf.searchsorted(draws[:, :n], side="right")
-        for c, cdf in enumerate(v_cdfs):
-            v = slice(n + c * m, n + (c + 1) * m)
-            idx[:, v] = cdf.searchsorted(draws[:, v], side="right") + (c + 1) * p
+        idx = choice_indices(table, sets, draws)
+        idx += set_offsets  # into (trial, sample set, point)
         idx += (np.arange(t) * ((k + 1) * p))[:, None]
         counts = np.bincount(idx.ravel(), minlength=t * (k + 1) * p).reshape(t, k + 1, p)
         sums = np.matmul(counts.astype(np.float64), exp_rows)  # (t, k + 1, P) per anchor

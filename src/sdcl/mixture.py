@@ -228,11 +228,58 @@ class MixtureSpec:
 
 
 def choice_cdf(probs: np.ndarray) -> np.ndarray:
-    """The CDF ``rng.choice(n, p=probs)`` builds: for its one uniform draw u
-    it returns ``cdf.searchsorted(u, side="right")``."""
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
+    """The CDF ``rng.choice(n, p=probs)`` builds, of every row of ``probs``:
+    for its one uniform draw u it returns ``cdf.searchsorted(u, side="right")``."""
+    cdf = probs.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
     return cdf
+
+
+class ChoiceTable(NamedTuple):
+    """A guide table over S CDFs of P entries (Chen & Asau, 1974; Devroye,
+    1986, §III.2.4): [0, 1) cut into G = 2^j >= 4P equal buckets."""
+
+    cdfs: np.ndarray  # (S, P + steps): each CDF followed by `steps` infs
+    lo: np.ndarray    # (S, G): the flat index into `cdfs` where a bucket starts
+    steps: int        # the most CDF entries inside one bucket's half-open range
+
+
+def choice_table(probs: np.ndarray) -> ChoiceTable:
+    """The guide table over the ``choice_cdf`` of each row of ``probs`` (S, P).
+
+    Set s's bucket b holds the uniforms b/G <= u < (b+1)/G, whose index
+    #(cdf_s <= u) lies between #(cdf_s <= b/G), its start, and #(cdf_s <
+    (b+1)/G); ``steps`` is the widest such range over every set and bucket.
+    It is 1 or 2 for the bound sweep's CDFs, and at most P."""
+    cdfs = choice_cdf(probs)
+    s, p = cdfs.shape
+    buckets = 1 << (4 * p - 1).bit_length()
+    edges = np.arange(buckets + 1) / buckets
+    lo = np.array([cdf.searchsorted(edges[:-1], side="right") for cdf in cdfs])
+    hi = np.array([cdf.searchsorted(edges[1:], side="left") for cdf in cdfs])
+    steps = int((hi - lo).max())
+    padded = np.full((s, p + steps), np.inf)
+    padded[:, :p] = cdfs
+    lo += np.arange(s)[:, None] * (p + steps)
+    return ChoiceTable(cdfs=padded, lo=lo, steps=steps)
+
+
+def choice_indices(table: ChoiceTable, sets: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdfs[sets].searchsorted(u, side="right")`` elementwise for uniforms
+    ``u`` in [0, 1), bit for bit, with ``sets`` broadcast against ``u``.
+
+    A draw starts where its bucket does (``u * G`` is exact, G being a power
+    of two) and steps past the CDF entries <= u ``table.steps`` times; a
+    row's inf padding stops it at its end.  It draws nothing."""
+    width, buckets = table.cdfs.shape[1], table.lo.shape[1]
+    key = (u * buckets).astype(np.intp)
+    key += sets * buckets
+    idx = table.lo.ravel().take(key)
+    cdfs = table.cdfs.ravel()
+    for _ in range(table.steps):
+        idx += cdfs.take(idx) <= u
+    idx -= sets * width
+    return idx
 
 
 def _class_ids(spec: MixtureSpec, classes) -> np.ndarray:
@@ -360,9 +407,8 @@ def sample_features_for_classes(
         feats += cond.means[classes]
         return feats, None
     cond = spec.conditionals
-    cdfs = np.array([choice_cdf(pmf) for pmf in cond.pmfs])
-    # counting the cdf entries <= u is choice's searchsorted(side="right")
-    idx = (cdfs[classes] <= rng.random(classes.size)[:, None]).sum(axis=1)
+    table = choice_table(cond.pmfs)
+    idx = choice_indices(table, classes, rng.random(classes.size))
     return cond.points[idx], idx
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,6 +311,78 @@ def test_discrete_features_match_per_point_choice(seed):
     assert np.all(pmfs[classes, points] > 0)
     assert feats.tobytes() == spec.conditionals.points[expected].tobytes()
     assert ours.random() == theirs.random()
+
+
+def test_discrete_features_stay_linear_in_memory():
+    # 200k draws at P = 32 used to peak at about 296 B per draw: an (n, P)
+    # gather of the CDFs and its (n, P) comparison
+    rng = stream(8, 97)
+    pmfs = rng.random((4, 32))
+    pmfs /= pmfs.sum(axis=1, keepdims=True)
+    spec = mix.MixtureSpec(
+        class_dist=mix.ClassDistribution(np.full(4, 0.25)),
+        conditionals=mix.DiscreteConditionals(points=rng.standard_normal((32, 2)), pmfs=pmfs),
+        templates=tuple(((0,),) for _ in range(4)),
+        template_weights=tuple((1.0,) for _ in range(4)),
+        vocab_size=1,
+    )
+    n = 200_000
+    classes = rng.integers(0, 4, size=n)
+    tracemalloc.start()
+    try:
+        mix.sample_features_for_classes(spec, classes, stream(8, 96))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 100
+
+
+# (probability rows, least steps): zero-mass points (repeated CDF values,
+# trailing 1.0s); a cluster of tiny masses inside one bucket; one point; random rows
+CHOICE_CASES = [
+    ([[0.0, 0.3, 0.0, 0.0, 0.7, 0.0, 0.0], [0.25, 0.25, 0.0, 0.5, 0.0, 0.0, 0.0]], 1),
+    ([[0.5, 1e-6, 1e-6, 1e-6, 1e-6, 0.5 - 4e-6], [0.2] * 5 + [0.0]], 3),
+    ([[1.0]], 0),
+    (stream(9, 97).random((5, 32)), 1),
+]
+
+
+@pytest.mark.parametrize("probs,least_steps", CHOICE_CASES)
+def test_choice_indices_match_searchsorted(probs, least_steps):
+    probs = np.asarray(probs, dtype=np.float64)
+    cdfs = [mix.choice_cdf(row) for row in probs]  # one rng.choice CDF per set
+    s, p = probs.shape
+    table = mix.choice_table(probs)
+    buckets = table.lo.shape[1]
+    assert buckets >= 4 * p and buckets & (buckets - 1) == 0
+    assert table.steps >= least_steps
+    values = np.concatenate(cdfs)
+    rng, twin = stream(10, p), stream(10, p)
+    u = np.concatenate([
+        rng.random(2000),
+        [0.0, np.nextafter(1.0, 0.0)],
+        np.arange(buckets) / buckets,  # bucket edges j/G and just below them
+        np.nextafter(np.arange(1, buckets + 1) / buckets, 0.0),
+        values[values < 1.0],  # exact CDF values and just below them
+        np.nextafter(values[values > 0.0], 0.0),
+    ])
+    twin.random(2000)
+    for sets in (np.full(u.size, s - 1), rng.integers(0, s, size=u.size)):  # one set, mixed
+        expected = [cdfs[c].searchsorted(x, side="right") for c, x in zip(sets, u)]
+        assert mix.choice_indices(table, sets, u).tolist() == expected
+    twin.integers(0, s, size=u.size)
+    assert rng.random() == twin.random()  # the kernel draws nothing
+
+
+def test_choice_indices_broadcast_sets_over_columns():
+    # empirical_gap's layout: one set id per column, shared by every row
+    probs = CHOICE_CASES[3][0]
+    table = mix.choice_table(probs)
+    u = stream(11, 0).random((7, 12))
+    sets = np.repeat(np.arange(5), [4, 2, 2, 2, 2])
+    expected = np.stack([mix.choice_cdf(probs[c]).searchsorted(u[:, j], side="right")
+                         for j, c in enumerate(sets)], axis=1)
+    assert np.array_equal(mix.choice_indices(table, sets, u), expected)
 
 
 def test_sample_marginal_matches_enumerated_pmf():
