@@ -11,10 +11,10 @@ eta(x).  The gap obeys
 
 The bound's statement and its proof disagree on (c2, c3): the statement has
 (2e^2, 2e^2) while the proof's final line yields (3e^2*sqrt(pi/2), 3e^2).
-The proof constants are the default here (a sound check must use the larger
-set); the statement's are available behind a flag and both are surfaced in
-the report.  All checks rescale scores by 1/gamma^2 first, matching the
-proof's gamma = 1 normalization, so the estimator clamp floor is e^{-1}.
+Both sets are in ``CONSTANTS``.  The proof's are the default (a sound check
+must use the larger set); a report carries only the name of the set it
+used.  All checks rescale scores by 1/gamma^2 first, matching the proof's
+gamma = 1 normalization, so the estimator clamp floor is e^{-1}.
 
 Also here: the supervised-loss ordering l_sup <= l_sup_mu <= l_tilde for
 N >= (1 - rho_min)/rho_min.
@@ -34,15 +34,15 @@ from .mixture import MixtureSpec, choice_indices, choice_table, pad_tokens, requ
 from .objectives import asymptotic_loss, asymptotic_loss_from_scores, debiased_negatives
 
 E2 = math.e**2
-PROOF_CONSTANTS = (3.0 * E2 * math.sqrt(math.pi / 2.0),) * 2 + (3.0 * E2,)
-STATEMENT_CONSTANTS = (3.0 * E2 * math.sqrt(math.pi / 2.0), 2.0 * E2, 2.0 * E2)
+# (c1, c2, c3) of the right-hand side, by the name a report carries
+CONSTANTS = {
+    "proof": (3.0 * E2 * math.sqrt(math.pi / 2.0),) * 2 + (3.0 * E2,),
+    "statement": (3.0 * E2 * math.sqrt(math.pi / 2.0), 2.0 * E2, 2.0 * E2),
+}
 # empirical_gap evaluates as many trials at once as keep its largest temporary,
 # a trial's (K, P, P) log-losses or its draws, within this many elements (one
 # trial at a time if one trial exceeds it)
 TRIAL_BLOCK_ELEMENTS = 2**16
-# verify_prop1 doubles its trials until the Monte Carlo standard error falls
-# below this fraction of the bound's right-hand side
-STDERR_FRACTION = 0.05
 
 
 @dataclass
@@ -89,18 +89,16 @@ def _joint_weights(spec: MixtureSpec) -> np.ndarray:
 
 def prop1_rhs(
     spec: MixtureSpec,
-    provider: EtaProvider,
+    etas: np.ndarray,
     n: int,
     m: int,
     constants: str = "proof",
 ) -> tuple[float, float, float]:
-    """Itemized right-hand side (term_n, term_m, term_eta), exact enumeration."""
-    if constants == "proof":
-        c1, c2, c3 = PROOF_CONSTANTS
-    elif constants == "statement":
-        c1, c2, c3 = STATEMENT_CONSTANTS
-    else:
-        raise ValueError("constants must be 'proof' or 'statement'")
+    """Itemized right-hand side (term_n, term_m, term_eta), exact enumeration;
+    ``etas`` is ``eta_matrix``'s (K, P) grid."""
+    if constants not in CONSTANTS:
+        raise ValueError(f"constants must be one of {sorted(CONSTANTS)}")
+    c1, c2, c3 = CONSTANTS[constants]
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     weights = _joint_weights(spec)
@@ -108,7 +106,6 @@ def prop1_rhs(
     inv_one_minus_rho = 1.0 / (1.0 - rho)
     e_inv = float(weights.sum(axis=1) @ inv_one_minus_rho)
     e_ratio = float(weights.sum(axis=1) @ (rho * inv_one_minus_rho))
-    etas = eta_matrix(spec, provider)
     mismatch = np.abs(1.0 / (1.0 - etas) - inv_one_minus_rho[:, None])
     e_eta = float(np.sum(weights * mismatch))
     return (c1 / math.sqrt(n) * e_inv, c2 / math.sqrt(m) * e_ratio, c3 * e_eta)
@@ -124,7 +121,7 @@ def _normalized_scores(spec: MixtureSpec, params: enc.EncoderParams) -> np.ndarr
 def empirical_gap(
     spec: MixtureSpec,
     params: enc.EncoderParams,
-    provider: EtaProvider,
+    etas: np.ndarray,
     n: int,
     m: int,
     trials: int,
@@ -132,7 +129,8 @@ def empirical_gap(
 ) -> tuple[float, float, float]:
     """|L~ - L| with L~ enumerated exactly and L averaged over `trials`
     draws of ({u_n}, {v_m}); the outer pair expectation is enumerated
-    exactly inside every trial.
+    exactly inside every trial, with ``etas``, ``eta_matrix``'s (K, P) grid,
+    as each anchor's eta.
 
     Returns (gap, stderr_of_gap, gap_with_unclamped_estimator).  The
     unclamped variant is nan whenever some trial's denominator would go
@@ -173,7 +171,6 @@ def empirical_gap(
     set_offsets = sets * p
 
     l_tilde = asymptotic_loss_from_scores(scores, rho, pmfs, n)
-    etas = eta_matrix(spec, provider)
 
     per_trial = np.empty(trials)
     per_trial_unclamped = np.empty(trials)
@@ -229,20 +226,14 @@ def verify_prop1(
     m: int,
     rng: np.random.Generator,
     trials: int = 200,
-    max_trials: int = 6400,
     constants: str = "proof",
 ) -> BoundReport:
-    """Full bound check; trials double, capped at ``max_trials``, until the
-    Monte Carlo standard error falls below ``STDERR_FRACTION`` of the
-    right-hand side."""
-    term_n, term_m, term_eta = prop1_rhs(spec, provider, n, m, constants)
+    """Full bound check: eta evaluated once on the (class, point) grid, the
+    right-hand side and ``trials`` Monte Carlo trials of the gap."""
+    etas = eta_matrix(spec, provider)
+    term_n, term_m, term_eta = prop1_rhs(spec, etas, n, m, constants)
     rhs = term_n + term_m + term_eta
-    t = trials
-    while True:
-        gap, stderr, gap_unclamped = empirical_gap(spec, params, provider, n, m, t, rng)
-        if stderr < STDERR_FRACTION * rhs or t >= max_trials:
-            break
-        t = min(2 * t, max_trials)
+    gap, stderr, gap_unclamped = empirical_gap(spec, params, etas, n, m, trials, rng)
     return BoundReport(
         lhs=gap,
         lhs_stderr=stderr,
@@ -255,7 +246,7 @@ def verify_prop1(
         constants=constants,
         n=n,
         m=m,
-        trials=t,
+        trials=trials,
     )
 
 

@@ -36,7 +36,7 @@ from . import evaluate as ev
 from . import mixture as mix
 from . import textsim as ts
 from . import train as tr
-from .bounds import verify_prop1
+from .bounds import CONSTANTS, verify_prop1
 from .eta import ETA_MAX, ETA_MIN, EtaConfig, calibrate_log_linear, make_provider
 from .fields import ConfigError, check_fields
 from .rngstream import stream
@@ -490,7 +490,6 @@ class BoundSweepConfig:
     n_configs: int = 50
     seed: int = 7
     trials: int = 200
-    max_trials: int = 6400
     constants: str = "proof"
     n_grid: tuple[int, ...] = (4, 16, 64, 256)
     m_grid: tuple[int, ...] = (1, 4, 16)
@@ -503,16 +502,16 @@ class BoundSweepConfig:
             raise ValueError("n_configs must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not 2 <= self.trials <= self.max_trials:
-            raise ValueError("need 2 <= trials <= max_trials")
+        if self.trials < 2:
+            raise ValueError("trials must be >= 2")
         for name in ("n_grid", "m_grid"):
             grid = getattr(self, name)
             if not (grid and min(grid) >= 1):
                 raise ValueError(f"{name} must be a non-empty list of values >= 1")
         if not 2 <= self.max_classes <= self.max_points or self.max_points < 4:
             raise ValueError("need 2 <= max_classes <= max_points and max_points >= 4")
-        if self.constants not in ("proof", "statement"):
-            raise ValueError("constants must be 'proof' or 'statement'")
+        if self.constants not in CONSTANTS:
+            raise ValueError(f"constants must be one of {sorted(CONSTANTS)}")
 
 
 def _random_discrete_spec(rng: np.random.Generator, config: BoundSweepConfig) -> mix.MixtureSpec:
@@ -573,7 +572,6 @@ def bound_sweep(config: BoundSweepConfig = BoundSweepConfig()) -> list[dict]:
             m=m,
             rng=stream(config.seed, 6, i),
             trials=config.trials,
-            max_trials=config.max_trials,
             constants=config.constants,
         )
         row = asdict(report)

@@ -121,12 +121,13 @@ def test_criterion_2_oracle_term_vanishes():
     for seed in range(10):
         spec = random_discrete_spec(seed + 100)
         oracle = make_provider(EtaConfig(kind="true_oracle"), spec=spec)
-        _, _, term_eta = bounds.prop1_rhs(spec, oracle, n=16, m=4)
+        _, _, term_eta = bounds.prop1_rhs(spec, bounds.eta_matrix(spec, oracle), n=16, m=4)
         worst_oracle = max(worst_oracle, term_eta)
         off_value = 0.31  # strictly between typical prior entries
         assert not np.any(np.isclose(spec.class_dist.probs, off_value, atol=1e-9))
         constant = make_provider(EtaConfig(kind="constant", value=off_value))
-        _, _, term_eta_const = bounds.prop1_rhs(spec, constant, n=16, m=4)
+        _, _, term_eta_const = bounds.prop1_rhs(spec, bounds.eta_matrix(spec, constant), n=16,
+                                                 m=4)
         all_positive = all_positive and term_eta_const > 0.0
     ok = worst_oracle <= 1e-15 and all_positive
     report(2, "oracle term_eta vanishes", ok,
@@ -382,10 +383,10 @@ def test_criterion_10_scaling_laws():
     worst = 0.0
     for seed in range(5):
         spec = random_discrete_spec(seed + 900)
-        provider = make_provider(EtaConfig(kind="constant", value=0.2))
+        etas = bounds.eta_matrix(spec, make_provider(EtaConfig(kind="constant", value=0.2)))
         for n, m in ((4, 1), (16, 4), (64, 16), (256, 8)):
-            t_n, t_m, _ = bounds.prop1_rhs(spec, provider, n=n, m=m)
-            t_n4, t_m4, _ = bounds.prop1_rhs(spec, provider, n=4 * n, m=4 * m)
+            t_n, t_m, _ = bounds.prop1_rhs(spec, etas, n=n, m=m)
+            t_n4, t_m4, _ = bounds.prop1_rhs(spec, etas, n=4 * n, m=4 * m)
             worst = max(worst, abs(t_n4 / t_n - 0.5), abs(t_m4 / t_m - 0.5))
     ok = worst <= 1e-12
     report(10, "1/sqrt scaling", ok, f"max ratio deviation {worst:.2e}")

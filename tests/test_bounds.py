@@ -10,7 +10,7 @@ from sdcl import encoder as enc
 from sdcl import mixture as mix
 from sdcl import objectives as obj
 from sdcl import pipelines as pl
-from sdcl.eta import EtaConfig, make_provider
+from sdcl.eta import EtaConfig, eta_for_batch, make_provider
 from sdcl.rngstream import stream
 
 
@@ -64,7 +64,7 @@ def encoder_for(spec, seed=0, gamma=1.0, **kwargs):
 def test_term_eta_vanishes_for_oracle():
     spec = discrete_spec(0)
     provider = make_provider(EtaConfig(kind="true_oracle"), spec=spec)
-    _, _, term_eta = bounds.prop1_rhs(spec, provider, n=16, m=4)
+    _, _, term_eta = bounds.prop1_rhs(spec, bounds.eta_matrix(spec, provider), n=16, m=4)
     assert term_eta <= 1e-15
 
 
@@ -72,7 +72,7 @@ def test_term_eta_positive_for_off_constant():
     spec = discrete_spec(0)
     assert not np.any(np.isclose(spec.class_dist.probs, 0.05))
     provider = make_provider(EtaConfig(kind="constant", value=0.05))
-    _, _, term_eta = bounds.prop1_rhs(spec, provider, n=16, m=4)
+    _, _, term_eta = bounds.prop1_rhs(spec, bounds.eta_matrix(spec, provider), n=16, m=4)
     assert term_eta > 0.0
 
 
@@ -80,31 +80,31 @@ def test_term_n_uniform_plug_in():
     # uniform prior over 10 classes, N = 254: (3 e^2 sqrt(pi/2) / sqrt(254)) / 0.9
     spec = uniform_spec()
     provider = make_provider(EtaConfig(kind="true_oracle"), spec=spec)
-    term_n, _, _ = bounds.prop1_rhs(spec, provider, n=254, m=1)
+    term_n, _, _ = bounds.prop1_rhs(spec, bounds.eta_matrix(spec, provider), n=254, m=1)
     expected = 3 * math.e**2 * math.sqrt(math.pi / 2) / math.sqrt(254) / 0.9
     assert abs(term_n - expected) < 1e-12
 
 
 def test_terms_scale_as_inverse_sqrt():
     spec = discrete_spec(1)
-    provider = make_provider(EtaConfig(kind="constant", value=0.2))
+    etas = bounds.eta_matrix(spec, make_provider(EtaConfig(kind="constant", value=0.2)))
     for n, m in ((4, 1), (16, 4), (64, 16)):
-        t_n, t_m, _ = bounds.prop1_rhs(spec, provider, n=n, m=m)
-        t_n4, t_m4, _ = bounds.prop1_rhs(spec, provider, n=4 * n, m=4 * m)
+        t_n, t_m, _ = bounds.prop1_rhs(spec, etas, n=n, m=m)
+        t_n4, t_m4, _ = bounds.prop1_rhs(spec, etas, n=4 * n, m=4 * m)
         assert abs(t_n4 / t_n - 0.5) <= 1e-12
         assert abs(t_m4 / t_m - 0.5) <= 1e-12
 
 
 def test_statement_constants_are_smaller():
     spec = discrete_spec(2)
-    provider = make_provider(EtaConfig(kind="constant", value=0.3))
-    proof = bounds.prop1_rhs(spec, provider, n=8, m=2, constants="proof")
-    stmt = bounds.prop1_rhs(spec, provider, n=8, m=2, constants="statement")
+    etas = bounds.eta_matrix(spec, make_provider(EtaConfig(kind="constant", value=0.3)))
+    proof = bounds.prop1_rhs(spec, etas, n=8, m=2, constants="proof")
+    stmt = bounds.prop1_rhs(spec, etas, n=8, m=2, constants="statement")
     assert proof[0] == stmt[0]
     assert proof[1] > stmt[1]
     assert proof[2] > stmt[2]
     with pytest.raises(ValueError):
-        bounds.prop1_rhs(spec, provider, n=8, m=2, constants="folklore")
+        bounds.prop1_rhs(spec, etas, n=8, m=2, constants="folklore")
 
 
 def test_prop1_requires_discrete():
@@ -117,7 +117,7 @@ def test_prop1_requires_discrete():
     )
     provider = make_provider(EtaConfig(kind="constant", value=0.1))
     with pytest.raises(ValueError):
-        bounds.prop1_rhs(spec, provider, n=4, m=1)
+        bounds.prop1_rhs(spec, bounds.eta_matrix(spec, provider), n=4, m=1)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def test_gap_zero_for_constant_encoder():
     params.w2[:] = 0.0
     provider = make_provider(EtaConfig(kind="constant", value=0.3))
     gap, stderr, gap_unclamped = bounds.empirical_gap(
-        spec, params, provider, n=8, m=2, trials=20, rng=stream(3, 1)
+        spec, params, bounds.eta_matrix(spec, provider), n=8, m=2, trials=20, rng=stream(3, 1)
     )
     assert gap < 1e-10
     assert stderr < 1e-12
@@ -144,8 +144,8 @@ def test_gap_rejects_empty_sample_sets(n, m):
     spec = discrete_spec(3)
     provider = make_provider(EtaConfig(kind="constant", value=0.3))
     with pytest.raises(ValueError, match="n and m"):
-        bounds.empirical_gap(spec, encoder_for(spec), provider, n=n, m=m, trials=4,
-                             rng=stream(3, 1))
+        bounds.empirical_gap(spec, encoder_for(spec), bounds.eta_matrix(spec, provider),
+                             n=n, m=m, trials=4, rng=stream(3, 1))
 
 
 def _bits(values):
@@ -154,7 +154,8 @@ def _bits(values):
 
 def _assert_gap_matches_reference(spec, params, provider, n, m, trials, seed):
     rng, rng_ref = stream(seed, 9), stream(seed, 9)
-    result = bounds.empirical_gap(spec, params, provider, n, m, trials, rng)
+    etas = bounds.eta_matrix(spec, provider)
+    result = bounds.empirical_gap(spec, params, etas, n, m, trials, rng)
     expected = empirical_gap_reference(spec, params, provider, n, m, trials, rng_ref)
     assert _bits(result) == _bits(expected), (n, m, trials, result, expected)
     assert rng.random() == rng_ref.random()
@@ -207,11 +208,12 @@ def test_empirical_gap_is_independent_of_the_block_size(monkeypatch):
     default = bounds.TRIAL_BLOCK_ELEMENTS
     nans = 0
     for case, (spec, params, provider, n, m) in enumerate(_block_size_cases()):
+        etas = bounds.eta_matrix(spec, provider)
         seen = set()
         for elements in (1, default, 2**40):
             monkeypatch.setattr(bounds, "TRIAL_BLOCK_ELEMENTS", elements)
             rng = stream(case, 9)
-            result = bounds.empirical_gap(spec, params, provider, n, m, 37, rng)
+            result = bounds.empirical_gap(spec, params, etas, n, m, 37, rng)
             seen.add((_bits(result), rng.random()))
         assert len(seen) == 1, (case, seen)
         nans += math.isnan(result[2])
@@ -252,7 +254,8 @@ def test_empirical_gap_matches_the_gathered_sums(variant):
         spec = pl._random_discrete_spec(rng, config)
         params = enc.init_params(spec.dim, 6, 4, rng, gamma=1.0)
         provider = pl._bound_provider(variant, spec, rng)
-        result = bounds.empirical_gap(spec, params, provider, n, m, 40, stream(i, 9))
+        result = bounds.empirical_gap(spec, params, bounds.eta_matrix(spec, provider), n, m, 40,
+                                      stream(i, 9))
         expected = _gathered_gap(spec, params, provider, n, m, 40, stream(i, 9))
         np.testing.assert_allclose(result, expected, rtol=1e-9, atol=0.0, err_msg=str((n, m)))
 
@@ -318,7 +321,8 @@ def test_training_the_bound_and_the_gate_reach_one_estimator_kernel(monkeypatch)
         "g_estimate": lambda: obj.g_estimate(inputs),
         "g_estimate_many": lambda: obj.g_estimate_many(np.zeros((4, 2)), np.zeros((4, 1)),
                                                        np.full(4, 0.3), 1.0),
-        "empirical_gap": lambda: bounds.empirical_gap(spec, encoder_for(spec), provider, 4, 2,
+        "empirical_gap": lambda: bounds.empirical_gap(spec, encoder_for(spec),
+                                                      bounds.eta_matrix(spec, provider), 4, 2,
                                                       3, stream(2, 9)),
     }
     for name, call in callers.items():
@@ -327,37 +331,33 @@ def test_training_the_bound_and_the_gate_reach_one_estimator_kernel(monkeypatch)
         assert len(calls) > before, name
 
 
-def test_verify_prop1_doubling_matches_reference(monkeypatch):
-    # a tiny stderr fraction doubles the trials 16 -> 32 -> 64, drawing each
-    # call's trials after the previous call's from the same generator
-    monkeypatch.setattr(bounds, "STDERR_FRACTION", 1e-9)
+def test_verify_prop1_runs_the_given_trials_once():
+    # one empirical_gap call of exactly `trials` trials, whatever its stderr
     spec = discrete_spec(7)
     params = encoder_for(spec, seed=7)
     provider = make_provider(EtaConfig(kind="constant", value=0.2))
     rng, rng_ref = stream(7, 9), stream(7, 9)
-    report = bounds.verify_prop1(spec, params, provider, n=16, m=4, rng=rng, trials=16,
-                                 max_trials=64)
-    for trials in (16, 32, 64):
-        expected = empirical_gap_reference(spec, params, provider, 16, 4, trials, rng_ref)
-    assert report.trials == 64
+    report = bounds.verify_prop1(spec, params, provider, n=16, m=4, rng=rng, trials=16)
+    expected = empirical_gap_reference(spec, params, provider, 16, 4, 16, rng_ref)
+    assert report.trials == 16
     assert _bits((report.lhs, report.lhs_stderr, report.lhs_unclamped)) == _bits(expected)
     assert rng.random() == rng_ref.random()
 
 
-def test_verify_prop1_doubling_stops_at_max_trials(monkeypatch):
-    # 16 -> 24, not 32: the last doubling is capped at max_trials
-    monkeypatch.setattr(bounds, "STDERR_FRACTION", 1e-9)
+def test_verify_prop1_evaluates_eta_once(monkeypatch):
+    # the right-hand side and the Monte Carlo gap share one (K, P) eta grid
+    calls = []
+
+    def counting_eta_for_batch(*args):
+        calls.append(args)
+        return eta_for_batch(*args)
+
+    monkeypatch.setattr(bounds, "eta_for_batch", counting_eta_for_batch)
     spec = discrete_spec(7)
-    params = encoder_for(spec, seed=7)
     provider = make_provider(EtaConfig(kind="constant", value=0.2))
-    rng, rng_ref = stream(7, 9), stream(7, 9)
-    report = bounds.verify_prop1(spec, params, provider, n=16, m=4, rng=rng, trials=16,
-                                 max_trials=24)
-    for trials in (16, 24):
-        expected = empirical_gap_reference(spec, params, provider, 16, 4, trials, rng_ref)
-    assert report.trials == 24
-    assert _bits((report.lhs, report.lhs_stderr, report.lhs_unclamped)) == _bits(expected)
-    assert rng.random() == rng_ref.random()
+    bounds.verify_prop1(spec, encoder_for(spec, seed=7), provider, n=16, m=4, rng=stream(7, 9),
+                        trials=16)
+    assert len(calls) == 1
 
 
 def test_gap_shrinks_with_large_samples():
@@ -365,7 +365,8 @@ def test_gap_shrinks_with_large_samples():
     params = encoder_for(spec, seed=4)
     provider = make_provider(EtaConfig(kind="true_oracle"), spec=spec)
     gap, stderr, _ = bounds.empirical_gap(
-        spec, params, provider, n=4096, m=4096, trials=40, rng=stream(4, 1)
+        spec, params, bounds.eta_matrix(spec, provider), n=4096, m=4096, trials=40,
+        rng=stream(4, 1)
     )
     assert gap < 0.02
 

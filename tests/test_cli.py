@@ -433,7 +433,7 @@ def test_verify_bounds_ok(tmp_path, base_config):
     "field, value",
     [("trials", 1), ("n_grid", [0]), ("m_grid", []), ("max_classes", 1), ("max_points", 2),
      ("constants", "foo"), ("trials", "200"), ("trials", 2.5), ("n_configs", 0),
-     ("n_configs", -1), ("max_trials", 100), ("n_grid", [4.5]), ("seed", -1), ("seed", "x"),
+     ("n_configs", -1), ("n_grid", [4.5]), ("seed", -1), ("seed", "x"),
      ("seed", 2.5), ("seed", True)],
 )
 def test_bad_bounds_fields_exit_2(tmp_path, capsys, field, value):
@@ -689,6 +689,8 @@ BAD_VALUES = [
     ("train", "unknown mode 'unimodal'", {"spec": TRADEOFF, "train": {"mode": "unimodal"}}),
     ("simulate", "unknown simulate fields: ['with_tokens']",
      {"spec": TRADEOFF, "simulate": {"with_tokens": False}}),
+    # the bound check runs a fixed trial count
+    ("verify-bounds", "unknown bounds fields: ['max_trials']", {"bounds": {"max_trials": 100}}),
 ]
 
 

@@ -192,7 +192,7 @@ def test_tradeoff_cell_deterministic(variant):
 
 
 def test_bound_sweep_rows():
-    config = pl.BoundSweepConfig(n_configs=8, trials=60, max_trials=240)
+    config = pl.BoundSweepConfig(n_configs=8, trials=60)
     rows = pl.bound_sweep(config)
     assert len(rows) == 8
     variants = {row["eta_variant"] for row in rows}
@@ -217,7 +217,7 @@ def test_bound_sweep_rows_are_pinned():
 
 
 def test_bound_sweep_deterministic():
-    config = pl.BoundSweepConfig(n_configs=3, trials=50, max_trials=100)
+    config = pl.BoundSweepConfig(n_configs=3, trials=50)
     r1 = pl.bound_sweep(config)
     r2 = pl.bound_sweep(config)
     for a, b in zip(r1, r2):
